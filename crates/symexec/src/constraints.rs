@@ -328,6 +328,11 @@ impl ConstraintManager {
             .collect();
     }
 
+    /// The ids of every symbol the manager holds a fact about.
+    pub(crate) fn symbol_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ranges.keys().chain(self.diseqs.keys()).copied()
+    }
+
     /// Produces a concrete assignment satisfying the recorded constraints
     /// for the given symbols (best effort; constraints the manager did not
     /// record are not reflected).

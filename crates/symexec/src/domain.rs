@@ -941,6 +941,11 @@ impl AbstractDomain {
         }
     }
 
+    /// The ids of every symbol the domain holds a fact about.
+    pub(crate) fn symbol_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.facts.keys().copied()
+    }
+
     /// Rewrites symbol ids (worklist merge canonicalization).
     pub fn remap_symbols(&mut self, f: impl Fn(u32) -> u32) {
         if self.facts.is_empty() {

@@ -38,7 +38,9 @@ use crate::simplify::{fold_binary, fold_unary, simplify};
 use crate::state::{Channel, DeclassifyEvent, ExecState, Frame};
 use crate::trace::TraceStep;
 use crate::value::{Region, SVal, Symbol};
-use crate::worklist::{run_tasks, IdRemap, LOCAL_ID_BASE};
+use crate::worklist::{
+    assert_no_local_ids, release_worker_arenas, run_tasks, IdRemap, TaskBase, LOCAL_ID_BASE,
+};
 
 /// How an entry-function parameter is bound at the start of exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -538,6 +540,9 @@ impl<'u> Engine<'u> {
                 return_value,
             });
         }
+        if self.config.effective_workers() > 1 {
+            release_worker_arenas();
+        }
 
         Ok(Exploration {
             entry: entry.to_string(),
@@ -778,6 +783,7 @@ impl<'u> Engine<'u> {
                 probe_seen: BTreeSet::new(),
                 profile: Profile::new(),
             };
+            let base = TaskBase::of(&state);
             let flows = task.exec(state, stmt);
             if let Some(span) = span.as_mut() {
                 span.field("steps", task.stats.steps);
@@ -787,6 +793,7 @@ impl<'u> Engine<'u> {
             }
             TaskResult {
                 flows,
+                base,
                 fresh_symbols: task.next_symbol - LOCAL_ID_BASE,
                 fresh_sources: task.next_source - LOCAL_ID_BASE,
                 source_names: task.source_names,
@@ -929,6 +936,8 @@ impl CheckpointSink<'_> {
 /// Everything one statement-task produced, with ids still task-local.
 struct TaskResult {
     flows: StateFlows,
+    /// The task's input state, which bounds what the merge must remap.
+    base: TaskBase,
     fresh_symbols: u32,
     fresh_sources: u32,
     source_names: BTreeMap<u32, String>,
@@ -964,6 +973,7 @@ impl TaskResult {
         };
         TaskResult {
             flows: Vec::new(),
+            base: TaskBase::default(),
             fresh_symbols: 0,
             fresh_sources: 0,
             source_names: BTreeMap::new(),
@@ -1021,21 +1031,30 @@ fn merge_task(explorer: &mut Explorer<'_, '_>, mut task: TaskResult) -> StateFlo
     explorer.profile.absorb(&task.profile);
     explorer.exhausted |= task.exhausted;
     explorer.ledger.absorb(task.ledger);
+    // A task that minted no ids has nothing to translate.
+    let minted = task.fresh_symbols > 0 || task.fresh_sources > 0;
     for mut event in task.events {
-        remap.remap_event(&mut event);
+        if minted {
+            remap.remap_event(&mut event);
+        }
         explorer.event_log.push(event);
     }
-    task.flows
-        .into_iter()
-        .map(|(mut st, mut flow)| {
-            remap.remap_state(&mut st);
-            if let Flow::Return(Some((value, taint))) = &mut flow {
+    let mut flows = task.flows;
+    if minted {
+        for (st, flow) in &mut flows {
+            remap.remap_state(st, &task.base);
+            if let Flow::Return(Some((value, taint))) = flow {
                 value.remap_symbols(&|id| remap.symbol(id));
                 *taint = remap.taint(taint);
             }
-            (st, flow)
-        })
-        .collect()
+        }
+    }
+    if cfg!(debug_assertions) {
+        for (st, _) in &flows {
+            assert_no_local_ids(st);
+        }
+    }
+    flows
 }
 
 /// Control flow out of a statement.
@@ -1808,14 +1827,12 @@ impl<'u, 'c> Explorer<'u, 'c> {
         callee: &str,
         values: &[(SVal, TaintSet)],
     ) -> EvalResults {
-        let defined = self
-            .unit
-            .function(callee)
-            .filter(|f| f.body.is_some())
-            .cloned();
-        if let Some(func) = defined {
+        // Borrow the callee from the translation unit, which outlives the
+        // explorer, so no `self` borrow is held across the call.
+        let unit = self.unit;
+        if let Some(func) = unit.function(callee).filter(|f| f.body.is_some()) {
             if state.frames.len() <= self.config.inline_depth {
-                return self.inline_call(state, &func, values);
+                return self.inline_call(state, func, values);
             }
         }
         vec![self.model_builtin(state, expr, callee, values)]

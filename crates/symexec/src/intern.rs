@@ -56,17 +56,51 @@ pub trait Intern: Sized + Eq {
 
 /// A weak hash-bucketed interner table. Dead entries (nodes whose last
 /// strong reference dropped) are pruned lazily whenever their bucket is
-/// visited.
+/// visited, and by a whole-table sweep once the table has doubled since
+/// the last one.
+///
+/// A dead entry still pins its node's allocation (a `Weak` keeps the
+/// `Arc` block alive). Bucket visits alone only reclaim entries whose
+/// exact hash recurs, so on a long-lived thread that analyzes one module
+/// after another the table would otherwise grow with every distinct node
+/// it ever interned. The sweep bounds it by twice the live count at the
+/// previous sweep, at amortized O(1) per insert.
 pub struct Interner<T> {
     buckets: HashMap<u64, Vec<Weak<HcNode<T>>>>,
+    /// Entries across all buckets, live or dead.
+    entries: usize,
+    /// The entry count the next sweep waits for.
+    sweep_at: usize,
 }
+
+/// The smallest table size that triggers a sweep.
+const MIN_SWEEP: usize = 4096;
 
 impl<T> Interner<T> {
     /// Creates an empty table.
     pub fn new() -> Self {
         Interner {
             buckets: HashMap::new(),
+            entries: 0,
+            sweep_at: MIN_SWEEP,
         }
+    }
+
+    /// Entries in the table, live or dead (test/diagnostic helper).
+    pub fn entries(&self) -> usize {
+        self.entries
+    }
+
+    /// Drops every dead entry and schedules the next sweep for when the
+    /// table has doubled again.
+    fn sweep(&mut self) {
+        self.buckets.retain(|_, bucket| {
+            bucket.retain(|weak| weak.strong_count() > 0);
+            !bucket.is_empty()
+        });
+        self.buckets.shrink_to_fit();
+        self.entries = self.buckets.values().map(Vec::len).sum();
+        self.sweep_at = (2 * self.entries).max(MIN_SWEEP);
     }
 
     /// Number of live interned nodes (test/diagnostic helper).
@@ -84,31 +118,41 @@ impl<T> Default for Interner<T> {
     }
 }
 
+impl<T: Intern> Interner<T> {
+    /// The canonical handle for `value`'s structure in this table.
+    fn intern(&mut self, value: T) -> HC<T> {
+        let hash = value.shallow_hash();
+        let bucket = self.buckets.entry(hash).or_default();
+        let mut i = 0;
+        while i < bucket.len() {
+            match bucket[i].upgrade() {
+                Some(node) => {
+                    if node.value == value {
+                        return HC(node);
+                    }
+                    i += 1;
+                }
+                None => {
+                    bucket.swap_remove(i);
+                    self.entries -= 1;
+                }
+            }
+        }
+        let node = Arc::new(HcNode { hash, value });
+        bucket.push(Arc::downgrade(&node));
+        self.entries += 1;
+        if self.entries >= self.sweep_at {
+            self.sweep();
+        }
+        HC(node)
+    }
+}
+
 impl<T: Intern> HC<T> {
     /// Interns `value`, returning the canonical handle for its structure
     /// on this thread.
     pub fn new(value: T) -> HC<T> {
-        let hash = value.shallow_hash();
-        T::with_interner(|table| {
-            let bucket = table.buckets.entry(hash).or_default();
-            let mut i = 0;
-            while i < bucket.len() {
-                match bucket[i].upgrade() {
-                    Some(node) => {
-                        if node.value == value {
-                            return HC(node);
-                        }
-                        i += 1;
-                    }
-                    None => {
-                        bucket.swap_remove(i);
-                    }
-                }
-            }
-            let node = Arc::new(HcNode { hash, value });
-            bucket.push(Arc::downgrade(&node));
-            HC(node)
-        })
+        T::with_interner(|table| table.intern(value))
     }
 }
 
@@ -409,6 +453,23 @@ mod tests {
         let b = HC::new(SVal::Int(2));
         assert!(a < b);
         assert_eq!(a.cmp(&a.clone()), Ordering::Equal);
+    }
+
+    #[test]
+    fn dead_entries_of_distinct_values_are_swept() {
+        // Every value below is distinct and dies at once, so no bucket is
+        // ever revisited; only the sweep can reclaim their entries.
+        let mut table: Interner<SVal> = Interner::new();
+        let kept = table.intern(SVal::Int(7));
+        let mut peak = 0;
+        for id in 0..20 * MIN_SWEEP as u32 {
+            drop(table.intern(SVal::Sym(crate::value::Symbol::new(id, "t"))));
+            peak = peak.max(table.entries());
+        }
+        assert!(peak <= MIN_SWEEP, "table reached {peak} entries");
+        // The sweep keeps live entries: equal structure still collapses.
+        assert_eq!(table.live(), 1);
+        assert!(HC::ptr_eq(&kept, &table.intern(SVal::Int(7))));
     }
 
     #[test]

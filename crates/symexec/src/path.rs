@@ -44,6 +44,13 @@ impl PathCondition {
         self.assumptions.push(Assumption { cond, taken });
     }
 
+    /// Rewrites the symbol ids of the assumptions from index `start` on.
+    pub(crate) fn remap_symbols_from<F: Fn(u32) -> u32>(&mut self, start: usize, f: &F) {
+        for assumption in self.assumptions.iter_mut().skip(start) {
+            assumption.cond.remap_symbols(f);
+        }
+    }
+
     /// The recorded assumptions, oldest first.
     pub fn assumptions(&self) -> &[Assumption] {
         &self.assumptions

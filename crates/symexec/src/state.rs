@@ -59,6 +59,15 @@ impl Environment {
         self.bindings.iter()
     }
 
+    /// Rewrites the bindings not shared with `base` through `f` (see
+    /// [`OrdMap::update_unshared`]).
+    pub(crate) fn update_unshared<F>(&mut self, base: &Environment, f: F)
+    where
+        F: FnMut(&ExprId, &Region) -> Option<(ExprId, Region)>,
+    {
+        self.bindings.update_unshared(&base.bindings, f);
+    }
+
     /// Diagnostic: (shared-with-`other`, total) map-node counts.
     pub fn sharing(&self, other: &Environment) -> (usize, usize) {
         (
@@ -182,6 +191,25 @@ impl Store {
             out.sort_by_key(|(region, _)| *region);
         }
         out.into_iter()
+    }
+
+    /// Rewrites the bindings not shared with `base` through `f` (see
+    /// [`OrdMap::update_unshared`]).
+    ///
+    /// Leaves `has_orphans` as it is: `f` renames symbols consistently in
+    /// every key, so each child keeps its parent (or its missing parent)
+    /// and no orphan is created or repaired.
+    pub(crate) fn update_unshared<F>(&mut self, base: &Store, f: F)
+    where
+        F: FnMut(&Region, &SVal) -> Option<(Region, SVal)>,
+    {
+        self.bindings.update_unshared(&base.bindings, f);
+    }
+
+    /// The sticky orphan hint (see the field docs).
+    #[cfg(test)]
+    pub(crate) fn has_orphans(&self) -> bool {
+        self.has_orphans
     }
 
     /// Diagnostic: (shared-with-`other`, total) map-node counts.

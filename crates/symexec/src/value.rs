@@ -172,7 +172,7 @@ impl Region {
 
     /// Returns the rewritten region, or `None` when nothing changed (the
     /// caller keeps its existing shared node).
-    fn remapped<F: Fn(u32) -> u32>(&self, f: &F) -> Option<Region> {
+    pub(crate) fn remapped<F: Fn(u32) -> u32>(&self, f: &F) -> Option<Region> {
         match self {
             Region::Element { base, index } => {
                 let b = base.remapped(f);
@@ -372,7 +372,7 @@ impl SVal {
 
     /// Returns the rewritten value, or `None` when nothing changed (the
     /// caller keeps its existing shared node).
-    fn remapped<F: Fn(u32) -> u32>(&self, f: &F) -> Option<SVal> {
+    pub(crate) fn remapped<F: Fn(u32) -> u32>(&self, f: &F) -> Option<SVal> {
         match self {
             SVal::Sym(sym) => {
                 let id = f(sym.id);

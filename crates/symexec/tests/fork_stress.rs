@@ -103,3 +103,38 @@ fn sibling_paths_do_not_alias_writes() {
         "sibling paths alias the same store node"
     );
 }
+
+#[test]
+fn sibling_final_states_share_structure_across_waves() {
+    // A straight-line prologue reads and copies 32 secret cells, then the
+    // cascade forks. Every top-level statement is its own wave, so each
+    // final state has been through dozens of merges. A merge rewrites only
+    // what its task created: the env, store and taint nodes and the log
+    // chunks built in earlier waves must stay shared between siblings
+    // instead of being rebuilt per path.
+    let levels = 6;
+    let prologue: String = (0..32)
+        .map(|i| format!("warm[{i}] = secrets[{i}] * {i};\n"))
+        .collect();
+    let source =
+        cascade_source(levels).replacen("{\n", &format!("{{\nint warm[32];\n{prologue}"), 1);
+    let unit = minic::parse(&source).expect("fixture parses");
+    for workers in [1, 2] {
+        let config = EngineConfig {
+            workers,
+            max_paths: 4096,
+            ..EngineConfig::default()
+        };
+        let exploration = Engine::new(&unit, config)
+            .run("cascade", &[ParamBinding::SecretPointer])
+            .expect("exploration succeeds");
+        assert_eq!(exploration.paths.len(), 1 << levels);
+        for pair in exploration.paths.chunks(2) {
+            let (shared, total) = pair[0].state.shared_allocations(&pair[1].state);
+            assert!(
+                2 * shared > total,
+                "siblings share only {shared} of {total} allocations (workers {workers})"
+            );
+        }
+    }
+}

@@ -104,6 +104,16 @@ impl<K: Ord + Clone> TaintMap<K> {
         self.entries.remove(key)
     }
 
+    /// Rewrites through `f` the entries not shared with `base` (see
+    /// [`OrdMap::update_unshared`]); `f` returns `Some((key, taint))` to
+    /// replace an entry, possibly under a new key, and must not return ⊥.
+    pub fn update_unshared<F>(&mut self, base: &TaintMap<K>, f: F)
+    where
+        F: FnMut(&K, &TaintSet) -> Option<(K, TaintSet)>,
+    {
+        self.entries.update_unshared(&base.entries, f);
+    }
+
     /// Diagnostic: (shared-with-`other`, total) map-node counts.
     pub fn sharing(&self, other: &TaintMap<K>) -> (usize, usize) {
         (

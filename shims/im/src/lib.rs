@@ -169,12 +169,17 @@ impl<K, V> OrdMap<K, V> {
 impl<K: Ord, V> OrdMap<K, V> {
     /// The value bound to `key`, if any.
     pub fn get(&self, key: &K) -> Option<&V> {
+        self.node_of(key).map(|node| &node.value)
+    }
+
+    /// The tree node holding `key`, if any.
+    fn node_of(&self, key: &K) -> Option<&Arc<Node<K, V>>> {
         let mut cur = &self.root;
         while let Some(node) = cur {
             match key.cmp(&node.key) {
                 Ordering::Less => cur = &node.left,
                 Ordering::Greater => cur = &node.right,
-                Ordering::Equal => return Some(&node.value),
+                Ordering::Equal => return Some(node),
             }
         }
         None
@@ -217,6 +222,54 @@ impl<K: Ord, V> OrdMap<K, V> {
 }
 
 impl<K: Ord + Clone, V: Clone> OrdMap<K, V> {
+    /// Rewrites through `f` the entries that `self` does not share with
+    /// `base`, in O(u · log n) for u unshared tree nodes.
+    ///
+    /// The walk skips every subtree whose root is the *same allocation* as
+    /// `base`'s node for that key: persistent nodes are immutable, so such
+    /// a subtree holds exactly what `base` holds there. `f` sees each
+    /// remaining entry and returns `Some((key, value))` to replace it —
+    /// possibly under a new key — or `None` to keep it. All replaced keys
+    /// are removed before any replacement is inserted, so `f` may move an
+    /// entry onto a key it moves away from, but not onto a key it keeps.
+    pub fn update_unshared<F>(&mut self, base: &Self, mut f: F)
+    where
+        F: FnMut(&K, &V) -> Option<(K, V)>,
+    {
+        fn walk<K: Ord + Clone, V, F: FnMut(&K, &V) -> Option<(K, V)>>(
+            link: &Link<K, V>,
+            base: &OrdMap<K, V>,
+            f: &mut F,
+            out: &mut Vec<(K, K, V)>,
+        ) {
+            let Some(node) = link else { return };
+            if base
+                .node_of(&node.key)
+                .is_some_and(|theirs| Arc::ptr_eq(theirs, node))
+            {
+                return;
+            }
+            walk(&node.left, base, f, out);
+            if let Some((key, value)) = f(&node.key, &node.value) {
+                out.push((node.key.clone(), key, value));
+            }
+            walk(&node.right, base, f, out);
+        }
+        if self.same_root(base) {
+            return;
+        }
+        let mut changes = Vec::new();
+        walk(&self.root, base, &mut f, &mut changes);
+        for (old, new, _) in &changes {
+            if old != new {
+                self.remove(old);
+            }
+        }
+        for (_, key, value) in changes {
+            self.insert(key, value);
+        }
+    }
+
     /// Binds `key` to `value`, returning the previous binding if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let (root, old) = insert(&self.root, key, value);
@@ -630,6 +683,22 @@ impl<T> Vector<T> {
 }
 
 impl<T: Clone> Vector<T> {
+    /// Shortens the sequence to `len` elements (no-op if already shorter).
+    ///
+    /// Frozen chunks wholly below `len` stay shared with every clone; only
+    /// the partial chunk `len` falls into (fewer than `CHUNK` elements) is
+    /// copied back into the mutable tail.
+    pub fn truncate(&mut self, len: usize) {
+        let frozen = self.chunks.len() * CHUNK;
+        if len >= frozen {
+            self.tail.truncate(len - frozen);
+            return;
+        }
+        let keep = len / CHUNK;
+        self.tail = self.chunks[keep][..len % CHUNK].to_vec();
+        self.chunks.truncate(keep);
+    }
+
     /// Copies the elements into a `Vec`.
     pub fn to_vec(&self) -> Vec<T> {
         self.iter().cloned().collect()
@@ -935,6 +1004,74 @@ mod tests {
         v.push(130);
         assert_eq!(v.shared_len(&w), 128);
         assert_eq!(v.frozen_len(), 128);
+    }
+
+    #[test]
+    fn update_unshared_visits_only_what_diverged() {
+        let base: OrdMap<u32, u32> = (0..200).map(|i| (i * 2, i)).collect();
+        let mut derived = base.clone();
+        derived.insert(7, 1000);
+        derived.insert(100, 1001);
+        let mut seen = Vec::new();
+        derived.update_unshared(&base, |k, v| {
+            seen.push(*k);
+            (*v >= 1000).then(|| (k + 10_000, v + 1))
+        });
+        // Only the two path-copied spines are walked, never the whole map.
+        assert!(seen.contains(&7) && seen.contains(&100));
+        assert!(seen.len() <= 2 * 20, "walked {} entries", seen.len());
+        assert_eq!(derived.get(&7), None);
+        assert_eq!(derived.get(&10_007), Some(&1001));
+        assert_eq!(derived.get(&10_100), Some(&1002));
+        assert_eq!(derived.get(&100), None);
+        assert_eq!(derived.len(), 201);
+        // Everything else is still the base's allocation.
+        assert!(derived.shared_node_count(&base) >= 100);
+
+        let mut same = base.clone();
+        same.update_unshared(&base, |_, _| panic!("a shared map has nothing to visit"));
+        assert!(same.same_root(&base));
+    }
+
+    #[test]
+    fn update_unshared_matches_a_full_rebuild() {
+        let mut rng = Rng(7);
+        let base: OrdMap<u64, u64> = (0..300).map(|_| (rng.next() % 1000, 0)).collect();
+        for _ in 0..20 {
+            let mut derived = base.clone();
+            for _ in 0..(rng.next() % 40) {
+                let k = rng.next() % 1000;
+                if rng.next().is_multiple_of(5) {
+                    derived.remove(&k);
+                } else {
+                    derived.insert(k, 1 + rng.next() % 3);
+                }
+            }
+            // Move marked entries to fresh keys above the base's range.
+            let rekey = |k: &u64, v: &u64| (*v == 2).then_some((k + 5000, 9));
+            let want: BTreeMap<u64, u64> = derived
+                .iter()
+                .map(|(k, v)| rekey(k, v).unwrap_or((*k, *v)))
+                .collect();
+            derived.update_unshared(&base, rekey);
+            let got: BTreeMap<u64, u64> = derived.iter().map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn vector_truncate_keeps_frozen_chunks_shared() {
+        let original: Vector<u32> = (0..300).collect();
+        for len in [0, 1, 63, 64, 65, 128, 200, 256, 299, 300, 400] {
+            let mut v = original.clone();
+            v.truncate(len);
+            let want: Vec<u32> = (0..300u32.min(len as u32)).collect();
+            assert_eq!(v.to_vec(), want, "len {len}");
+            assert_eq!(v.shared_len(&original), (len.min(300) / CHUNK) * CHUNK);
+            v.push(7);
+            assert_eq!(v.len(), len.min(300) + 1);
+            assert_eq!(v.last(), Some(&7));
+        }
     }
 
     #[test]
