@@ -39,18 +39,18 @@ fn populated_state(n: usize) -> ExecState {
         let region = match i % 4 {
             0 => Region::Var {
                 frame: 0,
-                name: format!("v{i}"),
+                name: format!("v{i}").into(),
             },
             1 => Region::element(buf.clone(), SVal::Int(i as i64)),
             2 => Region::field(
                 Region::Var {
                     frame: 0,
-                    name: format!("s{}", i / 4),
+                    name: format!("s{}", i / 4).into(),
                 },
                 "f",
             ),
             _ => Region::Global {
-                name: format!("g{i}"),
+                name: format!("g{i}").into(),
             },
         };
         let value = SVal::binary(

@@ -334,7 +334,7 @@ impl Analyzer {
                 &event.value,
                 &event.taint,
                 &event.pi_taint,
-                &event.pi,
+                &|| event.pi.clone(),
                 line,
                 &source_name,
                 &exploration.source_symbols,
@@ -344,12 +344,22 @@ impl Analyzer {
         }
 
         for path in &exploration.paths {
-            let final_pi = path.state.path.to_string();
+            // π is rendered only when an observation is new.
+            let final_pi = || path.state.path.to_string();
             // `[out]` buffer contents at function exit. Only *program
             // writes* count: a lazily-materialized read of never-written
             // `[out]` memory is not an observable emission.
-            let written: std::collections::BTreeSet<&symexec::Region> =
-                path.state.write_log.iter().collect();
+            let written: std::collections::BTreeSet<&symexec::Region> = path
+                .state
+                .write_log
+                .iter()
+                .filter(|region| {
+                    exploration
+                        .out_bases
+                        .iter()
+                        .any(|(_, base)| region.is_within(base))
+                })
+                .collect();
             for (_, base) in &exploration.out_bases {
                 for (region, value) in path.state.store.regions_within(base) {
                     if !written.contains(region) {
@@ -547,7 +557,7 @@ impl Analyzer {
         value: &symexec::SVal,
         taint: &taint::TaintSet,
         pi_taint: &taint::TaintSet,
-        pi_render: &str,
+        pi_render: &dyn Fn() -> String,
         line: Option<usize>,
         source_name: &dyn Fn(SourceId) -> String,
         source_symbols: &BTreeMap<SourceId, u32>,
@@ -595,7 +605,7 @@ impl Analyzer {
                 .entry((source, channel.to_string()))
                 .or_default()
                 .entry(value.to_string())
-                .or_insert_with(|| pi_render.to_string());
+                .or_insert_with(pi_render);
         }
     }
 }

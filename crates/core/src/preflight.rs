@@ -208,7 +208,7 @@ fn bindings(proto: &Prototype) -> Vec<ParamBinding> {
 fn collect_symbols(value: &SVal, out: &mut BTreeMap<u32, String>) {
     match value {
         SVal::Sym(sym) => {
-            out.insert(sym.id, sym.hint.clone());
+            out.insert(sym.id, sym.hint.to_string());
         }
         SVal::Binary { lhs, rhs, .. } => {
             collect_symbols(lhs, out);

@@ -883,13 +883,14 @@ fn scheduler_loop(shared: &Shared, slice: Duration) {
             let effective = slice.saturating_mul(1 << job.suspensions.min(16));
             if let Some(started) = job.slice_start {
                 if now.duration_since(started) >= effective {
-                    if std::env::var_os("SERVICE_DEBUG").is_some() && !job.yield_hook.is_requested()
-                    {
-                        eprintln!(
-                            "[svc] arm yield (slice {:?} elapsed {:?})",
-                            effective,
-                            now.duration_since(started)
-                        );
+                    if !job.yield_hook.is_requested() {
+                        shared.telemetry.debug(|| {
+                            format!(
+                                "arm yield (slice {:?} elapsed {:?})",
+                                effective,
+                                now.duration_since(started)
+                            )
+                        });
                     }
                     job.yield_hook.request();
                 }
@@ -919,7 +920,7 @@ fn worker_loop(shared: &Shared) {
                 }
                 if !state.draining {
                     if let Some(id) = state.queue.pop_front() {
-                        if let Some(work) = begin_slice(&mut state, id) {
+                        if let Some(work) = begin_slice(&mut state, id, &shared.telemetry) {
                             break work;
                         }
                         continue; // cancelled-while-queued edge: next item
@@ -939,7 +940,7 @@ fn worker_loop(shared: &Shared) {
 /// Transitions a dequeued job to `Running` and snapshots what the slice
 /// needs. The per-job deadline is pinned at first start; later slices get
 /// only the remaining budget.
-fn begin_slice(state: &mut State, id: u64) -> Option<SliceWork> {
+fn begin_slice(state: &mut State, id: u64, telemetry: &telemetry::Telemetry) -> Option<SliceWork> {
     let job = state.jobs.get_mut(&id)?;
     if matches!(job.state, JobState::Done | JobState::Failed) {
         return None;
@@ -954,12 +955,12 @@ fn begin_slice(state: &mut State, id: u64) -> Option<SliceWork> {
     }
     job.state = JobState::Running;
     job.slice_start = Some(now);
-    if std::env::var_os("SERVICE_DEBUG").is_some() {
-        eprintln!(
-            "[svc] begin job {id} resume={:?} suspensions={}",
+    telemetry.debug(|| {
+        format!(
+            "begin job {id} resume={:?} suspensions={}",
             job.resume_from, job.suspensions
-        );
-    }
+        )
+    });
     let deadline_ms = job
         .deadline_at
         .map(|at| u64::try_from(at.saturating_duration_since(now).as_millis()).unwrap_or(u64::MAX));
@@ -1145,12 +1146,12 @@ fn suspend_job(shared: &Shared, id: u64, report: &Report, spool_path: &std::path
         job.frontier = *dropped as u64;
     }
     job.steps_done = report.profile.total_steps();
-    if std::env::var_os("SERVICE_DEBUG").is_some() {
-        eprintln!(
-            "[svc] suspend job {id} -> {:?} (#{} parked={})",
+    shared.telemetry.debug(|| {
+        format!(
+            "suspend job {id} -> {:?} (#{} parked={})",
             job.resume_from, job.suspensions, job.parked
-        );
-    }
+        )
+    });
     job.yield_hook.clear();
     let parked = job.parked || state.draining;
     if !parked {
@@ -1210,9 +1211,9 @@ fn finish_job(shared: &Shared, id: u64, reports: Vec<Report>, error: Option<Stri
     };
     let now = Instant::now();
     let exit = u8::try_from(exit_for_journal).unwrap_or(2);
-    if std::env::var_os("SERVICE_DEBUG").is_some() {
-        eprintln!("[svc] finish job {id} exit={exit} err={:?}", error);
-    }
+    shared
+        .telemetry
+        .debug(|| format!("finish job {id} exit={exit} err={error:?}"));
     job.state = if error.is_some() {
         JobState::Failed
     } else {

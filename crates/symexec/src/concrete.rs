@@ -179,7 +179,7 @@ pub fn ceval(sval: &SVal, assignment: &CAssignment) -> Option<CVal> {
             })
         }
         SVal::Call { func, args } => {
-            if func == "ite" {
+            if &**func == "ite" {
                 // The engine's non-forking ternary: `ite(cond, then, else)`.
                 // The simulator evaluates only the taken arm, so the untaken
                 // arm is allowed to be unevaluable without disagreement.
@@ -196,7 +196,7 @@ pub fn ceval(sval: &SVal, assignment: &CAssignment) -> Option<CVal> {
                 .map(|a| ceval(a, assignment))
                 .collect::<Option<_>>()?;
             let f1 = || vals.first().map(|v| v.as_float());
-            Some(match func.as_str() {
+            Some(match &**func {
                 "sqrt" | "sqrtf" => CVal::Float(f1()?.sqrt()),
                 "fabs" | "fabsf" => CVal::Float(f1()?.abs()),
                 "exp" => CVal::Float(f1()?.exp()),

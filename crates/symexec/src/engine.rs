@@ -17,6 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minic::ast::{
@@ -1180,7 +1181,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         }
     }
 
-    fn fresh_symbol(&mut self, hint: impl Into<String>) -> Symbol {
+    fn fresh_symbol(&mut self, hint: impl Into<Arc<str>>) -> Symbol {
         let sym = Symbol::new(self.next_symbol, hint);
         self.next_symbol += 1;
         sym
@@ -1210,7 +1211,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         let globals: Vec<VarDecl> = self.unit.globals().cloned().collect();
         for decl in globals {
             let region = Region::Global {
-                name: decl.name.clone(),
+                name: decl.name.as_str().into(),
             };
             if let Some(init) = decl.init.clone() {
                 self.bind_init(state, &region, &init, &decl.ty);
@@ -1265,7 +1266,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         for (index, (param, binding)) in func.params.iter().zip(bindings).enumerate() {
             let region = Region::Var {
                 frame: 0,
-                name: param.name.clone(),
+                name: param.name.as_str().into(),
             };
             state
                 .frame_mut()
@@ -1306,11 +1307,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
                     state.write(region, SVal::Int(*v), TaintSet::bottom());
                 }
                 ParamBinding::Scalar => {
-                    let sym = self.fresh_symbol(&param.name);
+                    let sym = self.fresh_symbol(param.name.as_str());
                     state.write(region, SVal::Sym(sym), TaintSet::bottom());
                 }
                 ParamBinding::SecretScalar => {
-                    let sym = self.fresh_symbol(&param.name);
+                    let sym = self.fresh_symbol(param.name.as_str());
                     let source = self.fresh_source(&param.name);
                     self.source_symbols.insert(source.index(), sym.id);
                     state.write(region, SVal::Sym(sym), TaintSet::source(source));
@@ -1319,7 +1320,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 | ParamBinding::SecretPointer
                 | ParamBinding::OutPointer
                 | ParamBinding::InOutPointer => {
-                    let sym = self.fresh_symbol(&param.name);
+                    let sym = self.fresh_symbol(param.name.as_str());
                     let base = Region::Sym { symbol: sym };
                     if matches!(
                         binding,
@@ -1369,9 +1370,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         if let Some(region) = state.frame().lookup(name) {
             return region.clone();
         }
-        Region::Global {
-            name: name.to_string(),
-        }
+        Region::Global { name: name.into() }
     }
 
     /// Declares a fresh local in the innermost scope, uniquifying shadowed
@@ -1389,7 +1388,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         };
         let region = Region::Var {
             frame: frame_id,
-            name: unique,
+            name: unique.into(),
         };
         state
             .frame_mut()
@@ -1444,7 +1443,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
             ExprKind::FloatLit(v) => vec![(state, SVal::float(*v), TaintSet::bottom())],
             ExprKind::StrLit(text) => vec![(
                 state,
-                SVal::Loc(Region::Str { text: text.clone() }),
+                SVal::Loc(Region::Str {
+                    text: text.as_str().into(),
+                }),
                 TaintSet::bottom(),
             )],
             ExprKind::SizeofType(ty) => {
@@ -1856,7 +1857,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         for (param, (value, taint)) in func.params.iter().zip(values) {
             let region = Region::Var {
                 frame: frame_id,
-                name: param.name.clone(),
+                name: param.name.as_str().into(),
             };
             state
                 .frame_mut()
@@ -1944,7 +1945,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 (
                     state,
                     SVal::Call {
-                        func: callee.to_string(),
+                        func: callee.into(),
                         args: values.iter().map(|(v, _)| v.clone()).collect(),
                     },
                     join_all(values),
@@ -2364,9 +2365,8 @@ fn cast_value(value: SVal, ty: &Type) -> SVal {
 /// Renders a region as a human-readable hint (`secrets[0]`, `p.x`).
 pub fn region_hint(region: &Region) -> String {
     match region {
-        Region::Var { name, .. } => name.clone(),
-        Region::Global { name } => name.clone(),
-        Region::Sym { symbol } => symbol.hint.clone(),
+        Region::Var { name, .. } | Region::Global { name } => name.to_string(),
+        Region::Sym { symbol } => symbol.hint.to_string(),
         Region::Element { base, index } => format!("{}[{index}]", region_hint(base)),
         Region::Field { base, field } => format!("{}.{field}", region_hint(base)),
         Region::Str { .. } => "str".into(),

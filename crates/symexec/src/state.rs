@@ -2,12 +2,17 @@
 //!
 //! Forking a path clones the whole [`ExecState`]. To keep that cheap the
 //! bulk containers are *persistent* (structurally shared): the environment,
-//! store and taint map sit on `im::OrdMap` (O(1) clone, O(log n) update
-//! that shares all untouched tree nodes with the sibling path), and the
-//! append-mostly logs (`write_log`, `events`, `trace`) sit on
-//! `im::Vector` (frozen `Arc` chunks plus a small mutable tail). Both
-//! containers serialize and hash byte-identically to the `std` types they
-//! replaced, so reports and checkpoint files do not change.
+//! store and taint map sit on `im::OrdMap` (O(1) clone; an O(log n) update
+//! mutates in place the tree nodes this state owns alone and copies only
+//! those it still shares with a sibling path), and the append-mostly logs
+//! (`write_log`, `events`, `trace`) sit on `im::Vector` (frozen `Arc`
+//! chunks plus a small mutable tail). Both containers serialize and hash
+//! byte-identically to the `std` types they replaced, so reports and
+//! checkpoint files do not change.
+//!
+//! Region names and symbol hints are `Arc<str>`, so the key and value
+//! clones an update makes (the write log entry, a copied shared node) bump
+//! a reference count instead of copying the string.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -34,9 +39,13 @@ impl Environment {
         Environment::default()
     }
 
-    /// Records that expression `id` denotes `region`.
+    /// Records that expression `id` denotes `region`. Rebinding the region
+    /// it already denotes (the common case inside loops) leaves the map,
+    /// and any node it shares with a sibling path, untouched.
     pub fn bind(&mut self, id: ExprId, region: Region) {
-        self.bindings.insert(id, region);
+        if self.bindings.get(&id) != Some(&region) {
+            self.bindings.insert(id, region);
+        }
     }
 
     /// The region an expression denotes, if recorded.

@@ -8,6 +8,7 @@
 //! partially evaluated expression trees.
 
 use std::fmt;
+use std::sync::Arc;
 
 use minic::ast::{BinOp, UnOp};
 use serde::{Deserialize, Serialize};
@@ -61,12 +62,12 @@ pub struct Symbol {
     /// Unique id within one exploration.
     pub id: u32,
     /// Display name, e.g. the expression the symbol materialized from.
-    pub hint: String,
+    pub hint: Arc<str>,
 }
 
 impl Symbol {
     /// Creates a symbol.
-    pub fn new(id: u32, hint: impl Into<String>) -> Self {
+    pub fn new(id: u32, hint: impl Into<Arc<str>>) -> Self {
         Symbol {
             id,
             hint: hint.into(),
@@ -93,12 +94,12 @@ pub enum Region {
         /// Frame identifier (0 = entry function; >0 for inlined callees).
         frame: u32,
         /// Variable name.
-        name: String,
+        name: Arc<str>,
     },
     /// A global variable.
     Global {
         /// Global name.
-        name: String,
+        name: Arc<str>,
     },
     /// An array subobject `base[index]` (`ElementRegion`).
     Element {
@@ -112,7 +113,7 @@ pub enum Region {
         /// The struct (super) region (hash-consed, shared across states).
         base: HC<Region>,
         /// Field name.
-        field: String,
+        field: Arc<str>,
     },
     /// The unknown memory block a symbolic pointer points to (`SymRegion`).
     Sym {
@@ -122,7 +123,7 @@ pub enum Region {
     /// A string literal's storage.
     Str {
         /// The literal contents.
-        text: String,
+        text: Arc<str>,
     },
 }
 
@@ -136,7 +137,7 @@ impl Region {
     }
 
     /// Builds a [`Region::Field`] node, interning the base edge.
-    pub fn field(base: Region, field: impl Into<String>) -> Region {
+    pub fn field(base: Region, field: impl Into<Arc<str>>) -> Region {
         Region::Field {
             base: HC::new(base),
             field: field.into(),
@@ -263,7 +264,7 @@ pub enum SVal {
     /// An uninterpreted function application, e.g. `sqrt(α₁)`.
     Call {
         /// Function name.
-        func: String,
+        func: Arc<str>,
         /// Argument values.
         args: Vec<SVal>,
     },
@@ -513,6 +514,52 @@ mod tests {
         assert!(elem.is_within(&base));
         assert!(elem.is_within(&elem));
         assert!(!base.is_within(&elem));
+    }
+
+    /// `Arc<str>` names serialize exactly as the `String` fields they
+    /// replaced, so checkpoints and reports keep their bytes.
+    #[test]
+    fn shared_names_keep_the_string_json() {
+        let cases: Vec<(SVal, &str)> = vec![
+            (
+                SVal::Loc(Region::Var {
+                    frame: 2,
+                    name: "x~1".into(),
+                }),
+                r#"{"Loc":{"Var":{"frame":2,"name":"x~1"}}}"#,
+            ),
+            (
+                SVal::Loc(Region::Global { name: "g".into() }),
+                r#"{"Loc":{"Global":{"name":"g"}}}"#,
+            ),
+            (
+                SVal::Loc(Region::field(
+                    Region::Sym {
+                        symbol: sym(3, "p"),
+                    },
+                    "w",
+                )),
+                r#"{"Loc":{"Field":{"base":{"Sym":{"symbol":{"id":3,"hint":"p"}}},"field":"w"}}}"#,
+            ),
+            (
+                SVal::Loc(Region::Str {
+                    text: "a\"b".into(),
+                }),
+                r#"{"Loc":{"Str":{"text":"a\"b"}}}"#,
+            ),
+            (
+                SVal::Call {
+                    func: "sqrt".into(),
+                    args: vec![SVal::Sym(sym(0, "secrets[0]"))],
+                },
+                r#"{"Call":{"func":"sqrt","args":[{"Sym":{"id":0,"hint":"secrets[0]"}}]}}"#,
+            ),
+        ];
+        for (value, json) in cases {
+            assert_eq!(serde_json::to_string(&value).unwrap(), json);
+            let back: SVal = serde_json::from_str(json).unwrap();
+            assert_eq!(back, value);
+        }
     }
 
     #[test]

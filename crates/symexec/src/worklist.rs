@@ -574,10 +574,10 @@ mod tests {
             match k % 6 {
                 0 => Region::Var {
                     frame: (k % 3) as u32,
-                    name: format!("v{}", k % 5),
+                    name: format!("v{}", k % 5).into(),
                 },
                 1 => Region::Global {
-                    name: format!("g{}", k % 3),
+                    name: format!("g{}", k % 3).into(),
                 },
                 2 => base,
                 3 => Region::element(base, SVal::Int((k % 4) as i64)),

@@ -70,8 +70,8 @@ impl<K: Ord + Clone> TaintMap<K> {
         if taint.is_empty() {
             return;
         }
-        // Persistent maps have no in-place entry API: read, join, rebind
-        // (the rebind path-copies O(log n) nodes).
+        // Read, join, rebind: the rebind updates in place the nodes this map
+        // owns alone and copies only the ones it shares with a clone.
         let mut joined = self.entries.get(&key).cloned().unwrap_or_default();
         joined.join_assign(taint);
         self.entries.insert(key, joined);

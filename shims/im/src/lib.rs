@@ -3,11 +3,13 @@
 //! Offline stand-in for the `im` crate, written for the symbolic-execution
 //! engine's copy-on-write path states. Two containers:
 //!
-//! * [`OrdMap`]: an ordered map backed by a path-copying weight-balanced
-//!   binary search tree whose nodes are shared through [`Arc`]. `clone` is
-//!   O(1); `insert`/`remove` are O(log n) and allocate only the spine from
-//!   the root to the touched node, sharing everything else with the
-//!   original map.
+//! * [`OrdMap`]: an ordered map backed by a weight-balanced binary search
+//!   tree whose nodes are shared through [`Arc`]. `clone` is O(1);
+//!   `insert`/`remove` are O(log n). They update in place the nodes on the
+//!   search path that the map owns alone and copy the ones it shares, so a
+//!   node reachable from more than one map is never mutated: a clone keeps
+//!   seeing exactly what it held, and a map that forks rarely allocates
+//!   only for the entries it adds.
 //! * [`Vector`]: an append-friendly sequence stored as frozen `Arc`-shared
 //!   chunks plus a small mutable tail. `clone` copies only the chunk table
 //!   and the tail (≤ one chunk of elements), not the history.
@@ -38,7 +40,7 @@ const DELTA: usize = 3;
 /// Single-vs-double rotation threshold (Adams' `ratio`).
 const RATIO: usize = 2;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Node<K, V> {
     size: usize,
     key: K,
@@ -53,21 +55,12 @@ fn size<K, V>(link: &Link<K, V>) -> usize {
     link.as_ref().map_or(0, |n| n.size)
 }
 
-fn mk<K, V>(key: K, value: V, left: Link<K, V>, right: Link<K, V>) -> Link<K, V> {
-    Some(Arc::new(Node {
-        size: size(&left) + size(&right) + 1,
-        key,
-        value,
-        left,
-        right,
-    }))
-}
-
 /// A persistent ordered map with `Arc`-shared tree nodes.
 ///
-/// Cloning is O(1) (a single reference-count bump); updates copy only the
-/// O(log n) path from the root to the changed node. Iteration yields
-/// entries in ascending key order, exactly like `BTreeMap`.
+/// Cloning is O(1) (a single reference-count bump). An update walks the
+/// O(log n) path from the root to the changed node, mutating the nodes the
+/// map owns alone and copying the shared ones. Iteration yields entries in
+/// ascending key order, exactly like `BTreeMap`.
 pub struct OrdMap<K, V> {
     root: Link<K, V>,
 }
@@ -136,8 +129,8 @@ impl<K, V> OrdMap<K, V> {
     /// Diagnostic: how many of `self`'s tree nodes are the *same
     /// allocation* as a node reachable from `other` — the structure a fork
     /// shares with its sibling instead of copying. A shared node implies
-    /// its whole subtree is shared (persistent trees never mutate a
-    /// reachable node), so matches are counted subtree-at-a-time.
+    /// its whole subtree is shared (a node reachable from more than one map
+    /// is never mutated), so matches are counted subtree-at-a-time.
     pub fn shared_node_count(&self, other: &Self) -> usize {
         let mut theirs = std::collections::HashSet::new();
         fn collect<K, V>(
@@ -226,8 +219,8 @@ impl<K: Ord + Clone, V: Clone> OrdMap<K, V> {
     /// `base`, in O(u · log n) for u unshared tree nodes.
     ///
     /// The walk skips every subtree whose root is the *same allocation* as
-    /// `base`'s node for that key: persistent nodes are immutable, so such
-    /// a subtree holds exactly what `base` holds there. `f` sees each
+    /// `base`'s node for that key: a node reachable from both maps is never
+    /// mutated, so such a subtree holds exactly what `base` holds there. `f` sees each
     /// remaining entry and returns `Some((key, value))` to replace it —
     /// possibly under a new key — or `None` to keep it. All replaced keys
     /// are removed before any replacement is inserted, so `f` may move an
@@ -271,186 +264,154 @@ impl<K: Ord + Clone, V: Clone> OrdMap<K, V> {
     }
 
     /// Binds `key` to `value`, returning the previous binding if any.
+    ///
+    /// Updates in place every node on the search path that this map owns
+    /// alone; a node also reachable from another map (a clone) is copied
+    /// first, so the other map never sees the change.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let (root, old) = insert(&self.root, key, value);
-        self.root = root;
-        old
+        insert(&mut self.root, key, value)
     }
 
     /// Removes `key`, returning its binding if any.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (root, old) = remove(&self.root, key);
-        if old.is_some() {
-            self.root = root;
+        // Look before touching: removing an absent key (the common case
+        // of binding ⊥ in a taint map) must not copy a shared spine.
+        if !self.contains_key(key) {
+            return None;
         }
-        old
+        Some(remove(&mut self.root, key))
     }
 }
 
-fn insert<K: Ord + Clone, V: Clone>(
-    link: &Link<K, V>,
-    key: K,
-    value: V,
-) -> (Link<K, V>, Option<V>) {
-    let Some(node) = link else {
-        return (mk(key, value, None, None), None);
+fn insert<K: Ord + Clone, V: Clone>(link: &mut Link<K, V>, key: K, value: V) -> Option<V> {
+    let Some(node) = link.as_mut() else {
+        *link = Some(Arc::new(Node {
+            size: 1,
+            key,
+            value,
+            left: None,
+            right: None,
+        }));
+        return None;
     };
-    match key.cmp(&node.key) {
-        Ordering::Equal => {
-            let old = node.value.clone();
-            (
-                mk(key, value, node.left.clone(), node.right.clone()),
-                Some(old),
-            )
-        }
-        Ordering::Less => {
-            let (left, old) = insert(&node.left, key, value);
-            let rebuilt = balance(
-                node.key.clone(),
-                node.value.clone(),
-                left,
-                node.right.clone(),
-            );
-            (rebuilt, old)
-        }
-        Ordering::Greater => {
-            let (right, old) = insert(&node.right, key, value);
-            let rebuilt = balance(
-                node.key.clone(),
-                node.value.clone(),
-                node.left.clone(),
-                right,
-            );
-            (rebuilt, old)
-        }
-    }
-}
-
-fn remove<K: Ord + Clone, V: Clone>(link: &Link<K, V>, key: &K) -> (Link<K, V>, Option<V>) {
-    let Some(node) = link else {
-        return (None, None);
+    let node = Arc::make_mut(node);
+    let old = match key.cmp(&node.key) {
+        Ordering::Equal => return Some(std::mem::replace(&mut node.value, value)),
+        Ordering::Less => insert(&mut node.left, key, value),
+        Ordering::Greater => insert(&mut node.right, key, value),
     };
-    match key.cmp(&node.key) {
-        Ordering::Equal => {
-            let old = node.value.clone();
-            (glue(&node.left, &node.right), Some(old))
-        }
-        Ordering::Less => {
-            let (left, old) = remove(&node.left, key);
-            if old.is_none() {
-                return (link.clone(), None);
-            }
-            (
-                balance(
-                    node.key.clone(),
-                    node.value.clone(),
-                    left,
-                    node.right.clone(),
-                ),
-                old,
-            )
-        }
-        Ordering::Greater => {
-            let (right, old) = remove(&node.right, key);
-            if old.is_none() {
-                return (link.clone(), None);
-            }
-            (
-                balance(
-                    node.key.clone(),
-                    node.value.clone(),
-                    node.left.clone(),
-                    right,
-                ),
-                old,
-            )
-        }
+    if old.is_none() {
+        node.size += 1;
+        rebalance(link);
     }
+    old
 }
 
-/// Joins two subtrees whose key ranges are disjoint and adjacent (every key
-/// in `left` < every key in `right`), as after deleting their parent.
-fn glue<K: Ord + Clone, V: Clone>(left: &Link<K, V>, right: &Link<K, V>) -> Link<K, V> {
-    match (left, right) {
-        (None, r) => r.clone(),
-        (l, None) => l.clone(),
-        (l, r) => {
-            let (k, v, rest) = delete_min(r.as_ref().expect("right is non-empty"));
-            balance(k, v, l.clone(), rest)
-        }
+/// Removes `key`, which must be bound in the subtree, returning its value.
+fn remove<K: Ord + Clone, V: Clone>(link: &mut Link<K, V>, key: &K) -> V {
+    let order = key.cmp(&link.as_ref().expect("key is bound").key);
+    if order == Ordering::Equal {
+        return remove_top(link);
     }
+    let node = Arc::make_mut(link.as_mut().expect("key is bound"));
+    let old = match order {
+        Ordering::Less => remove(&mut node.left, key),
+        _ => remove(&mut node.right, key),
+    };
+    node.size -= 1;
+    rebalance(link);
+    old
 }
 
-fn delete_min<K: Ord + Clone, V: Clone>(node: &Arc<Node<K, V>>) -> (K, V, Link<K, V>) {
-    match &node.left {
-        None => (node.key.clone(), node.value.clone(), node.right.clone()),
-        Some(left) => {
-            let (k, v, rest) = delete_min(left);
-            (
-                k,
-                v,
-                balance(
-                    node.key.clone(),
-                    node.value.clone(),
-                    rest,
-                    node.right.clone(),
-                ),
-            )
-        }
+/// Removes the top entry of a non-empty subtree, returning its value. The
+/// successor (least key on the right) takes its place.
+fn remove_top<K: Ord + Clone, V: Clone>(link: &mut Link<K, V>) -> V {
+    let top = link.as_ref().expect("subtree is non-empty");
+    if top.left.is_none() || top.right.is_none() {
+        let Node {
+            value, left, right, ..
+        } = Arc::unwrap_or_clone(link.take().expect("subtree is non-empty"));
+        *link = left.or(right);
+        return value;
     }
+    let node = Arc::make_mut(link.as_mut().expect("subtree is non-empty"));
+    let (key, value) = remove_min(&mut node.right);
+    node.key = key;
+    node.size -= 1;
+    let old = std::mem::replace(&mut node.value, value);
+    rebalance(link);
+    old
 }
 
-/// Rebuilds a node, restoring the weight-balance invariant with at most a
-/// double rotation (sufficient after a single insert or remove).
-fn balance<K: Clone, V: Clone>(
-    key: K,
-    value: V,
-    left: Link<K, V>,
-    right: Link<K, V>,
-) -> Link<K, V> {
-    let (ls, rs) = (size(&left), size(&right));
+/// Removes and returns the least entry of a non-empty subtree.
+fn remove_min<K: Clone, V: Clone>(link: &mut Link<K, V>) -> (K, V) {
+    if link.as_ref().expect("subtree is non-empty").left.is_none() {
+        let Node {
+            key, value, right, ..
+        } = Arc::unwrap_or_clone(link.take().expect("subtree is non-empty"));
+        *link = right;
+        return (key, value);
+    }
+    let node = Arc::make_mut(link.as_mut().expect("subtree is non-empty"));
+    let min = remove_min(&mut node.left);
+    node.size -= 1;
+    rebalance(link);
+    min
+}
+
+/// Restores the weight-balance invariant at the top of a subtree after one
+/// insert or remove below it, with at most a double rotation. A node
+/// within the bound is left as it is.
+fn rebalance<K: Clone, V: Clone>(link: &mut Link<K, V>) {
+    let node = link.as_ref().expect("subtree is non-empty");
+    let (ls, rs) = (size(&node.left), size(&node.right));
     if ls + rs <= 1 {
-        return mk(key, value, left, right);
+        return;
     }
     if rs > DELTA * ls {
-        // Right too heavy.
-        let r = right.expect("right is non-empty");
-        if size(&r.left) < RATIO * size(&r.right) {
-            // Single left rotation.
-            let inner = mk(key, value, left, r.left.clone());
-            return mk(r.key.clone(), r.value.clone(), inner, r.right.clone());
+        // Right too heavy: single left rotation, or a double one through
+        // the right child's left subtree.
+        let r = node.right.as_ref().expect("right is non-empty");
+        if size(&r.left) >= RATIO * size(&r.right) {
+            let node = Arc::make_mut(link.as_mut().expect("subtree is non-empty"));
+            rotate_right(&mut node.right);
         }
-        // Double rotation through r.left.
-        let rl = r.left.as_ref().expect("inner grandchild is non-empty");
-        let new_left = mk(key, value, left, rl.left.clone());
-        let new_right = mk(
-            r.key.clone(),
-            r.value.clone(),
-            rl.right.clone(),
-            r.right.clone(),
-        );
-        return mk(rl.key.clone(), rl.value.clone(), new_left, new_right);
-    }
-    if ls > DELTA * rs {
-        // Left too heavy.
-        let l = left.expect("left is non-empty");
-        if size(&l.right) < RATIO * size(&l.left) {
-            // Single right rotation.
-            let inner = mk(key, value, l.right.clone(), right);
-            return mk(l.key.clone(), l.value.clone(), l.left.clone(), inner);
+        rotate_left(link);
+    } else if ls > DELTA * rs {
+        // Left too heavy: the mirror image.
+        let l = node.left.as_ref().expect("left is non-empty");
+        if size(&l.right) >= RATIO * size(&l.left) {
+            let node = Arc::make_mut(link.as_mut().expect("subtree is non-empty"));
+            rotate_left(&mut node.left);
         }
-        // Double rotation through l.right.
-        let lr = l.right.as_ref().expect("inner grandchild is non-empty");
-        let new_left = mk(
-            l.key.clone(),
-            l.value.clone(),
-            l.left.clone(),
-            lr.left.clone(),
-        );
-        let new_right = mk(key, value, lr.right.clone(), right);
-        return mk(lr.key.clone(), lr.value.clone(), new_left, new_right);
+        rotate_right(link);
     }
-    mk(key, value, left, right)
+}
+
+/// Makes the right child the top of the subtree.
+fn rotate_left<K: Clone, V: Clone>(link: &mut Link<K, V>) {
+    let mut top = link.take().expect("subtree is non-empty");
+    let node = Arc::make_mut(&mut top);
+    let mut pivot = node.right.take().expect("right is non-empty");
+    let up = Arc::make_mut(&mut pivot);
+    node.right = up.left.take();
+    node.size = size(&node.left) + size(&node.right) + 1;
+    up.left = Some(top);
+    up.size = size(&up.left) + size(&up.right) + 1;
+    *link = Some(pivot);
+}
+
+/// Makes the left child the top of the subtree.
+fn rotate_right<K: Clone, V: Clone>(link: &mut Link<K, V>) {
+    let mut top = link.take().expect("subtree is non-empty");
+    let node = Arc::make_mut(&mut top);
+    let mut pivot = node.left.take().expect("left is non-empty");
+    let up = Arc::make_mut(&mut pivot);
+    node.left = up.right.take();
+    node.size = size(&node.left) + size(&node.right) + 1;
+    up.right = Some(top);
+    up.size = size(&up.left) + size(&up.right) + 1;
+    *link = Some(pivot);
 }
 
 /// In-order iterator over an [`OrdMap`].
@@ -839,19 +800,20 @@ mod tests {
         assert_eq!(a.len(), b.len());
     }
 
+    fn check_weights<K, V>(link: &Link<K, V>) {
+        let Some(node) = link else { return };
+        let (ls, rs) = (size(&node.left), size(&node.right));
+        if ls + rs > 1 {
+            assert!(ls <= DELTA * rs, "left-heavy violation {ls} vs {rs}");
+            assert!(rs <= DELTA * ls, "right-heavy violation {ls} vs {rs}");
+        }
+        assert_eq!(node.size, ls + rs + 1);
+        check_weights(&node.left);
+        check_weights(&node.right);
+    }
+
     #[test]
     fn weight_invariant_holds_after_mixed_ops() {
-        fn check<K, V>(link: &Link<K, V>) {
-            let Some(node) = link else { return };
-            let (ls, rs) = (size(&node.left), size(&node.right));
-            if ls + rs > 1 {
-                assert!(ls <= DELTA * rs, "left-heavy violation {ls} vs {rs}");
-                assert!(rs <= DELTA * ls, "right-heavy violation {ls} vs {rs}");
-            }
-            assert_eq!(node.size, ls + rs + 1);
-            check(&node.left);
-            check(&node.right);
-        }
         let mut rng = Rng(42);
         let mut map: OrdMap<u64, u64> = OrdMap::new();
         for _ in 0..2000 {
@@ -862,7 +824,7 @@ mod tests {
                 map.insert(k, k);
             }
         }
-        check(&map.root);
+        check_weights(&map.root);
     }
 
     #[test]
@@ -943,6 +905,62 @@ mod tests {
         assert!(map.range_by(|k| k.0.cmp(&99)).is_empty());
     }
 
+    /// Every map must equal its snapshot after later updates to other maps
+    /// that share its nodes, whichever of them owns a node alone.
+    #[test]
+    fn clones_keep_their_snapshot_under_in_place_updates() {
+        let mut rng = Rng(0xD1B5_4A32_D192_ED03);
+        for _ in 0..20 {
+            let mut maps: Vec<(OrdMap<u64, u64>, BTreeMap<u64, u64>)> =
+                vec![(OrdMap::new(), BTreeMap::new())];
+            for _ in 0..600 {
+                let i = (rng.next() % maps.len() as u64) as usize;
+                if rng.next().is_multiple_of(16) && maps.len() < 8 {
+                    let copy = maps[i].clone();
+                    maps.push(copy);
+                    continue;
+                }
+                let k = rng.next() % 128;
+                let (map, reference) = &mut maps[i];
+                if rng.next().is_multiple_of(3) {
+                    assert_eq!(map.remove(&k), reference.remove(&k));
+                } else {
+                    let v = rng.next();
+                    assert_eq!(map.insert(k, v), reference.insert(k, v));
+                }
+            }
+            for (map, reference) in &maps {
+                let got: BTreeMap<u64, u64> = map.iter().map(|(k, v)| (*k, *v)).collect();
+                assert_eq!(&got, reference);
+                assert_eq!(map.len(), reference.len());
+                check_weights(&map.root);
+            }
+        }
+    }
+
+    #[test]
+    fn removing_an_absent_key_from_a_shared_map_copies_nothing() {
+        let base: OrdMap<u32, u32> = (0..127).map(|i| (i * 2, i)).collect();
+        let mut shared = base.clone();
+        assert_eq!(shared.remove(&7), None);
+        assert!(shared.same_root(&base));
+        assert_eq!(shared.shared_node_count(&base), base.node_count());
+    }
+
+    #[test]
+    fn rebinding_a_key_in_an_unshared_map_keeps_its_nodes() {
+        let mut map: OrdMap<u32, u32> = (0..127).map(|i| (i, i)).collect();
+        let root = Arc::as_ptr(map.root.as_ref().expect("non-empty"));
+        assert_eq!(map.insert(100, 7), Some(100));
+        assert_eq!(Arc::as_ptr(map.root.as_ref().expect("non-empty")), root);
+        assert_eq!(map.get(&100), Some(&7));
+        // A live clone forces the copy instead.
+        let snapshot = map.clone();
+        map.insert(100, 8);
+        assert_ne!(Arc::as_ptr(map.root.as_ref().expect("non-empty")), root);
+        assert_eq!(snapshot.get(&100), Some(&7));
+    }
+
     #[test]
     fn vector_behaves_like_vec() {
         let mut v: Vector<u32> = Vector::new();
@@ -991,7 +1009,7 @@ mod tests {
         forked.insert(42, 999);
         let shared = forked.shared_node_count(&base);
         assert_eq!(forked.node_count(), 127);
-        // A single insert path-copies O(log n) nodes; everything else is
+        // An insert into a clone copies the O(log n) shared spine; the rest is
         // still the parent's allocation.
         assert!(shared >= 127 - 8, "only {shared} of 127 nodes shared");
         assert!(shared < 127);
@@ -1017,7 +1035,7 @@ mod tests {
             seen.push(*k);
             (*v >= 1000).then(|| (k + 10_000, v + 1))
         });
-        // Only the two path-copied spines are walked, never the whole map.
+        // Only the two copied spines are walked, never the whole map.
         assert!(seen.contains(&7) && seen.contains(&100));
         assert!(seen.len() <= 2 * 20, "walked {} entries", seen.len());
         assert_eq!(derived.get(&7), None);

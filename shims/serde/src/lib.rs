@@ -513,6 +513,18 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        (**self).serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for std::sync::Arc<str> {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        String::deserialize(deserializer).map(std::sync::Arc::from)
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(serializer)
