@@ -1,5 +1,4 @@
-//! Feasibility-pruning benchmarks, plus the `BENCH_9.json` perf-smoke
-//! summary.
+//! Feasibility-pruning benchmarks.
 //!
 //! The `bench_feasibility` group measures the two costs the tiered
 //! pipeline trades against each other:
@@ -8,21 +7,17 @@
 //!   it is settled by the syntactic check (tier 0), the
 //!   interval/congruence domain (tier 1), and the SAT-lite solver's
 //!   difference-logic theory (tier 2);
-//! * **end-to-end wall time and paths explored** on the deliberately
-//!   branch-heavy synthetic corpus (`mlcorpus::synth::generate_branch_heavy`),
-//!   per `--feasibility` mode.
+//! * **end-to-end wall time** on the deliberately branch-heavy synthetic
+//!   corpus (`mlcorpus::synth::generate_branch_heavy`), per
+//!   `--feasibility` mode.
 //!
-//! Custom `main` (harness = false): after the criterion group it
-//! re-measures the headline numbers and writes them to `BENCH_9.json`
-//! (path overridable via `BENCH_OUT`), asserting the contract the modes
-//! are sold on — `full` explores strictly fewer paths than `intervals`,
-//! which explores strictly fewer than `syntactic`, and on this corpus
-//! `full` finishes faster than `syntactic` end to end. `BENCH_QUICK=1`
-//! shrinks sample counts for the smoke job.
+//! The contract the modes are sold on (each tier refutes its own fixture;
+//! stronger tiers explore strictly fewer paths and steps) is asserted
+//! deterministically by `symexec::constraints`' unit tests and
+//! `tests/feasibility_props.rs`; end-to-end times are tracked by
+//! `perfbench`.
 
-use std::time::Instant;
-
-use criterion::{black_box, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use minic::ast::BinOp;
 use privacyscope::{Analyzer, AnalyzerOptions, FeasibilityMode, Report};
 use symexec::constraints::{probe_pipeline, ConstraintManager, ProbeOutcome};
@@ -132,93 +127,5 @@ fn bench_feasibility(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median per-iteration nanoseconds over `samples` batches of `iters`.
-fn median_ns<O, F: FnMut() -> O>(samples: usize, iters: u32, mut f: F) -> f64 {
-    let mut costs: Vec<f64> = (0..samples.max(2))
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / f64::from(iters)
-        })
-        .collect();
-    costs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    costs[costs.len() / 2]
-}
-
-fn main() {
-    let quick = std::env::var_os("BENCH_QUICK").is_some();
-    let mut c = Criterion::default().sample_size(if quick { 10 } else { 50 });
-    bench_feasibility(&mut c);
-
-    // Headline numbers for BENCH_9.json.
-    let (samples, iters) = if quick { (5, 500) } else { (20, 2000) };
-    let t0 = tier0_fixture();
-    let t1 = tier1_fixture();
-    let t2 = tier2_fixture();
-    assert_eq!(
-        probe_outcome(FeasibilityMode::Syntactic, &t0),
-        ProbeOutcome::RefutedSyntactic
-    );
-    assert_eq!(
-        probe_outcome(FeasibilityMode::Intervals, &t1),
-        ProbeOutcome::RefutedIntervals
-    );
-    assert_eq!(
-        probe_outcome(FeasibilityMode::Full, &t2),
-        ProbeOutcome::RefutedSolver
-    );
-    let tier0_ns = median_ns(samples, iters, || {
-        probe_outcome(FeasibilityMode::Syntactic, &t0)
-    });
-    let tier1_ns = median_ns(samples, iters, || {
-        probe_outcome(FeasibilityMode::Intervals, &t1)
-    });
-    let tier2_ns = median_ns(samples, iters, || probe_outcome(FeasibilityMode::Full, &t2));
-
-    let e2e_samples = if quick { 3 } else { 9 };
-    let mut wall_ms = Vec::new();
-    let mut reports = Vec::new();
-    for mode in [
-        FeasibilityMode::Syntactic,
-        FeasibilityMode::Intervals,
-        FeasibilityMode::Full,
-    ] {
-        wall_ms.push(median_ns(e2e_samples, 1, || branch_heavy_report(mode)) / 1e6);
-        reports.push(branch_heavy_report(mode));
-    }
-    let paths: Vec<usize> = reports.iter().map(|r| r.stats.paths).collect();
-    for report in &reports {
-        assert!(
-            !report.is_degraded(),
-            "branch-heavy corpus must be explored exhaustively in every mode"
-        );
-    }
-    assert!(
-        paths[1] < paths[0] && paths[2] < paths[1],
-        "pruning contract violated: paths explored were syntactic {} / intervals {} / full {}",
-        paths[0],
-        paths[1],
-        paths[2]
-    );
-    assert!(
-        wall_ms[2] < wall_ms[0],
-        "full ({:.1}ms) must beat syntactic ({:.1}ms) on the branch-heavy corpus",
-        wall_ms[2],
-        wall_ms[0]
-    );
-    let speedup = wall_ms[0] / wall_ms[2];
-
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| String::from("BENCH_9.json"));
-    let json = format!(
-        "{{\n  \"bench\": \"feasibility\",\n  \"quick\": {quick},\n  \"probe_refute_ns\": {{\n    \"syntactic\": {tier0_ns:.1},\n    \"intervals\": {tier1_ns:.1},\n    \"solver\": {tier2_ns:.1}\n  }},\n  \"branch_heavy\": {{\n    \"seed\": {BH_SEED},\n    \"clusters\": {BH_CLUSTERS},\n    \"syntactic\": {{ \"wall_ms\": {:.1}, \"paths\": {} }},\n    \"intervals\": {{ \"wall_ms\": {:.1}, \"paths\": {} }},\n    \"full\": {{ \"wall_ms\": {:.1}, \"paths\": {} }},\n    \"speedup_full_vs_syntactic\": {speedup:.2}\n  }}\n}}\n",
-        wall_ms[0], paths[0], wall_ms[1], paths[1], wall_ms[2], paths[2],
-    );
-    std::fs::write(&out, json).expect("write bench summary");
-    println!(
-        "probe refute ns: tier0 {tier0_ns:.0} / tier1 {tier1_ns:.0} / tier2 {tier2_ns:.0}; \
-         branch-heavy paths {} -> {} -> {}, full {speedup:.1}x faster -> {out}",
-        paths[0], paths[1], paths[2]
-    );
-}
+criterion_group!(benches, bench_feasibility);
+criterion_main!(benches);

@@ -64,8 +64,9 @@ pub enum CheckpointError {
         /// The rendered `std::io::Error`.
         message: String,
     },
-    /// The file is not a checkpoint, its header is unreadable, or the
-    /// payload does not deserialize into a frontier.
+    /// The file is not a checkpoint, its header is unreadable, the payload
+    /// does not deserialize into a frontier, or the frontier's `stats`
+    /// disagree with its profile totals.
     Malformed {
         /// What failed to parse.
         detail: String,
@@ -163,7 +164,9 @@ pub(crate) struct Frontier {
     pub source_names: BTreeMap<u32, String>,
     /// Source id → backing symbol id.
     pub source_symbols: BTreeMap<u32, u32>,
-    /// Counters accumulated so far.
+    /// Counters accumulated so far. Written for the file format; on
+    /// resume the path-level fields come from here and the exploration
+    /// counters from `profile`, which must agree with them.
     pub stats: Stats,
     /// Whether any budget was already exhausted.
     pub exhausted: bool,
@@ -181,11 +184,11 @@ pub(crate) struct Frontier {
     /// seen-set and correspondingly conservative hit counts.
     #[serde(default)]
     pub probe_seen: BTreeSet<u64>,
-    /// Per-source-site exploration profile accumulated so far. Merged in
-    /// canonical wave order, so a resumed run's final profile is
-    /// byte-identical to an uninterrupted one. `serde(default)` keeps
-    /// pre-profile snapshots loadable: they resume with an empty profile
-    /// covering only the remaining waves.
+    /// Per-source-site exploration profile accumulated so far: the source
+    /// of the exploration counters. Merged in canonical wave order, so a
+    /// resumed run's final profile is byte-identical to an uninterrupted
+    /// one. A pre-profile snapshot deserializes with an empty profile and
+    /// is then rejected unless its `stats` counted no exploration at all.
     #[serde(default)]
     pub profile: Profile,
 }
@@ -341,6 +344,15 @@ impl Snapshot {
             serde_json::from_str(payload).map_err(|e| CheckpointError::Malformed {
                 detail: format!("payload does not deserialize: {e}"),
             })?;
+        let derived = frontier.stats.with_totals(&frontier.profile.totals());
+        if frontier.stats != derived {
+            return Err(CheckpointError::Malformed {
+                detail: format!(
+                    "stats {:?} disagree with the profile totals {derived:?}",
+                    frontier.stats
+                ),
+            });
+        }
         Ok(Snapshot {
             fingerprint,
             frontier,
@@ -541,6 +553,7 @@ pub(crate) fn probe_key_tiered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::Counter;
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -561,7 +574,11 @@ mod tests {
                 events: Vec::new(),
                 out_bases: Vec::new(),
                 probe_seen: BTreeSet::from([0xfeed_f00d]),
-                profile: Profile::new(),
+                profile: {
+                    let mut profile = Profile::new();
+                    profile.bump(7, Counter::Forks, 4);
+                    profile
+                },
             },
         }
     }
@@ -623,6 +640,20 @@ mod tests {
         assert!(matches!(
             Snapshot::parse(&corrupt),
             Err(CheckpointError::ChecksumMismatch { .. })
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn rejects_stats_that_disagree_with_the_profile() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("ps_ckpt_stats_{}.snap", std::process::id()));
+        let mut snapshot = sample();
+        snapshot.frontier.stats.forks = 5;
+        snapshot.write_atomic(&path).expect("writes");
+        assert!(matches!(
+            Snapshot::load(&path),
+            Err(CheckpointError::Malformed { .. })
         ));
         let _ = std::fs::remove_file(&path);
     }

@@ -791,4 +791,51 @@ mod tests {
             Feasibility::Infeasible
         );
     }
+
+    /// A probe with `guard` assumed on the path (syntactically, in the
+    /// domain and in π) and `cond` probed true.
+    fn probe_after(guard: SVal, cond: &SVal, mode: FeasibilityMode) -> ProbeOutcome {
+        let mut cm = ConstraintManager::new();
+        let mut domain = AbstractDomain::new();
+        cm.assume(&guard, true);
+        domain.assume(&guard, true);
+        let mut path = PathCondition::new();
+        path.push(guard, true);
+        probe_pipeline(mode, &cm, &domain, &path, cond, true)
+    }
+
+    #[test]
+    fn each_tier_refutes_exactly_its_own_fixture() {
+        use FeasibilityMode::{Full, Intervals, Syntactic};
+        // Tier 0: `x > 50` assumed, `x < 5` probed.
+        let tier0 = |mode| {
+            let guard = cmp(BinOp::Gt, s(0), SVal::Int(50));
+            probe_after(guard, &cmp(BinOp::Lt, s(0), SVal::Int(5)), mode)
+        };
+        // Tier 1: `x > 37` assumed, `x * 3 < 90` probed; the syntactic
+        // tier keeps multiplication feasible.
+        let tier1 = |mode| {
+            let guard = cmp(BinOp::Gt, s(0), SVal::Int(37));
+            let tripled = cmp(BinOp::Mul, s(0), SVal::Int(3));
+            probe_after(guard, &cmp(BinOp::Lt, tripled, SVal::Int(90)), mode)
+        };
+        // Tier 2: `x < y` assumed, `y < x` probed; a variable-order cycle
+        // no non-relational domain sees.
+        let tier2 = |mode| {
+            probe_after(
+                cmp(BinOp::Lt, s(0), s(1)),
+                &cmp(BinOp::Lt, s(1), s(0)),
+                mode,
+            )
+        };
+        for mode in [Syntactic, Intervals, Full] {
+            assert_eq!(tier0(mode), ProbeOutcome::RefutedSyntactic);
+        }
+        assert_eq!(tier1(Syntactic), ProbeOutcome::Feasible);
+        assert_eq!(tier1(Intervals), ProbeOutcome::RefutedIntervals);
+        assert_eq!(tier1(Full), ProbeOutcome::RefutedIntervals);
+        assert_eq!(tier2(Syntactic), ProbeOutcome::Feasible);
+        assert_eq!(tier2(Intervals), ProbeOutcome::Feasible);
+        assert_eq!(tier2(Full), ProbeOutcome::RefutedSolver);
+    }
 }

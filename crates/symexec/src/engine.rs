@@ -34,7 +34,7 @@ use crate::constraints::{Feasibility, FeasibilityCache, FeasibilityMode, ProbeOu
 use crate::degrade::{CancelToken, Degradation, Ledger, StopKind, Supervisor, YieldToken};
 use crate::error::EngineError;
 use crate::intern::HC;
-use crate::profile::Profile;
+use crate::profile::{Counter, Profile, SiteCounters};
 use crate::simplify::{fold_binary, fold_unary, simplify};
 use crate::state::{Channel, DeclassifyEvent, ExecState, Frame};
 use crate::trace::TraceStep;
@@ -209,6 +209,12 @@ pub struct PathOutcome {
 }
 
 /// Exploration statistics.
+///
+/// The path-level fields (`completed`, `dropped_*`) are counted as paths
+/// finish or drop. The exploration counters (`forks`, `steps`, the probe
+/// and tier counters, …) are never incremented here: they are the totals
+/// of the run's [`Profile`], filled in by [`Stats::with_totals`] when the
+/// counters leave the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Stats {
     /// State forks performed.
@@ -258,22 +264,31 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Adds another counter set into this one (worklist merge).
+    /// Adds another set's path-level counters into this one (worklist
+    /// merge). The exploration counters are merged with the profile.
     pub fn absorb(&mut self, other: &Stats) {
-        self.forks += other.forks;
-        self.infeasible += other.infeasible;
         self.completed += other.completed;
-        self.widenings += other.widenings;
         self.dropped_steps += other.dropped_steps;
         self.dropped_paths += other.dropped_paths;
         self.dropped_deadline += other.dropped_deadline;
         self.dropped_panics += other.dropped_panics;
-        self.steps += other.steps;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.tier1_refuted += other.tier1_refuted;
-        self.tier2_refuted += other.tier2_refuted;
-        self.tier2_unknown += other.tier2_unknown;
+    }
+
+    /// These path-level counters, with the exploration counters taken from
+    /// the profile `totals`.
+    pub fn with_totals(self, totals: &SiteCounters) -> Stats {
+        Stats {
+            forks: totals.forks as usize,
+            infeasible: totals.infeasible as usize,
+            widenings: totals.widenings as usize,
+            steps: totals.steps as usize,
+            cache_hits: totals.cache_hits as usize,
+            cache_misses: totals.cache_misses as usize,
+            tier1_refuted: totals.tier1_refuted as usize,
+            tier2_refuted: totals.tier2_refuted as usize,
+            tier2_unknown: totals.tier2_unknown as usize,
+            ..self
+        }
     }
 }
 
@@ -459,8 +474,9 @@ impl<'u> Engine<'u> {
                 explorer.next_source = next_source;
                 explorer.source_names = source_names;
                 explorer.source_symbols = source_symbols;
-                explorer.stats = stats;
-                explorer.base_forks = explorer.stats.forks;
+                // The exploration counters resume from `profile`, which
+                // `Snapshot::load` checked against `stats`.
+                explorer.stats.absorb(&stats);
                 explorer.exhausted = exhausted;
                 explorer.ledger = ledger;
                 explorer.event_log = events;
@@ -474,15 +490,16 @@ impl<'u> Engine<'u> {
                 explorer.init_globals(&mut state);
                 let mut out_bases = Vec::new();
                 explorer.bind_params(&mut state, func, bindings, &mut out_bases)?;
+                // Globals/parameter binding may itself evaluate (and probe)
+                // before wave 0; account those probes first so the counters
+                // line up with a purely sequential run. A resumed run has
+                // them in the snapshot's profile and seen-set already.
+                let initial_probes = std::mem::take(&mut explorer.probe_log);
+                explorer.absorb_probes(initial_probes);
+                emit_counters(&self.config.telemetry, &explorer.profile.totals(), None);
                 (0, vec![(state, Flow::Normal)], out_bases)
             }
         };
-        // Globals/parameter binding may itself evaluate (and probe) before
-        // wave 0; account those probes first so the counters line up with a
-        // purely sequential run. On a resume the log is empty — the init
-        // phase's probes are already inside the snapshot's stats/seen-set.
-        let initial_probes = std::mem::take(&mut explorer.probe_log);
-        explorer.absorb_probes(initial_probes);
 
         let mut checkpoint_written = None;
         let sink = CheckpointSink {
@@ -550,7 +567,7 @@ impl<'u> Engine<'u> {
             paths,
             exhausted: explorer.exhausted,
             ledger: explorer.ledger,
-            stats: explorer.stats,
+            stats: explorer.stats.with_totals(&explorer.profile.totals()),
             out_bases,
             events: explorer.event_log,
             secret_sources: explorer
@@ -643,10 +660,10 @@ impl<'u> Engine<'u> {
             }
             let wave_id = wave_span.as_ref().map(PendingSpan::id);
             let wave_started = tele.is_enabled().then(Instant::now);
-            let stats_before = explorer.stats;
+            let before = explorer.profile.totals();
             // All tasks of a wave share the wave-start fork count for the
             // fork backstop, keeping the check worker-count-invariant.
-            let base_forks = explorer.stats.forks;
+            let base_forks = before.forks;
             let results = run_tasks(workers, tasks, |_, task_state| {
                 self.run_stmt_task(cache, supervisor, base_forks, task_state, stmt, wave_id)
             });
@@ -691,47 +708,25 @@ impl<'u> Engine<'u> {
                 }
             }
             if tele.is_enabled() {
-                let after = explorer.stats;
-                let delta = |now: usize, then: usize| (now - then) as u64;
-                let forks = delta(after.forks, stats_before.forks);
-                let infeasible = delta(after.infeasible, stats_before.infeasible);
-                let cache_hits = delta(after.cache_hits, stats_before.cache_hits);
-                let cache_misses = delta(after.cache_misses, stats_before.cache_misses);
-                let widenings = delta(after.widenings, stats_before.widenings);
-                let steps = delta(after.steps, stats_before.steps);
-                let tier1_refuted = delta(after.tier1_refuted, stats_before.tier1_refuted);
-                let tier2_refuted = delta(after.tier2_refuted, stats_before.tier2_refuted);
-                let tier2_unknown = delta(after.tier2_unknown, stats_before.tier2_unknown);
+                let delta = explorer.profile.totals().since(&before);
                 tele.counter(telemetry::names::ENGINE_WAVES, 1);
-                tele.counter(telemetry::names::ENGINE_FORKS, forks);
-                tele.counter(telemetry::names::ENGINE_INFEASIBLE, infeasible);
-                tele.counter(telemetry::names::ENGINE_CACHE_HITS, cache_hits);
-                tele.counter(telemetry::names::ENGINE_CACHE_MISSES, cache_misses);
-                tele.counter(telemetry::names::ENGINE_WIDENINGS, widenings);
-                tele.counter(telemetry::names::ENGINE_STEPS, steps);
-                tele.counter(telemetry::names::ENGINE_TIER1_REFUTED, tier1_refuted);
-                tele.counter(telemetry::names::ENGINE_TIER2_REFUTED, tier2_refuted);
-                tele.counter(telemetry::names::ENGINE_TIER2_UNKNOWN, tier2_unknown);
                 if let Some(started) = wave_started {
                     tele.observe(
                         telemetry::names::ENGINE_WAVE_US,
                         started.elapsed().as_micros() as u64,
                     );
                 }
-                if let Some(mut span) = wave_span {
-                    span.field("forks", forks);
-                    span.field("infeasible", infeasible);
-                    span.field("cache_hits", cache_hits);
-                    span.field("cache_misses", cache_misses);
-                    span.field("widenings", widenings);
-                    span.field("steps", steps);
+                emit_counters(&tele, &delta, wave_span.as_mut());
+                if let Some(span) = wave_span {
                     tele.emit(span);
                 }
                 tele.debug(|| {
                     format!(
-                        "wave {wave}: frontier {live}, {forks} forks, {steps} steps, \
-                         cache {cache_hits}/{}",
-                        cache_hits + cache_misses
+                        "wave {wave}: frontier {live}, {} forks, {} steps, cache {}/{}",
+                        delta.forks,
+                        delta.steps,
+                        delta.cache_hits,
+                        delta.cache_hits + delta.cache_misses
                     )
                 });
             }
@@ -752,7 +747,7 @@ impl<'u> Engine<'u> {
         &self,
         cache: &FeasibilityCache,
         supervisor: &Supervisor,
-        base_forks: usize,
+        base_forks: u64,
         state: ExecState,
         stmt: &Stmt,
         wave_span: Option<u64>,
@@ -787,8 +782,9 @@ impl<'u> Engine<'u> {
             let base = TaskBase::of(&state);
             let flows = task.exec(state, stmt);
             if let Some(span) = span.as_mut() {
-                span.field("steps", task.stats.steps);
-                span.field("forks", task.stats.forks);
+                let totals = task.profile.totals();
+                span.field("steps", totals.steps);
+                span.field("forks", totals.forks);
                 span.field("out_states", flows.len());
                 span.complete();
             }
@@ -822,6 +818,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
             Ok(text) => (*text).to_string(),
             Err(_) => "opaque panic payload".to_string(),
         },
+    }
+}
+
+/// Adds a profile delta to the telemetry counters and, one field per
+/// counter, to `span`.
+fn emit_counters(tele: &Telemetry, delta: &SiteCounters, mut span: Option<&mut PendingSpan>) {
+    if !tele.is_enabled() {
+        return;
+    }
+    for counter in Counter::ALL {
+        let value = delta.get(counter);
+        tele.counter(counter.metric(), value);
+        if let Some(span) = span.as_mut() {
+            span.field(counter.name(), value);
+        }
     }
 }
 
@@ -905,7 +916,7 @@ impl CheckpointSink<'_> {
                 next_source: explorer.next_source,
                 source_names: explorer.source_names.clone(),
                 source_symbols: explorer.source_symbols.clone(),
-                stats: explorer.stats,
+                stats: explorer.stats.with_totals(&explorer.profile.totals()),
                 exhausted: explorer.exhausted,
                 ledger: explorer.ledger.clone(),
                 events: explorer.event_log.clone(),
@@ -1081,11 +1092,14 @@ struct Explorer<'u, 'c> {
     next_symbol: u32,
     next_source: u32,
     /// Fork count accumulated before this task's wave started; the fork
-    /// backstop compares `base_forks + stats.forks` so every task of a wave
-    /// sees the same, scheduling-invariant number.
-    base_forks: usize,
+    /// backstop compares `base_forks` plus this explorer's profile fork
+    /// total, so every task of a wave sees the same, scheduling-invariant
+    /// number.
+    base_forks: u64,
     source_names: BTreeMap<u32, String>,
     source_symbols: BTreeMap<u32, u32>,
+    /// Path-level counters only; the exploration counters live in
+    /// `profile`.
     stats: Stats,
     exhausted: bool,
     /// Set when the supervisor fired mid-execution: the task's results are
@@ -1103,7 +1117,8 @@ struct Explorer<'u, 'c> {
     /// in checkpoints so a resumed run counts exactly like an
     /// uninterrupted one.
     probe_seen: BTreeSet<u64>,
-    /// Per-source-site cost attribution, same merge discipline as `stats`.
+    /// Per-source-site cost attribution: the one place the exploration
+    /// counters are incremented.
     profile: Profile,
 }
 
@@ -1148,20 +1163,14 @@ impl<'u, 'c> Explorer<'u, 'c> {
             cond,
             taken,
         );
-        match outcome {
-            ProbeOutcome::RefutedIntervals => {
-                self.stats.tier1_refuted += 1;
-                self.profile.at(at).tier1_refuted += 1;
-            }
-            ProbeOutcome::RefutedSolver => {
-                self.stats.tier2_refuted += 1;
-                self.profile.at(at).tier2_refuted += 1;
-            }
-            ProbeOutcome::SolverUnknown => {
-                self.stats.tier2_unknown += 1;
-                self.profile.at(at).tier2_unknown += 1;
-            }
-            ProbeOutcome::Feasible | ProbeOutcome::RefutedSyntactic => {}
+        let tier = match outcome {
+            ProbeOutcome::RefutedIntervals => Some(Counter::Tier1Refuted),
+            ProbeOutcome::RefutedSolver => Some(Counter::Tier2Refuted),
+            ProbeOutcome::SolverUnknown => Some(Counter::Tier2Unknown),
+            ProbeOutcome::Feasible | ProbeOutcome::RefutedSyntactic => None,
+        };
+        if let Some(counter) = tier {
+            self.profile.bump(at, counter, 1);
         }
         outcome.feasibility()
     }
@@ -1171,13 +1180,12 @@ impl<'u, 'c> Explorer<'u, 'c> {
     /// the init phase in `run_from`).
     fn absorb_probes(&mut self, probes: Vec<(u64, usize)>) {
         for (key, at) in probes {
-            if self.probe_seen.insert(key) {
-                self.stats.cache_misses += 1;
-                self.profile.at(at).cache_misses += 1;
+            let counter = if self.probe_seen.insert(key) {
+                Counter::CacheMisses
             } else {
-                self.stats.cache_hits += 1;
-                self.profile.at(at).cache_hits += 1;
-            }
+                Counter::CacheHits
+            };
+            self.profile.bump(at, counter, 1);
         }
     }
 
@@ -1974,8 +1982,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     fn exec(&mut self, mut state: ExecState, stmt: &Stmt) -> StateFlows {
         state.steps += 1;
-        self.stats.steps += 1;
-        self.profile.at(stmt.span.start).steps += 1;
+        self.profile.bump(stmt.span.start, Counter::Steps, 1);
         // Poll the supervisor at step granularity (every 64th step keeps
         // the Instant::now syscall off the hot path). Once it fires, the
         // task unwinds fast by dropping every remaining state; the caller
@@ -2165,10 +2172,10 @@ impl<'u, 'c> Explorer<'u, 'c> {
             .map(|taken| self.probe(&state, cond, taken, span.start) == Feasibility::Feasible)
             .collect();
         let pruned = feasible.iter().filter(|f| !**f).count();
-        self.stats.infeasible += pruned;
-        self.profile.at(span.start).infeasible += pruned as u64;
+        self.profile
+            .bump(span.start, Counter::Infeasible, pruned as u64);
         if cond_taint.is_tainted() {
-            self.profile.at(span.start).secret_branches += 1;
+            self.profile.bump(span.start, Counter::SecretBranches, 1);
         }
         let mut pending = Vec::new();
         match (feasible[0], feasible[1]) {
@@ -2205,13 +2212,13 @@ impl<'u, 'c> Explorer<'u, 'c> {
             // could already produce `max_paths` leaves, stop splitting.
             // `base_forks` carries the count from before this wave, so the
             // decision is identical for every worker layout.
-            if self.base_forks + self.stats.forks >= self.config.max_paths.saturating_mul(4) {
+            let forks = self.base_forks + self.profile.totals().forks;
+            if forks >= self.config.max_paths.saturating_mul(4) as u64 {
                 self.exhausted = true;
                 self.ledger.record(Degradation::PathBudget { dropped: 1 });
                 out.truncate(1);
             } else {
-                self.stats.forks += 1;
-                self.profile.at(span.start).forks += 1;
+                self.profile.bump(span.start, Counter::Forks, 1);
             }
         }
         out
@@ -2274,10 +2281,8 @@ impl<'u, 'c> Explorer<'u, 'c> {
                     // Widen: havoc everything the loop wrote, then exit.
                     let mut widened = body_state;
                     self.widen(&mut widened, write_mark);
-                    self.stats.widenings += 1;
-                    self.profile
-                        .at(cond.map_or(body.span.start, |c| c.span.start))
-                        .widenings += 1;
+                    let at = cond.map_or(body.span.start, |c| c.span.start);
+                    self.profile.bump(at, Counter::Widenings, 1);
                     out.push((widened, Flow::Normal));
                     continue;
                 }

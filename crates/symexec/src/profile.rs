@@ -4,21 +4,22 @@
 //! widenings, feasibility probes — *somewhere* in the enclave source, and
 //! tuning any future pruning/merging strategy requires knowing where.
 //! [`Profile`] attributes each of those costs to the byte offset of the
-//! responsible statement or condition span, mirroring exactly the sites
-//! where the corresponding [`super::engine::Stats`] counters increment, so
-//! the per-site sums always reconcile with the global totals.
+//! responsible statement or condition span. It is the one place the
+//! exploration counters are incremented ([`Profile::bump`]): the engine's
+//! [`super::engine::Stats`] exploration fields, the per-wave telemetry
+//! counters and the hotspot table are all derived from it, so they cannot
+//! disagree. [`Counter`] is the single list of those counters.
 //!
 //! # Determinism discipline
 //!
-//! Collection follows the same rules as the engine's `Stats`: each path
-//! task accumulates its own `Profile`, and the worklist absorbs task
-//! profiles at the wave boundary in canonical task order. Cache hit/miss
-//! attribution rides the per-task probe log and is classified against the
-//! global first-seen set at merge time. The result is byte-identical at
-//! every worker count and cache capacity, persists in checkpoints (with
-//! `serde(default)` back-compat for pre-profile snapshots), and is purely
-//! observational: collection is unconditional and cheap, and nothing the
-//! profiler records feeds back into exploration decisions.
+//! Each path task accumulates its own `Profile`, and the worklist absorbs
+//! task profiles at the wave boundary in canonical task order. Cache
+//! hit/miss attribution rides the per-task probe log and is classified
+//! against the global first-seen set at merge time. The result is
+//! byte-identical at every worker count and cache capacity, persists in
+//! checkpoints, and is purely observational: collection is unconditional
+//! and cheap, and nothing the profiler records feeds back into exploration
+//! decisions beyond the fork backstop, which reads the fork total.
 //!
 //! [`SourceProfile`] is the human-facing resolution of a raw offset-keyed
 //! [`Profile`] against the parsed unit: rows keyed by (function, line)
@@ -29,6 +30,79 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
+use telemetry::names;
+
+/// One exploration counter: a field of [`SiteCounters`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Statements interpreted.
+    Steps,
+    /// Two-sided state forks.
+    Forks,
+    /// Branch sides pruned as infeasible.
+    Infeasible,
+    /// Loop widenings applied.
+    Widenings,
+    /// Feasibility probes answered by the memoized probe set.
+    CacheHits,
+    /// Feasibility probes computed fresh.
+    CacheMisses,
+    /// Branch-condition evaluations on a secret-tainted condition.
+    SecretBranches,
+    /// Branch sides refuted by the Tier-1 interval/congruence domain.
+    Tier1Refuted,
+    /// Branch sides refuted by the Tier-2 SAT-lite solver.
+    Tier2Refuted,
+    /// Tier-2 probes that exhausted their deterministic budget.
+    Tier2Unknown,
+}
+
+impl Counter {
+    /// Every counter, in [`SiteCounters`] declaration order (the order of
+    /// the hotspot-table columns).
+    pub const ALL: [Counter; 10] = [
+        Counter::Steps,
+        Counter::Forks,
+        Counter::Infeasible,
+        Counter::Widenings,
+        Counter::CacheHits,
+        Counter::CacheMisses,
+        Counter::SecretBranches,
+        Counter::Tier1Refuted,
+        Counter::Tier2Refuted,
+        Counter::Tier2Unknown,
+    ];
+
+    /// The [`SiteCounters`] field name, also the wave-span field name.
+    pub fn name(self) -> &'static str {
+        self.spec().0
+    }
+
+    /// The hotspot-table column header.
+    pub fn column(self) -> &'static str {
+        self.spec().1
+    }
+
+    /// The telemetry counter the per-wave delta is added to.
+    pub fn metric(self) -> &'static str {
+        self.spec().2
+    }
+
+    fn spec(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Counter::Steps => ("steps", "steps", names::ENGINE_STEPS),
+            Counter::Forks => ("forks", "forks", names::ENGINE_FORKS),
+            Counter::Infeasible => ("infeasible", "infeas", names::ENGINE_INFEASIBLE),
+            Counter::Widenings => ("widenings", "widen", names::ENGINE_WIDENINGS),
+            Counter::CacheHits => ("cache_hits", "hits", names::ENGINE_CACHE_HITS),
+            Counter::CacheMisses => ("cache_misses", "miss", names::ENGINE_CACHE_MISSES),
+            Counter::SecretBranches => ("secret_branches", "secret", names::ENGINE_SECRET_BRANCHES),
+            Counter::Tier1Refuted => ("tier1_refuted", "t1ref", names::ENGINE_TIER1_REFUTED),
+            Counter::Tier2Refuted => ("tier2_refuted", "t2ref", names::ENGINE_TIER2_REFUTED),
+            Counter::Tier2Unknown => ("tier2_unknown", "t2unk", names::ENGINE_TIER2_UNKNOWN),
+        }
+    }
+}
 
 /// Exploration costs attributed to one source location.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,18 +136,40 @@ pub struct SiteCounters {
 }
 
 impl SiteCounters {
+    /// The value of one counter.
+    pub fn get(mut self, counter: Counter) -> u64 {
+        *self.slot(counter)
+    }
+
+    fn slot(&mut self, counter: Counter) -> &mut u64 {
+        match counter {
+            Counter::Steps => &mut self.steps,
+            Counter::Forks => &mut self.forks,
+            Counter::Infeasible => &mut self.infeasible,
+            Counter::Widenings => &mut self.widenings,
+            Counter::CacheHits => &mut self.cache_hits,
+            Counter::CacheMisses => &mut self.cache_misses,
+            Counter::SecretBranches => &mut self.secret_branches,
+            Counter::Tier1Refuted => &mut self.tier1_refuted,
+            Counter::Tier2Refuted => &mut self.tier2_refuted,
+            Counter::Tier2Unknown => &mut self.tier2_unknown,
+        }
+    }
+
     /// Adds every counter of `other` into `self`.
     pub fn absorb(&mut self, other: &SiteCounters) {
-        self.steps += other.steps;
-        self.forks += other.forks;
-        self.infeasible += other.infeasible;
-        self.widenings += other.widenings;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.secret_branches += other.secret_branches;
-        self.tier1_refuted += other.tier1_refuted;
-        self.tier2_refuted += other.tier2_refuted;
-        self.tier2_unknown += other.tier2_unknown;
+        for counter in Counter::ALL {
+            *self.slot(counter) += other.get(counter);
+        }
+    }
+
+    /// What each counter gained since the `earlier` reading of the same
+    /// running total.
+    pub fn since(mut self, earlier: &SiteCounters) -> SiteCounters {
+        for counter in Counter::ALL {
+            *self.slot(counter) -= earlier.get(counter);
+        }
+        self
     }
 
     /// True when every counter is zero.
@@ -82,15 +178,43 @@ impl SiteCounters {
     }
 }
 
+impl<'a> std::iter::Sum<&'a SiteCounters> for SiteCounters {
+    fn sum<I: Iterator<Item = &'a SiteCounters>>(iter: I) -> SiteCounters {
+        iter.fold(SiteCounters::default(), |mut total, counters| {
+            total.absorb(counters);
+            total
+        })
+    }
+}
+
 /// The raw exploration profile: source byte offset (span start of the
 /// statement / condition) → attributed counters. Offset-keyed so the hot
 /// loop never resolves lines; [`SourceProfile::resolve`] does that once,
 /// after exploration. `BTreeMap` keeps serialization and iteration order
 /// deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Profile {
     /// Per-site counters, keyed by span-start byte offset.
-    pub sites: BTreeMap<u64, SiteCounters>,
+    sites: BTreeMap<u64, SiteCounters>,
+    /// The running sum of `sites`, kept by [`Profile::bump`] and
+    /// [`Profile::absorb`] so [`Profile::totals`] costs nothing; rebuilt
+    /// from `sites` on deserialization.
+    #[serde(skip)]
+    total: SiteCounters,
+}
+
+/// The serialized shape of a [`Profile`]: its sites alone.
+#[derive(Deserialize)]
+struct Sites {
+    sites: BTreeMap<u64, SiteCounters>,
+}
+
+impl<'de> Deserialize<'de> for Profile {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let Sites { sites } = Sites::deserialize(deserializer)?;
+        let total = sites.values().sum();
+        Ok(Profile { sites, total })
+    }
 }
 
 impl Profile {
@@ -99,10 +223,12 @@ impl Profile {
         Profile::default()
     }
 
-    /// The (created-if-absent) counter cell for the site at byte offset
-    /// `at`.
-    pub fn at(&mut self, at: usize) -> &mut SiteCounters {
-        self.sites.entry(at as u64).or_default()
+    /// Adds `by` to `counter` at the site at byte offset `at`. This is the
+    /// only increment of an exploration counter; the site is recorded even
+    /// when `by` is zero.
+    pub fn bump(&mut self, at: usize, counter: Counter, by: u64) {
+        *self.sites.entry(at as u64).or_default().slot(counter) += by;
+        *self.total.slot(counter) += by;
     }
 
     /// Merges every site of `other` into `self` (the canonical-order wave
@@ -111,6 +237,7 @@ impl Profile {
         for (offset, counters) in &other.sites {
             self.sites.entry(*offset).or_default().absorb(counters);
         }
+        self.total.absorb(&other.total);
     }
 
     /// True when no site recorded anything.
@@ -118,14 +245,9 @@ impl Profile {
         self.sites.is_empty()
     }
 
-    /// Sum of all per-site counters (reconciles with the engine's global
-    /// `Stats` at the sites that are attributed).
+    /// Sum of all per-site counters: the run's exploration totals.
     pub fn totals(&self) -> SiteCounters {
-        let mut total = SiteCounters::default();
-        for counters in self.sites.values() {
-            total.absorb(counters);
-        }
-        total
+        self.total
     }
 }
 
@@ -211,9 +333,14 @@ impl SourceProfile {
         self.rows.is_empty()
     }
 
+    /// Sum of all rows' counters (equal to the raw profile's totals).
+    pub fn totals(&self) -> SiteCounters {
+        self.rows.iter().map(|row| &row.counters).sum()
+    }
+
     /// Total steps across all rows.
     pub fn total_steps(&self) -> u64 {
-        self.rows.iter().map(|row| row.counters.steps).sum()
+        self.totals().steps
     }
 
     /// The row whose counters dominate on `pick` (e.g. most forks).
@@ -222,67 +349,31 @@ impl SourceProfile {
     }
 
     /// Renders the annotated-source hotspot table (the `--timings`-style
-    /// human view): one row per line that cost anything, heaviest columns
-    /// first, source text on the right.
+    /// human view): one row per line that cost anything, one column per
+    /// [`Counter`], source text on the right.
     pub fn render_table(&self, function: &str) -> String {
+        fn line(out: &mut String, label: &str, cell: impl Fn(Counter) -> String, text: &str) {
+            let _ = write!(out, "{label:>5}");
+            for counter in Counter::ALL {
+                let width = if counter == Counter::Steps { 8 } else { 6 };
+                let _ = write!(out, " {:>width$}", cell(counter));
+            }
+            let _ = writeln!(out, "  {text}");
+        }
         let mut out = String::new();
         let _ = writeln!(out, "── exploration profile: {function} ─────────────");
-        let _ = writeln!(
-            out,
-            "{:>5} {:>8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}  source",
-            "line",
-            "steps",
-            "forks",
-            "infeas",
-            "widen",
-            "hits",
-            "miss",
-            "secret",
-            "t1ref",
-            "t2ref",
-            "t2unk"
-        );
+        line(&mut out, "line", |c| c.column().to_string(), "source");
         for row in &self.rows {
-            let c = &row.counters;
-            let _ = writeln!(
-                out,
-                "{:>5} {:>8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}  {}",
-                row.line,
-                c.steps,
-                c.forks,
-                c.infeasible,
-                c.widenings,
-                c.cache_hits,
-                c.cache_misses,
-                c.secret_branches,
-                c.tier1_refuted,
-                c.tier2_refuted,
-                c.tier2_unknown,
-                row.text
+            let counters = row.counters;
+            line(
+                &mut out,
+                &row.line.to_string(),
+                |c| counters.get(c).to_string(),
+                &row.text,
             );
         }
-        let totals = self
-            .rows
-            .iter()
-            .fold(SiteCounters::default(), |mut acc, row| {
-                acc.absorb(&row.counters);
-                acc
-            });
-        let _ = writeln!(
-            out,
-            "{:>5} {:>8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}  (total)",
-            "",
-            totals.steps,
-            totals.forks,
-            totals.infeasible,
-            totals.widenings,
-            totals.cache_hits,
-            totals.cache_misses,
-            totals.secret_branches,
-            totals.tier1_refuted,
-            totals.tier2_refuted,
-            totals.tier2_unknown
-        );
+        let totals = self.totals();
+        line(&mut out, "", |c| totals.get(c).to_string(), "(total)");
         out
     }
 
@@ -312,11 +403,11 @@ mod tests {
     #[test]
     fn absorb_merges_sites() {
         let mut a = Profile::new();
-        a.at(10).steps += 3;
-        a.at(10).forks += 1;
+        a.bump(10, Counter::Steps, 3);
+        a.bump(10, Counter::Forks, 1);
         let mut b = Profile::new();
-        b.at(10).steps += 2;
-        b.at(99).widenings += 1;
+        b.bump(10, Counter::Steps, 2);
+        b.bump(99, Counter::Widenings, 1);
         a.absorb(&b);
         assert_eq!(a.sites[&10].steps, 5);
         assert_eq!(a.sites[&10].forks, 1);
@@ -329,10 +420,15 @@ mod tests {
     #[test]
     fn profile_round_trips_and_defaults() {
         let mut profile = Profile::new();
-        profile.at(42).cache_hits = 7;
+        profile.bump(42, Counter::CacheHits, 7);
         let json = serde_json::to_string(&profile).expect("serializes");
+        assert_eq!(
+            json,
+            r#"{"sites":{"42":{"steps":0,"forks":0,"infeasible":0,"widenings":0,"cache_hits":7,"cache_misses":0,"secret_branches":0,"tier1_refuted":0,"tier2_refuted":0,"tier2_unknown":0}}}"#
+        );
         let back: Profile = serde_json::from_str(&json).expect("parses");
         assert_eq!(profile, back);
+        assert_eq!(back.totals().cache_hits, 7);
         assert!(Profile::new().is_empty());
         assert!(SiteCounters::default().is_empty());
     }
@@ -345,9 +441,9 @@ mod tests {
         // Offset of `int y` statement (line 2) and `return` (line 3).
         let y_at = source.find("int y").expect("present");
         let ret_at = source.find("return").expect("present");
-        profile.at(y_at).steps = 4;
-        profile.at(ret_at).steps = 2;
-        profile.at(ret_at).forks = 1;
+        profile.bump(y_at, Counter::Steps, 4);
+        profile.bump(ret_at, Counter::Steps, 2);
+        profile.bump(ret_at, Counter::Forks, 1);
         let resolved = SourceProfile::resolve(&profile, &unit, source);
         assert_eq!(resolved.rows.len(), 2);
         assert_eq!(resolved.rows[0].line, 2);

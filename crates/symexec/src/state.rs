@@ -546,4 +546,50 @@ mod tests {
         store.bind(var("a"), SVal::Int(1));
         assert_eq!(store.to_string(), "{a ↦ 1, b ↦ 2}");
     }
+
+    #[test]
+    fn fork_shares_all_but_the_divergent_write() {
+        let buf = Region::Sym {
+            symbol: Symbol::new(0, "buf"),
+        };
+        let mut state = ExecState::new();
+        for i in 0..1024 {
+            let region = match i % 4 {
+                0 => var(&format!("v{i}")),
+                1 => Region::element(buf.clone(), SVal::Int(i)),
+                2 => Region::field(var(&format!("s{}", i / 4)), "f"),
+                _ => Region::Global {
+                    name: format!("g{i}").into(),
+                },
+            };
+            let value = SVal::binary(
+                minic::ast::BinOp::Add,
+                SVal::Sym(Symbol::new(i as u32, "x")),
+                SVal::Int(i),
+            );
+            let taint = if i % 3 == 0 {
+                TaintSet::source(SourceId::new((i % 8) as u32))
+            } else {
+                TaintSet::bottom()
+            };
+            state.write(region, value, taint);
+            if i % 5 == 0 {
+                state.env.bind(ExprId(i as u32), buf.clone());
+            }
+        }
+        let (shared, total) = state.clone().shared_allocations(&state);
+        assert_eq!(shared, total, "a fresh fork shares every allocation");
+        let mut fork = state.clone();
+        fork.write(
+            var("diverge"),
+            SVal::Int(1),
+            TaintSet::source(SourceId::new(9)),
+        );
+        let (shared, total) = fork.shared_allocations(&state);
+        assert!(
+            shared * 100 >= total * 99,
+            "one divergent write unshared {} of {total} allocations",
+            total - shared
+        );
+    }
 }

@@ -32,6 +32,8 @@ pub const ENGINE_WIDENINGS: &str = "engine.widenings";
 pub const ENGINE_CACHE_HITS: &str = "engine.cache_hits";
 /// Feasibility probes computed fresh.
 pub const ENGINE_CACHE_MISSES: &str = "engine.cache_misses";
+/// Branch-condition evaluations on a secret-tainted condition.
+pub const ENGINE_SECRET_BRANCHES: &str = "engine.secret_branches";
 /// Branch sides refuted by the Tier-1 interval/congruence domain.
 pub const ENGINE_TIER1_REFUTED: &str = "engine.tier_one_refuted";
 /// Branch sides refuted by the Tier-2 SAT-lite solver.
@@ -125,6 +127,7 @@ pub const ALL_COUNTERS: &[&str] = &[
     ENGINE_FORKS,
     ENGINE_INFEASIBLE,
     ENGINE_PATH_TASKS,
+    ENGINE_SECRET_BRANCHES,
     ENGINE_STEPS,
     ENGINE_TIER1_REFUTED,
     ENGINE_TIER2_REFUTED,

@@ -8,7 +8,8 @@
 //!    alone and reproduces the identical exploration.
 //! 3. Stale, truncated, corrupt, or mismatched snapshots are rejected with
 //!    typed errors before any exploration starts — never a panic, never a
-//!    silently different result.
+//!    silently different result. That includes a well-formed snapshot whose
+//!    `stats` disagree with the exploration profile they are derived from.
 
 use std::path::PathBuf;
 
@@ -230,6 +231,74 @@ fn analyzer_resume_reproduces_the_uninterrupted_report() {
     resumed.stats.time = std::time::Duration::ZERO;
     uninterrupted.stats.time = std::time::Duration::ZERO;
     assert_eq!(resumed, uninterrupted);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// FNV-1a over `bytes`, the checkpoint payload checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(*byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Applies `edit` to a snapshot's payload and re-seals the header's
+/// checksum and length, so only the payload's content can be rejected.
+fn reseal(text: &str, edit: impl FnOnce(&str) -> String) -> String {
+    let (header, payload) = text.split_once('\n').expect("header line");
+    let payload = edit(payload);
+    let header: Vec<String> = header
+        .split(' ')
+        .map(|token| match token.split_once('=') {
+            Some(("checksum", _)) => format!("checksum={:016x}", fnv1a(payload.as_bytes())),
+            Some(("len", _)) => format!("len={}", payload.len()),
+            _ => token.to_string(),
+        })
+        .collect();
+    format!("{}\n{payload}", header.join(" "))
+}
+
+#[test]
+fn snapshot_whose_stats_disagree_with_its_profile_is_rejected() {
+    let module = mlcorpus::recommender::module();
+    let path = tmp_path("stats_edit");
+    let options = |checkpoint: Option<PathBuf>, resume: Option<PathBuf>| AnalyzerOptions {
+        max_paths: 32,
+        checkpoint_every: usize::from(checkpoint.is_some()),
+        checkpoint,
+        resume,
+        ..AnalyzerOptions::default()
+    };
+    let analyze = |options: AnalyzerOptions| {
+        Analyzer::from_sources(module.source, module.edl, options)
+            .expect("builds")
+            .analyze(module.entry)
+    };
+    let mut uninterrupted = analyze(options(Some(path.clone()), None)).expect("analyzes");
+    let text = std::fs::read_to_string(&path).expect("snapshot is readable");
+
+    // The untouched snapshot, resealed as-is, still resumes identically.
+    std::fs::write(&path, reseal(&text, str::to_string)).expect("rewrite");
+    let mut resumed = analyze(options(None, Some(path.clone()))).expect("resumes");
+    resumed.stats.time = std::time::Duration::ZERO;
+    uninterrupted.stats.time = std::time::Duration::ZERO;
+    uninterrupted.checkpoint = None;
+    assert_eq!(resumed.to_json(), uninterrupted.to_json());
+
+    // One more fork in `stats` than the profile recorded: rejected.
+    let edited = reseal(&text, |payload| {
+        let key = "\"stats\":{\"forks\":";
+        let (before, after) = payload.split_once(key).expect("stats.forks");
+        let digits = after.len() - after.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        let forks: u64 = after[..digits].parse().expect("fork count");
+        assert!(forks > 0, "the snapshot is taken after some forks");
+        format!("{before}{key}{}{}", forks + 1, &after[digits..])
+    });
+    assert_ne!(edited, text);
+    std::fs::write(&path, &edited).expect("rewrite");
+    assert!(matches!(
+        Snapshot::load(&path),
+        Err(CheckpointError::Malformed { .. })
+    ));
     let _ = std::fs::remove_file(&path);
 }
 

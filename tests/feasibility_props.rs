@@ -15,7 +15,9 @@
 //!    count, for every feasibility mode.
 //! 5. **Pruning is real.** On the branch-heavy corpus, `full` explores
 //!    strictly fewer paths than `intervals`, which explores strictly
-//!    fewer than `syntactic`.
+//!    fewer than `syntactic`, and `full` interprets strictly fewer steps
+//!    than `syntactic` — the deterministic count behind its wall-clock
+//!    win.
 
 use minic::ast::BinOp;
 use privacyscope::report::Finding;
@@ -378,6 +380,12 @@ fn stronger_tiers_explore_strictly_fewer_paths_on_branch_heavy_corpus() {
         "interval refutations recorded"
     );
     assert!(full.stats.tier2_refuted > 0, "solver refutations recorded");
+    assert!(
+        full.profile.total_steps() < syntactic.profile.total_steps(),
+        "full ({} steps) must interpret fewer statements than syntactic ({})",
+        full.profile.total_steps(),
+        syntactic.profile.total_steps()
+    );
     assert_eq!(
         syntactic.findings, full.findings,
         "pruning never changes findings"
