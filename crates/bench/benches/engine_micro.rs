@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use minic::ast::BinOp;
 use symexec::constraints::ConstraintManager;
 use symexec::engine::{Engine, EngineConfig, ParamBinding};
@@ -24,8 +24,8 @@ fn bench_frontend(c: &mut Criterion) {
     });
 }
 
-fn deep_expr(depth: usize) -> SVal {
-    let mut expr = SVal::Sym(Symbol::new(0, "x"));
+fn deep_expr(symbol: u32, depth: usize) -> SVal {
+    let mut expr = SVal::Sym(Symbol::new(symbol, "x"));
     for i in 0..depth {
         expr = SVal::binary(
             if i % 2 == 0 { BinOp::Add } else { BinOp::Mul },
@@ -37,8 +37,23 @@ fn deep_expr(depth: usize) -> SVal {
 }
 
 fn bench_simplify(c: &mut Criterion) {
-    let expr = deep_expr(64);
-    c.bench_function("simplify_depth64", |b| b.iter(|| simplify(&expr)));
+    // Cold: every input roots a fresh symbol, so none of its operator
+    // nodes has been simplified before and the whole chain is walked.
+    let mut symbol = 0;
+    c.bench_function("simplify_depth64_cold", |b| {
+        b.iter_batched(
+            || {
+                symbol += 1;
+                deep_expr(symbol, 64)
+            },
+            |expr| simplify(&expr),
+            BatchSize::SmallInput,
+        )
+    });
+    // Already normal: the engine's common case, re-simplifying a value
+    // built from simplified operands.
+    let normal = simplify(&deep_expr(0, 64));
+    c.bench_function("simplify_depth64_normal", |b| b.iter(|| simplify(&normal)));
 }
 
 fn bench_constraints(c: &mut Criterion) {
@@ -62,6 +77,19 @@ fn bench_taint(c: &mut Criterion) {
     c.bench_function("taint_join_fold", |b| {
         b.iter(|| {
             let mut acc = TaintSet::bottom();
+            for s in &sets {
+                acc = taint::binop(&acc, s);
+            }
+            acc
+        })
+    });
+    // Subsumed operands: a wide accumulator joined with its own subsets,
+    // the shape of a loop body mixing one more use of sources it already
+    // carries.
+    let wide = TaintSet::from_sources((0..24).map(SourceId::new));
+    c.bench_function("taint_join_fold_subsumed", |b| {
+        b.iter(|| {
+            let mut acc = wide.clone();
             for s in &sets {
                 acc = taint::binop(&acc, s);
             }

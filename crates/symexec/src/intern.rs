@@ -21,6 +21,23 @@
 //! can only lose sharing across threads, never correctness: two equal
 //! values interned on different threads compare equal through the
 //! structural fallback.
+//!
+//! ## Per-node facts
+//!
+//! A node is immutable once interned, so facts about its subtree are
+//! computed once and stored beside it:
+//!
+//! * [`Intern::tree_size`] — the subtree's node count (shared subtrees
+//!   counted once per occurrence), saturating at `u32::MAX`, computed from
+//!   the children's cached sizes when the node is created. It makes
+//!   [`crate::value::SVal::size_within`] O(1).
+//! * the *normal* flag — set by [`crate::simplify`] only after it has
+//!   computed that simplifying the node yields the node itself, so later
+//!   calls return a flagged subtree without walking it. The flag guards a
+//!   pure function of immutable data: a thread that reads `true` learns a
+//!   fact that holds forever, and one that reads `false` merely recomputes
+//!   it. No other memory is published through the flag, so `Relaxed`
+//!   ordering suffices even though nodes are shared across worker threads.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -28,15 +45,19 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-/// A node interned by a thread-local table: the precomputed shallow hash
-/// plus the value itself.
+/// A node interned by a thread-local table: the precomputed shallow hash,
+/// the cached subtree size and normal flag (see the module docs), plus the
+/// value itself.
 #[derive(Debug)]
 struct HcNode<T> {
     hash: u64,
+    size: u32,
+    normal: AtomicBool,
     value: T,
 }
 
@@ -50,6 +71,9 @@ pub trait Intern: Sized + Eq {
     /// Hash of this node computed from its immediate fields, using
     /// [`HC::cached_hash`] for hash-consed children.
     fn shallow_hash(&self) -> u64;
+    /// Node count of the tree this value roots, computed from the cached
+    /// sizes of its [`HC`] children and saturating at `u32::MAX`.
+    fn tree_size(&self) -> u32;
     /// Grants access to the thread-local interner for `Self`.
     fn with_interner<R>(f: impl FnOnce(&mut Interner<Self>) -> R) -> R;
 }
@@ -138,7 +162,12 @@ impl<T: Intern> Interner<T> {
                 }
             }
         }
-        let node = Arc::new(HcNode { hash, value });
+        let node = Arc::new(HcNode {
+            hash,
+            size: value.tree_size(),
+            normal: AtomicBool::new(false),
+            value,
+        });
         bucket.push(Arc::downgrade(&node));
         self.entries += 1;
         if self.entries >= self.sweep_at {
@@ -161,6 +190,22 @@ impl<T> HC<T> {
     /// buckets, feasibility-cache digests); never fed to a `Hasher`.
     pub fn cached_hash(&self) -> u64 {
         self.0.hash
+    }
+
+    /// The cached [`Intern::tree_size`] of this node.
+    pub(crate) fn tree_size(&self) -> u32 {
+        self.0.size
+    }
+
+    /// Whether simplification is known to map this node to itself.
+    pub(crate) fn is_normal(&self) -> bool {
+        self.0.normal.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Records that simplification maps this node to itself. Callers must
+    /// have computed that fact; see the module docs.
+    pub(crate) fn mark_normal(&self) {
+        self.0.normal.store(true, AtomicOrdering::Relaxed);
     }
 
     /// Whether two handles share the same allocation.
@@ -341,6 +386,19 @@ impl Intern for SVal {
         h.finish()
     }
 
+    fn tree_size(&self) -> u32 {
+        let children = match self {
+            SVal::Int(_) | SVal::Float(_) | SVal::Sym(_) | SVal::Unknown => 0,
+            SVal::Loc(region) => region.tree_size(),
+            SVal::Binary { lhs, rhs, .. } => lhs.tree_size().saturating_add(rhs.tree_size()),
+            SVal::Unary { arg, .. } => arg.tree_size(),
+            SVal::Call { args, .. } => args
+                .iter()
+                .fold(0, |sum: u32, arg| sum.saturating_add(arg.tree_size())),
+        };
+        children.saturating_add(1)
+    }
+
     fn with_interner<R>(f: impl FnOnce(&mut Interner<Self>) -> R) -> R {
         SVAL_INTERNER.with(|table| f(&mut table.borrow_mut()))
     }
@@ -372,6 +430,18 @@ impl Intern for Region {
             }
         }
         h.finish()
+    }
+
+    fn tree_size(&self) -> u32 {
+        let children = match self {
+            Region::Element { base, index } => base.tree_size().saturating_add(index.tree_size()),
+            Region::Field { base, .. } => base.tree_size(),
+            Region::Var { .. }
+            | Region::Global { .. }
+            | Region::Sym { .. }
+            | Region::Str { .. } => 0,
+        };
+        children.saturating_add(1)
     }
 
     fn with_interner<R>(f: impl FnOnce(&mut Interner<Self>) -> R) -> R {

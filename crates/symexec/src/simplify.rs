@@ -8,19 +8,26 @@
 
 use minic::ast::{BinOp, UnOp};
 
+use crate::intern::HC;
 use crate::value::{OrderedF64, SVal};
 
 /// Simplifies an expression tree bottom-up.
+///
+/// Hash-consed subtrees already known to be normal (see [`crate::intern`])
+/// are returned as they are without being walked, and a node whose
+/// children come back unchanged and that no rule rewrites keeps its
+/// existing handle, so re-simplifying a simplified value costs O(1) per
+/// top-level node and interns nothing.
 pub fn simplify(sval: &SVal) -> SVal {
     match sval {
         SVal::Binary { op, lhs, rhs } => {
-            let lhs = simplify(lhs);
-            let rhs = simplify(rhs);
-            fold_binary(*op, lhs, rhs)
+            let lhs = simplify_hc(lhs);
+            let rhs = simplify_hc(rhs);
+            rewrite_binary(*op, &lhs, &rhs).unwrap_or(SVal::Binary { op: *op, lhs, rhs })
         }
         SVal::Unary { op, arg } => {
-            let arg = simplify(arg);
-            fold_unary(*op, arg)
+            let arg = simplify_hc(arg);
+            rewrite_unary(*op, &arg).unwrap_or(SVal::Unary { op: *op, arg })
         }
         SVal::Call { func, args } => SVal::Call {
             func: func.clone(),
@@ -30,41 +37,59 @@ pub fn simplify(sval: &SVal) -> SVal {
     }
 }
 
+/// [`simplify`] on a hash-consed node. A node that simplifies to itself
+/// is returned as the same handle and flagged, so later calls skip it.
+fn simplify_hc(node: &HC<SVal>) -> HC<SVal> {
+    if node.is_normal() {
+        return node.clone();
+    }
+    let simplified = simplify(node);
+    if simplified == **node {
+        node.mark_normal();
+        node.clone()
+    } else {
+        HC::new(simplified)
+    }
+}
+
 /// Folds a binary node whose children are already simplified.
 pub fn fold_binary(op: BinOp, lhs: SVal, rhs: SVal) -> SVal {
+    rewrite_binary(op, &lhs, &rhs).unwrap_or_else(|| SVal::binary(op, lhs, rhs))
+}
+
+/// The rewrite of a binary node whose children are already simplified, or
+/// `None` when no rule applies and the node stands as built.
+fn rewrite_binary(op: BinOp, lhs: &SVal, rhs: &SVal) -> Option<SVal> {
     // Constant folding.
-    if let (Some(result), true) = (
-        fold_const_binary(op, &lhs, &rhs),
-        lhs.is_const() && rhs.is_const(),
-    ) {
-        return result;
+    if let Some(result) = fold_const_binary(op, lhs, rhs) {
+        return Some(result);
     }
 
     // Algebraic identities (integer-safe ones only).
-    match (op, &lhs, &rhs) {
+    match (op, lhs, rhs) {
         // x + 0, 0 + x, x - 0
-        (BinOp::Add, x, SVal::Int(0)) | (BinOp::Add, SVal::Int(0), x) => return x.clone(),
-        (BinOp::Sub, x, SVal::Int(0)) => return x.clone(),
+        (BinOp::Add, x, SVal::Int(0)) | (BinOp::Add, SVal::Int(0), x) => return Some(x.clone()),
+        (BinOp::Sub, x, SVal::Int(0)) => return Some(x.clone()),
         // x * 1, 1 * x
-        (BinOp::Mul, x, SVal::Int(1)) | (BinOp::Mul, SVal::Int(1), x) => return x.clone(),
+        (BinOp::Mul, x, SVal::Int(1)) | (BinOp::Mul, SVal::Int(1), x) => return Some(x.clone()),
         // x * 0, 0 * x — only when x is pure (no Unknown; division by zero
         // inside x would already have collapsed to Unknown).
         (BinOp::Mul, x, SVal::Int(0)) | (BinOp::Mul, SVal::Int(0), x) if !x.has_unknown() => {
-            return SVal::Int(0);
+            return Some(SVal::Int(0));
         }
         // x / 1
-        (BinOp::Div, x, SVal::Int(1)) => return x.clone(),
+        (BinOp::Div, x, SVal::Int(1)) => return Some(x.clone()),
         // x - x, x ^ x (pure x)
         (BinOp::Sub, x, y) | (BinOp::BitXor, x, y) if x == y && !x.has_unknown() => {
-            return SVal::Int(0)
+            return Some(SVal::Int(0))
         }
         // x == x, x <= x, x >= x (pure x)
         (BinOp::Eq, x, y) | (BinOp::Le, x, y) | (BinOp::Ge, x, y) if x == y && !x.has_unknown() => {
-            return SVal::Int(1)
+            return Some(SVal::Int(1))
         }
         // x != x, x < x, x > x (pure x)
         (BinOp::Ne, x, y) | (BinOp::Lt, x, y) | (BinOp::Gt, x, y) if x == y && !x.has_unknown() => {
-            return SVal::Int(0)
+            return Some(SVal::Int(0))
         }
         // logical identities — a falsy constant annihilates `&&`, a truthy
         // one decides `||`. Floats count: `0.0` (and `-0.0`) are falsy in C,
@@ -72,13 +97,13 @@ pub fn fold_binary(op: BinOp, lhs: SVal, rhs: SVal) -> SVal {
         (BinOp::LogAnd, c, _) | (BinOp::LogAnd, _, c)
             if matches!(c, SVal::Int(0)) || matches!(c, SVal::Float(v) if v.0 == 0.0) =>
         {
-            return SVal::Int(0)
+            return Some(SVal::Int(0))
         }
         (BinOp::LogOr, c, _) | (BinOp::LogOr, _, c)
             if matches!(c, SVal::Int(v) if *v != 0)
                 || matches!(c, SVal::Float(v) if v.0 != 0.0) =>
         {
-            return SVal::Int(1)
+            return Some(SVal::Int(1))
         }
         _ => {}
     }
@@ -92,45 +117,54 @@ pub fn fold_binary(op: BinOp, lhs: SVal, rhs: SVal) -> SVal {
             rhs: ir,
         },
         SVal::Int(b),
-    ) = (op, &lhs, &rhs)
+    ) = (op, lhs, rhs)
     {
         if let (BinOp::Add | BinOp::Sub, SVal::Int(a)) = (*inner_op, ir.as_ref()) {
             if *a == i64::MIN || *b == i64::MIN {
-                return SVal::binary(op, lhs.clone(), rhs.clone());
+                return None;
             }
             let a = if *inner_op == BinOp::Sub { -a } else { *a };
             let b = if op == BinOp::Sub { -b } else { *b };
             if let Some(sum) = a.checked_add(b).filter(|s| *s != i64::MIN) {
-                return match sum.cmp(&0) {
+                return Some(match sum.cmp(&0) {
                     std::cmp::Ordering::Equal => il.as_ref().clone(),
-                    std::cmp::Ordering::Greater => {
-                        SVal::binary(BinOp::Add, il.as_ref().clone(), SVal::Int(sum))
-                    }
-                    std::cmp::Ordering::Less => {
-                        SVal::binary(BinOp::Sub, il.as_ref().clone(), SVal::Int(-sum))
-                    }
-                };
+                    std::cmp::Ordering::Greater => SVal::Binary {
+                        op: BinOp::Add,
+                        lhs: il.clone(),
+                        rhs: HC::new(SVal::Int(sum)),
+                    },
+                    std::cmp::Ordering::Less => SVal::Binary {
+                        op: BinOp::Sub,
+                        lhs: il.clone(),
+                        rhs: HC::new(SVal::Int(-sum)),
+                    },
+                });
             }
         }
     }
 
-    SVal::binary(op, lhs, rhs)
+    None
 }
 
 /// Folds a unary node whose child is already simplified.
 pub fn fold_unary(op: UnOp, arg: SVal) -> SVal {
-    match (&op, &arg) {
-        (UnOp::Plus, x) => return x.clone(),
-        (UnOp::Neg, SVal::Int(v)) => return SVal::Int(v.wrapping_neg()),
-        (UnOp::Neg, SVal::Float(v)) => return SVal::Float(OrderedF64(-v.0)),
-        (UnOp::Not, SVal::Int(v)) => return SVal::Int(i64::from(*v == 0)),
-        (UnOp::Not, SVal::Float(v)) => return SVal::Int(i64::from(v.0 == 0.0)),
-        (UnOp::BitNot, SVal::Int(v)) => return SVal::Int(!v),
+    rewrite_unary(op, &arg).unwrap_or_else(|| SVal::unary(op, arg))
+}
+
+/// The rewrite of a unary node whose child is already simplified, or
+/// `None` when no rule applies.
+fn rewrite_unary(op: UnOp, arg: &SVal) -> Option<SVal> {
+    Some(match (op, arg) {
+        (UnOp::Plus, x) => x.clone(),
+        (UnOp::Neg, SVal::Int(v)) => SVal::Int(v.wrapping_neg()),
+        (UnOp::Neg, SVal::Float(v)) => SVal::Float(OrderedF64(-v.0)),
+        (UnOp::Not, SVal::Int(v)) => SVal::Int(i64::from(*v == 0)),
+        (UnOp::Not, SVal::Float(v)) => SVal::Int(i64::from(v.0 == 0.0)),
+        (UnOp::BitNot, SVal::Int(v)) => SVal::Int(!v),
         // --x → x ; !!x is NOT x in C (it is normalization to 0/1), skip.
-        (UnOp::Neg, SVal::Unary { op: UnOp::Neg, arg }) => return arg.as_ref().clone(),
-        _ => {}
-    }
-    SVal::unary(op, arg)
+        (UnOp::Neg, SVal::Unary { op: UnOp::Neg, arg }) => arg.as_ref().clone(),
+        _ => return None,
+    })
 }
 
 fn fold_const_binary(op: BinOp, lhs: &SVal, rhs: &SVal) -> Option<SVal> {
@@ -319,6 +353,65 @@ mod tests {
     fn zero_times_unknown_is_not_folded() {
         let e = SVal::binary(BinOp::Mul, SVal::Unknown, SVal::Int(0));
         assert!(simplify(&e).has_unknown());
+    }
+
+    fn children(v: &SVal) -> (HC<SVal>, HC<SVal>) {
+        match v {
+            SVal::Binary { lhs, rhs, .. } => (lhs.clone(), rhs.clone()),
+            other => panic!("binary expected, got {other}"),
+        }
+    }
+
+    /// `((x + 0) * y) - (z + 1)`: one rewritten subtree, the rest normal.
+    fn mixed(base: u32) -> SVal {
+        let sym = |i: u32| SVal::Sym(Symbol::new(base + i, format!("s{i}")));
+        SVal::binary(
+            BinOp::Sub,
+            SVal::binary(
+                BinOp::Mul,
+                SVal::binary(BinOp::Add, sym(0), SVal::Int(0)),
+                sym(1),
+            ),
+            SVal::binary(BinOp::Add, sym(2), SVal::Int(1)),
+        )
+    }
+
+    #[test]
+    fn resimplifying_a_normal_value_reuses_its_nodes() {
+        use crate::intern::Intern;
+        let normal = simplify(&mixed(700_000));
+        let (lhs, rhs) = children(&normal);
+        let entries = SVal::with_interner(|t| t.entries());
+        let again = simplify(&normal);
+        assert_eq!(SVal::with_interner(|t| t.entries()), entries);
+        let (lhs2, rhs2) = children(&again);
+        assert!(HC::ptr_eq(&lhs, &lhs2) && HC::ptr_eq(&rhs, &rhs2));
+        assert_eq!(again, normal);
+    }
+
+    #[test]
+    fn nodes_flagged_on_one_thread_simplify_identically_on_another() {
+        let input = mixed(710_000);
+        let normal = simplify(&input);
+        let sent = (input.clone(), normal.clone());
+        let (from_input, from_normal, fresh) = std::thread::spawn(move || {
+            let (input, normal) = sent;
+            // This thread's interner has never seen these nodes; the flags
+            // travel with them.
+            (
+                simplify(&input),
+                simplify(&normal),
+                simplify(&mixed(710_000)),
+            )
+        })
+        .join()
+        .expect("worker thread");
+        assert_eq!(from_input, normal);
+        assert_eq!(from_normal, normal);
+        assert_eq!(fresh, normal);
+        let (lhs, rhs) = children(&normal);
+        let (lhs2, rhs2) = children(&from_normal);
+        assert!(HC::ptr_eq(&lhs, &lhs2) && HC::ptr_eq(&rhs, &rhs2));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use minic::ast::{BinOp, UnOp};
 use serde::{Deserialize, Serialize};
 
-use crate::intern::HC;
+use crate::intern::{Intern, HC};
 
 /// A total-ordered `f64` wrapper so symbolic values can key `BTreeMap`s.
 ///
@@ -321,42 +321,17 @@ impl SVal {
         }
     }
 
-    /// Counts expression nodes, giving up once `limit` is exceeded.
+    /// Counts expression nodes (region nodes included, shared subtrees
+    /// once per occurrence), or `None` when there are more than `limit`.
     ///
-    /// Returns `None` when the expression has more than `limit` nodes —
-    /// used by the engine's value summarization to bound expression growth
-    /// without paying a full traversal.
+    /// Used by the engine's value summarization to bound expression
+    /// growth. O(1): hash-consed children cache their subtree sizes (see
+    /// [`crate::intern`]); only the top node and any `Call` arguments are
+    /// visited. Sizes saturate at `u32::MAX`, which therefore exceeds
+    /// every limit.
     pub fn size_within(&self, limit: usize) -> Option<usize> {
-        fn walk(v: &SVal, budget: &mut usize) -> bool {
-            if *budget == 0 {
-                return false;
-            }
-            *budget -= 1;
-            match v {
-                SVal::Int(_) | SVal::Float(_) | SVal::Sym(_) | SVal::Unknown => true,
-                SVal::Loc(region) => walk_region(region, budget),
-                SVal::Binary { lhs, rhs, .. } => walk(lhs, budget) && walk(rhs, budget),
-                SVal::Unary { arg, .. } => walk(arg, budget),
-                SVal::Call { args, .. } => args.iter().all(|a| walk(a, budget)),
-            }
-        }
-        fn walk_region(r: &Region, budget: &mut usize) -> bool {
-            if *budget == 0 {
-                return false;
-            }
-            *budget -= 1;
-            match r {
-                Region::Element { base, index } => walk_region(base, budget) && walk(index, budget),
-                Region::Field { base, .. } => walk_region(base, budget),
-                _ => true,
-            }
-        }
-        let mut budget = limit;
-        if walk(self, &mut budget) {
-            Some(limit - budget)
-        } else {
-            None
-        }
+        let size = self.tree_size();
+        (size < u32::MAX && size as usize <= limit).then_some(size as usize)
     }
 
     /// Rewrites every symbol id in the expression through `f`.

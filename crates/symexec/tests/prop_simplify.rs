@@ -1,12 +1,14 @@
-//! Property tests: the simplifier is sound w.r.t. concrete evaluation, and
-//! the constraint manager never refutes a satisfiable path (checked against
-//! brute-force assignments on a small domain).
+//! Property tests: the simplifier is sound w.r.t. concrete evaluation and
+//! agrees with a fully recursive reference simplifier on shared DAGs, the
+//! cached `size_within` agrees with a tree walk, and the constraint manager
+//! never refutes a satisfiable path (checked against brute-force
+//! assignments on a small domain).
 
 use proptest::prelude::*;
 use symexec::concrete::{assignment, eval, eval_bool};
 use symexec::constraints::{ConstraintManager, Feasibility};
-use symexec::simplify::simplify;
-use symexec::value::{SVal, Symbol};
+use symexec::simplify::{fold_binary, fold_unary, simplify};
+use symexec::value::{Region, SVal, Symbol};
 
 use minic::ast::{BinOp, UnOp};
 
@@ -51,7 +53,108 @@ fn arb_sval() -> impl Strategy<Value = SVal> {
     })
 }
 
+/// The reference simplifier: re-simplifies and re-folds every node of the
+/// tree on every call, with no memo.
+fn reference_simplify(sval: &SVal) -> SVal {
+    match sval {
+        SVal::Binary { op, lhs, rhs } => {
+            fold_binary(*op, reference_simplify(lhs), reference_simplify(rhs))
+        }
+        SVal::Unary { op, arg } => fold_unary(*op, reference_simplify(arg)),
+        SVal::Call { func, args } => SVal::Call {
+            func: func.clone(),
+            args: args.iter().map(reference_simplify).collect(),
+        },
+        other => other.clone(),
+    }
+}
+
+/// The node count `size_within` bounds, by walking the whole tree.
+fn walked_size(sval: &SVal) -> usize {
+    fn region_size(region: &Region) -> usize {
+        1 + match region {
+            Region::Element { base, index } => region_size(base) + walked_size(index),
+            Region::Field { base, .. } => region_size(base),
+            _ => 0,
+        }
+    }
+    1 + match sval {
+        SVal::Loc(region) => region_size(region),
+        SVal::Binary { lhs, rhs, .. } => walked_size(lhs) + walked_size(rhs),
+        SVal::Unary { arg, .. } => walked_size(arg),
+        SVal::Call { args, .. } => args.iter().map(walked_size).sum(),
+        SVal::Int(_) | SVal::Float(_) | SVal::Sym(_) | SVal::Unknown => 0,
+    }
+}
+
+/// Constants that exercise the folding and re-association edge cases.
+fn arb_const() -> impl Strategy<Value = i64> {
+    prop_oneof![-8i64..8, Just(i64::MIN), Just(i64::MAX), Just(i64::MIN + 1)]
+}
+
+/// A DAG with shared subtrees: a pool that starts with three symbols and
+/// grows by nodes whose operands are earlier pool entries, so later
+/// entries reuse (and share the allocations of) earlier ones.
+fn arb_dag() -> impl Strategy<Value = Vec<SVal>> {
+    proptest::collection::vec((0usize..30, 0usize..64, 0usize..64, arb_const()), 1..14).prop_map(
+        |steps| {
+            let mut pool: Vec<SVal> = (0..3)
+                .map(|id| SVal::Sym(Symbol::new(id, format!("s{id}"))))
+                .collect();
+            for (kind, i, j, c) in steps {
+                let a = pool[i % pool.len()].clone();
+                let b = pool[j % pool.len()].clone();
+                let node = match kind {
+                    k if k < BINOPS.len() => SVal::binary(BINOPS[k], a, b),
+                    18..=21 => SVal::unary(UNOPS[kind - 18], a),
+                    22 | 23 => SVal::binary(BinOp::Add, a, SVal::Int(c)),
+                    24 | 25 => SVal::binary(BinOp::Sub, a, SVal::Int(c)),
+                    26 => SVal::Int(c),
+                    27 => SVal::Call {
+                        func: "f".into(),
+                        args: vec![a, b],
+                    },
+                    28 => SVal::Loc(Region::element(
+                        Region::Sym {
+                            symbol: Symbol::new(9, "p"),
+                        },
+                        a,
+                    )),
+                    _ => SVal::binary(BinOp::Mul, SVal::Int(c % 2), a),
+                };
+                pool.push(node);
+            }
+            pool
+        },
+    )
+}
+
 proptest! {
+    /// The memoized simplifier equals the fully recursive reference on
+    /// DAGs with shared subtrees, and on its own outputs re-simplified.
+    /// Pool entries are simplified in order, so later ones meet subtrees
+    /// already flagged normal.
+    #[test]
+    fn memoized_simplify_matches_reference(pool in arb_dag()) {
+        for node in &pool {
+            let once = simplify(node);
+            prop_assert_eq!(&once, &reference_simplify(node), "simplify({})", node);
+            let twice = simplify(&once);
+            prop_assert_eq!(&twice, &reference_simplify(&once), "simplify({})", once);
+            prop_assert_eq!(&twice, &once);
+        }
+    }
+
+    /// The cached `size_within` agrees with counting the tree's nodes.
+    #[test]
+    fn cached_size_within_matches_walk(pool in arb_dag(), limit in 0usize..80) {
+        for node in &pool {
+            let size = walked_size(node);
+            let expected = (size <= limit).then_some(size);
+            prop_assert_eq!(node.size_within(limit), expected, "size_within({}, {})", node, limit);
+        }
+    }
+
     /// `eval(simplify(e)) == eval(e)` wherever both are defined.
     #[test]
     fn simplifier_is_sound(e in arb_sval(), v0 in -20i64..20, v1 in -20i64..20, v2 in -20i64..20) {

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -145,9 +146,14 @@ impl fmt::Display for Label {
 /// assert_eq!(ts.label(), Label::Top);
 /// assert_eq!(ts.sources().count(), 2);
 /// ```
+///
+/// The set is shared behind an `Arc`: cloning a taint (every read, write
+/// and unary operation does) is a reference-count bump, and a join that
+/// adds nothing returns an operand's existing allocation. Equality,
+/// ordering, hashing and the JSON form are those of the plain set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct TaintSet {
-    sources: BTreeSet<SourceId>,
+    sources: Arc<BTreeSet<SourceId>>,
 }
 
 impl TaintSet {
@@ -158,28 +164,42 @@ impl TaintSet {
 
     /// A singleton taint set for one source.
     pub fn source(id: SourceId) -> Self {
-        let mut sources = BTreeSet::new();
-        sources.insert(id);
-        TaintSet { sources }
+        TaintSet {
+            sources: Arc::new(BTreeSet::from([id])),
+        }
     }
 
     /// Builds a taint set from an iterator of sources.
     pub fn from_sources<I: IntoIterator<Item = SourceId>>(iter: I) -> Self {
         TaintSet {
-            sources: iter.into_iter().collect(),
+            sources: Arc::new(iter.into_iter().collect()),
         }
     }
 
-    /// Set union — the join of the refinement lattice.
+    /// Set union — the join of the refinement lattice. When one operand
+    /// already contains the other, the result shares its allocation.
     pub fn join(&self, other: &TaintSet) -> TaintSet {
-        TaintSet {
-            sources: self.sources.union(&other.sources).copied().collect(),
+        if other.le(self) {
+            self.clone()
+        } else if self.le(other) {
+            other.clone()
+        } else {
+            TaintSet {
+                sources: Arc::new(self.sources.union(&other.sources).copied().collect()),
+            }
         }
     }
 
-    /// In-place union.
+    /// In-place union; copies the set only if it is shared and grows.
     pub fn join_assign(&mut self, other: &TaintSet) {
-        self.sources.extend(other.sources.iter().copied());
+        if other.le(self) {
+            return;
+        }
+        if TaintSet::le(self, other) {
+            *self = other.clone();
+        } else {
+            Arc::make_mut(&mut self.sources).extend(other.sources.iter().copied());
+        }
     }
 
     /// Projects the provenance set onto the paper's three-level lattice.
@@ -228,7 +248,7 @@ impl TaintSet {
 
     /// Subset test: `self ⊑ other`.
     pub fn le(&self, other: &TaintSet) -> bool {
-        self.sources.is_subset(&other.sources)
+        Arc::ptr_eq(&self.sources, &other.sources) || self.sources.is_subset(&other.sources)
     }
 }
 
@@ -259,7 +279,7 @@ impl FromIterator<SourceId> for TaintSet {
 
 impl Extend<SourceId> for TaintSet {
     fn extend<I: IntoIterator<Item = SourceId>>(&mut self, iter: I) {
-        self.sources.extend(iter);
+        Arc::make_mut(&mut self.sources).extend(iter);
     }
 }
 
@@ -360,6 +380,40 @@ mod tests {
         for (a, b) in cases {
             assert_eq!(a.join(&b).label(), a.label().join(b.label()));
         }
+    }
+
+    #[test]
+    fn join_with_a_subsumed_operand_shares_its_allocation() {
+        let a = TaintSet::from_sources([1, 2, 3].map(SourceId::new));
+        let b = TaintSet::from_sources([2].map(SourceId::new));
+        for joined in [
+            a.join(&b),
+            b.join(&a),
+            a.join(&TaintSet::bottom()),
+            a.join(&a),
+        ] {
+            assert!(Arc::ptr_eq(&joined.sources, &a.sources));
+        }
+        let mut acc = b.clone();
+        acc.join_assign(&a);
+        assert!(Arc::ptr_eq(&acc.sources, &a.sources));
+        // A growing join copies a shared set, leaving the other owner intact.
+        let mut grown = a.clone();
+        grown.join_assign(&TaintSet::source(SourceId::new(4)));
+        assert_eq!(grown.len(), 4);
+        assert_eq!(a.len(), 3);
+    }
+
+    #[test]
+    fn json_form_is_the_plain_set() {
+        let ts = TaintSet::from_sources([7, 2].map(SourceId::new));
+        let json = serde_json::to_string(&ts).unwrap();
+        assert_eq!(json, r#"{"sources":[2,7]}"#);
+        assert_eq!(serde_json::from_str::<TaintSet>(&json).unwrap(), ts);
+        assert_eq!(
+            serde_json::to_string(&TaintSet::bottom()).unwrap(),
+            r#"{"sources":[]}"#
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Implements the subset of criterion's API the workspace benches use —
 //! `Criterion`, benchmark groups, `bench_function` / `bench_with_input`,
-//! `BenchmarkId`, `black_box`, and the `criterion_group!` /
+//! `Bencher::iter` / `iter_batched`, `BenchmarkId`, `BatchSize`,
+//! `black_box`, and the `criterion_group!` /
 //! `criterion_main!` macros — over a simple wall-clock measurement loop:
 //! a short warm-up, then `sample_size` timed samples whose median is
 //! reported on stdout. This keeps `cargo bench` runnable (and its relative
@@ -86,6 +87,32 @@ impl Bencher {
         let total = start.elapsed();
         self.samples.push(total / self.iters as u32);
     }
+
+    /// Times `routine` on inputs built by `setup`, which runs outside the
+    /// timed region, as do the drops of the routine's outputs.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let inputs: Vec<I> = (0..self.iters).map(|_| setup()).collect();
+        let mut outputs = Vec::with_capacity(inputs.len());
+        let start = Instant::now();
+        for input in inputs {
+            outputs.push(black_box(routine(input)));
+        }
+        let total = start.elapsed();
+        drop(outputs);
+        self.samples.push(total / self.iters as u32);
+    }
+}
+
+/// Batch sizing hint for [`Bencher::iter_batched`], mirroring criterion's;
+/// the stand-in always prepares one input per timed iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs are cheap to hold in memory.
+    SmallInput,
 }
 
 /// Top-level harness handle.

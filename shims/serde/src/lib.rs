@@ -525,6 +525,12 @@ impl<'de> Deserialize<'de> for std::sync::Arc<str> {
     }
 }
 
+impl<'de, T: DeserializeOwned + Ord> Deserialize<'de> for std::sync::Arc<BTreeSet<T>> {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        BTreeSet::deserialize(deserializer).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         (**self).serialize(serializer)
