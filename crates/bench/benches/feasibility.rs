@@ -1,21 +1,19 @@
 //! Feasibility-pruning benchmarks.
 //!
-//! The `bench_feasibility` group measures the two costs the tiered
-//! pipeline trades against each other:
+//! The `bench_feasibility` group measures the one feasibility pipeline:
 //!
 //! * **per-fork refutation latency by tier** — what one probe costs when
 //!   it is settled by the syntactic check (tier 0), the
 //!   interval/congruence domain (tier 1), and the SAT-lite solver's
 //!   difference-logic theory (tier 2);
 //! * **end-to-end wall time** on the deliberately branch-heavy synthetic
-//!   corpus (`mlcorpus::synth::generate_branch_heavy`), per
-//!   `--feasibility` mode.
+//!   corpus (`mlcorpus::synth::generate_branch_heavy`).
 //!
-//! The contract the modes are sold on (each tier refutes its own fixture;
-//! stronger tiers explore strictly fewer paths and steps) is asserted
-//! deterministically by `symexec::constraints`' unit tests and
-//! `tests/feasibility_props.rs`; end-to-end times are tracked by
-//! `perfbench`.
+//! The pipeline's contract (each tier refutes its own fixture; the
+//! default explores strictly fewer paths and steps than the syntactic
+//! reference) is asserted deterministically by `symexec::constraints`'
+//! unit tests and `tests/feasibility_props.rs`; end-to-end times are
+//! tracked by `perfbench`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use minic::ast::BinOp;
@@ -26,8 +24,8 @@ use symexec::path::PathCondition;
 use symexec::value::{SVal, Symbol};
 
 /// Seed and cluster count of the branch-heavy module: two contradiction
-/// clusters multiply the syntactic path count by 36² but the concretely
-/// feasible count only by 12², so the modes diverge by a stable margin.
+/// clusters multiply the syntactic path count by 36², most of which the
+/// pipeline prunes.
 const BH_SEED: u64 = 3;
 const BH_CLUSTERS: usize = 2;
 
@@ -46,16 +44,21 @@ fn tier0_fixture() -> (ConstraintManager, AbstractDomain, PathCondition, SVal) {
     (cm, AbstractDomain::new(), path, cond)
 }
 
-/// A probe only tier 1 settles: `x > 37` assumed, `x * 3 < 90` probed —
-/// the syntactic tier deliberately keeps multiplication feasible.
+/// A probe only tier 1 settles: `37 < x < 1000` assumed, `x * 3 < 90`
+/// probed — the syntactic tier deliberately keeps multiplication
+/// feasible, and the upper bound keeps `x * 3` from wrapping.
 fn tier1_fixture() -> (ConstraintManager, AbstractDomain, PathCondition, SVal) {
     let mut cm = ConstraintManager::new();
     let mut domain = AbstractDomain::new();
-    let guard = SVal::binary(BinOp::Gt, sym(0, "x"), SVal::Int(37));
-    cm.assume(&guard, true);
-    domain.assume(&guard, true);
     let mut path = PathCondition::new();
-    path.push(guard, true);
+    for guard in [
+        SVal::binary(BinOp::Gt, sym(0, "x"), SVal::Int(37)),
+        SVal::binary(BinOp::Lt, sym(0, "x"), SVal::Int(1000)),
+    ] {
+        cm.assume(&guard, true);
+        domain.assume(&guard, true);
+        path.push(guard, true);
+    }
     let cond = SVal::binary(
         BinOp::Lt,
         SVal::binary(BinOp::Mul, sym(0, "x"), SVal::Int(3)),
@@ -79,19 +82,17 @@ fn tier2_fixture() -> (ConstraintManager, AbstractDomain, PathCondition, SVal) {
 }
 
 fn probe_outcome(
-    mode: FeasibilityMode,
     fixture: &(ConstraintManager, AbstractDomain, PathCondition, SVal),
 ) -> ProbeOutcome {
     let (cm, domain, path, cond) = fixture;
-    probe_pipeline(mode, cm, domain, path, cond, true)
+    probe_pipeline(FeasibilityMode::default(), cm, domain, path, cond, true)
 }
 
-fn branch_heavy_report(mode: FeasibilityMode) -> Report {
+fn branch_heavy_report() -> Report {
     let module = mlcorpus::synth::generate_branch_heavy(BH_SEED, BH_CLUSTERS);
     let options = AnalyzerOptions {
         max_paths: 8192,
         workers: 1,
-        feasibility: mode,
         ..AnalyzerOptions::default()
     };
     Analyzer::from_sources(&module.source, &module.edl, options)
@@ -106,24 +107,16 @@ fn bench_feasibility(c: &mut Criterion) {
     let t1 = tier1_fixture();
     let t2 = tier2_fixture();
     group.bench_function("probe_refute/syntactic", |b| {
-        b.iter(|| probe_outcome(FeasibilityMode::Syntactic, black_box(&t0)))
+        b.iter(|| probe_outcome(black_box(&t0)))
     });
     group.bench_function("probe_refute/intervals", |b| {
-        b.iter(|| probe_outcome(FeasibilityMode::Intervals, black_box(&t1)))
+        b.iter(|| probe_outcome(black_box(&t1)))
     });
     group.bench_function("probe_refute/solver", |b| {
-        b.iter(|| probe_outcome(FeasibilityMode::Full, black_box(&t2)))
+        b.iter(|| probe_outcome(black_box(&t2)))
     });
     group.sample_size(5);
-    for mode in [
-        FeasibilityMode::Syntactic,
-        FeasibilityMode::Intervals,
-        FeasibilityMode::Full,
-    ] {
-        group.bench_function(format!("branch_heavy/{}", mode.as_str()), |b| {
-            b.iter(|| branch_heavy_report(mode))
-        });
-    }
+    group.bench_function("branch_heavy", |b| b.iter(branch_heavy_report));
     group.finish();
 }
 

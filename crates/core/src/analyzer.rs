@@ -61,9 +61,9 @@ pub struct AnalyzerOptions {
     /// byte-identical at every setting.
     pub workers: usize,
     /// Which feasibility tiers run at each fork (see
-    /// [`EngineConfig::feasibility`]; CLI: `--feasibility`). Stronger
-    /// modes prune more infeasible work; findings are identical across
-    /// modes.
+    /// [`EngineConfig::feasibility`]). The default is the one pipeline the
+    /// CLI runs; [`symexec::FeasibilityMode::Syntactic`] is its tier-0
+    /// reference. Findings are identical across modes.
     pub feasibility: symexec::FeasibilityMode,
     /// Wall-clock deadline in milliseconds (see [`EngineConfig::deadline`]):
     /// exploration stops deterministically at the first wave boundary after

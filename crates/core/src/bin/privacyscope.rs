@@ -10,14 +10,6 @@
 //!     --max-paths <n>       path budget (default 4096)
 //!     --loop-bound <n>      symbolic loop bound (default 4)
 //!     --workers <n>         exploration threads (0 = all cores, 1 = sequential)
-//!     --feasibility <mode>  branch-feasibility pruning tier: `syntactic`
-//!                           (default, the paper's Clang-SA-style check),
-//!                           `intervals` (adds the interval/congruence
-//!                           abstract domain), or `full` (additionally
-//!                           consults the budgeted SAT-lite solver on
-//!                           domain-unknown forks). Findings are identical
-//!                           across modes; stronger modes only prune
-//!                           concretely-unsatisfiable paths earlier
 //!     --deadline-ms <n>     wall-clock deadline; exploration stops at the
 //!                           first wave boundary past it and the dropped
 //!                           paths land in the degradation ledger
@@ -42,11 +34,18 @@
 //!                           `--trace-out` then receives the daemon's
 //!                           streamed progress records; local-only flags
 //!                           (--baseline, --trace, --checkpoint*, --resume,
-//!                           --metrics-out, --timings, --log-level,
-//!                           --feasibility) are rejected
+//!                           --metrics-out, --timings, --log-level) are
+//!                           rejected
 //!
 //! Telemetry is purely observational: reports and checkpoints are
 //! byte-identical with it on or off, at any worker count.
+//!
+//! Every fork is pruned by one feasibility pipeline: the paper's
+//! syntactic range check, then an interval/congruence domain and a
+//! budgeted SAT-lite solver on the branch condition's independent slice
+//! of π. All tiers respect the program's wrapping i64 arithmetic, so they
+//! only drop branch sides no input can reach; findings are those of the
+//! syntactic check alone.
 //!
 //! privacyscope priml <program.priml>
 //!     analyze a PRIML program with the formal semantics and print the
@@ -112,8 +111,7 @@ const USAGE: &str = "\
 usage:
   privacyscope analyze <enclave.c> <enclave.edl> [--config <xml>] [--function <name>]
                        [--json] [--trace] [--baseline] [--max-paths <n>] [--loop-bound <n>]
-                       [--workers <n>] [--feasibility syntactic|intervals|full]
-                       [--deadline-ms <n>] [--checkpoint <file>]
+                       [--workers <n>] [--deadline-ms <n>] [--checkpoint <file>]
                        [--checkpoint-every <n>] [--resume <file>] [--trace-out <file>]
                        [--metrics-out <file>] [--log-level off|warn|info|debug] [--timings]
                        [--profile] [--profile-out <file>]
@@ -210,15 +208,6 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
-fn parse_feasibility(cli: &Cli) -> Result<privacyscope::FeasibilityMode, String> {
-    match cli.value("feasibility") {
-        None => Ok(privacyscope::FeasibilityMode::default()),
-        Some(text) => privacyscope::FeasibilityMode::parse(text).ok_or_else(|| {
-            format!("unknown --feasibility mode `{text}` (expected syntactic, intervals, or full)")
-        }),
-    }
-}
-
 fn analyze(args: &[String]) -> Result<Verdict, String> {
     let cli = parse_cli(
         args,
@@ -228,7 +217,6 @@ fn analyze(args: &[String]) -> Result<Verdict, String> {
             "max-paths",
             "loop-bound",
             "workers",
-            "feasibility",
             "deadline-ms",
             "checkpoint",
             "checkpoint-every",
@@ -302,7 +290,6 @@ fn analyze(args: &[String]) -> Result<Verdict, String> {
             "is ambiguous: omit the flag to use every core, or pass a positive thread count",
         )?,
         deadline_ms: cli.u64_opt_value("deadline-ms")?,
-        feasibility: parse_feasibility(&cli)?,
         checkpoint,
         checkpoint_every,
         resume,
@@ -542,7 +529,6 @@ fn daemon_submit(cli: &Cli, addr: &str, source: &str, edl_text: &str) -> Result<
         "log-level",
         "profile",
         "profile-out",
-        "feasibility",
     ] {
         if cli.has(flag) {
             return Err(format!(

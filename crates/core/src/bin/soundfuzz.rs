@@ -17,12 +17,12 @@
 //!                             ablation: run the analyzer with one check
 //!                             disabled (planted leaks of that kind become
 //!                             missed-leak disagreements — the self-test)
-//!     --feasibility syntactic|intervals|full
-//!                             branch-feasibility pruning tier for the
-//!                             analyzer under test (default syntactic);
-//!                             stronger tiers must not change any verdict,
-//!                             which is exactly what the CI differential
-//!                             campaign asserts
+//!     --feasibility syntactic|full
+//!                             feasibility pipeline of the analyzer under
+//!                             test: `full` (default) is the analyzer's one
+//!                             pipeline, `syntactic` its tier-0 reference;
+//!                             the CI differential campaign asserts both
+//!                             report zero missed leaks
 //!     --preflight             run the cross-interpreter agreement check on
 //!                             each module before the campaign and fail fast
 //!                             on drift
@@ -68,7 +68,7 @@ const USAGE: &str = "\
 usage:
   soundfuzz --seeds <a>..<b> [--vectors <n>] [--max-paths <n>] [--loop-bound <n>]
             [--deadline-ms <n>] [--hard-timeout-ms <n>] [--corpus <dir>]
-            [--blind explicit|implicit] [--feasibility syntactic|intervals|full]
+            [--blind explicit|implicit] [--feasibility syntactic|full]
             [--preflight] [--json]
 
 exit codes: 0 all modules agreed, 1 disagreements found, 2 usage error,
@@ -197,9 +197,8 @@ fn run(args: &[String]) -> Result<Verdict, String> {
         );
     }
     if let Some(text) = cli.value("feasibility") {
-        config.feasibility = privacyscope::FeasibilityMode::parse(text).ok_or_else(|| {
-            format!("--feasibility expects syntactic, intervals, or full, got `{text}`")
-        })?;
+        config.feasibility = privacyscope::FeasibilityMode::parse(text)
+            .ok_or_else(|| format!("--feasibility expects syntactic or full, got `{text}`"))?;
     }
     match cli.value("blind") {
         None => {}

@@ -78,9 +78,10 @@ pub struct OracleConfig {
     /// Test hook: stall the analyzer thread for this many milliseconds
     /// before it starts (exercises the hard timeout).
     pub inject_stall_ms: Option<u64>,
-    /// Feasibility tiers the analyzer runs with (`--feasibility`). The
-    /// differential soundness gate runs the same seeds under `syntactic`
-    /// and `full` and asserts identical leak classifications.
+    /// Feasibility pipeline the analyzer runs with (`--feasibility`). The
+    /// differential soundness gate runs the same seeds under the default
+    /// and under the tier-0 `syntactic` reference and asserts zero missed
+    /// leaks and identical leak classifications.
     pub feasibility: symexec::FeasibilityMode,
 }
 
@@ -908,6 +909,9 @@ pub fn repro_command(seed: u64, config: &OracleConfig) -> String {
     }
     if let Some(ms) = config.deadline_ms {
         cmd.push_str(&format!(" --deadline-ms {ms}"));
+    }
+    if config.feasibility != symexec::FeasibilityMode::default() {
+        cmd.push_str(&format!(" --feasibility {}", config.feasibility.as_str()));
     }
     cmd
 }

@@ -109,11 +109,11 @@ pub struct AnalysisStats {
     #[serde(default)]
     pub cache_misses: usize,
     /// Branch sides refuted by the Tier-1 interval/congruence domain
-    /// (0 unless `--feasibility=intervals|full`).
+    /// (0 under the syntactic reference mode).
     #[serde(default)]
     pub tier1_refuted: usize,
     /// Branch sides refuted by the Tier-2 SAT-lite solver
-    /// (0 unless `--feasibility=full`).
+    /// (0 under the syntactic reference mode).
     #[serde(default)]
     pub tier2_refuted: usize,
     /// Tier-2 probes that exhausted their deterministic budget.

@@ -125,3 +125,46 @@ fn failing_run_still_writes_valid_telemetry() {
     serde_json::parse(&metrics_text)
         .unwrap_or_else(|e| panic!("metrics file is not valid JSON ({e}): {metrics_text}"));
 }
+
+#[test]
+fn the_one_pipeline_reports_a_wraparound_leak_and_takes_no_mode_flag() {
+    let dir = scratch("wraparound");
+    let source = dir.join("wrap.c");
+    let edl = dir.join("wrap.edl");
+    std::fs::write(
+        &source,
+        "long enclave_wrap(char *secrets, long pub0) { long r = 0; \
+         if (pub0 - 1 > 5) { if (pub0 < 0) { r = secrets[0]; } } return r; }\n",
+    )
+    .expect("write source");
+    std::fs::write(
+        &edl,
+        "enclave { trusted { public long enclave_wrap([in, count=1] char *secrets, long pub0); }; };",
+    )
+    .expect("write edl");
+    let output = cli()
+        .args(["analyze"])
+        .arg(&source)
+        .arg(&edl)
+        .output()
+        .expect("run privacyscope");
+    assert_eq!(output.status.code(), Some(1), "{}", stderr(&output));
+    let report = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        report.contains("[EXPLICIT] return value reveals secret `secrets[0]`"),
+        "{report}"
+    );
+    let output = cli()
+        .args(["analyze"])
+        .arg(&source)
+        .arg(&edl)
+        .args(["--feasibility", "full"])
+        .output()
+        .expect("run privacyscope");
+    assert_eq!(output.status.code(), Some(2));
+    assert!(
+        stderr(&output).contains("feasibility"),
+        "{}",
+        stderr(&output)
+    );
+}

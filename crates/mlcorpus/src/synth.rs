@@ -36,16 +36,19 @@
 //! * **Some modules are deliberately branch-heavy with contradictory
 //!   guards.** Roughly a quarter of seeds splice in a contradiction
 //!   cluster: nested comparisons over the public scalars whose inner
-//!   guards are concretely unsatisfiable (affine-multiplication, residue,
-//!   and variable-order contradictions). The cluster only touches the
-//!   dead `scratch` local, so ground truth is unaffected — but the
-//!   feasibility pruning tiers (`--feasibility=intervals|full`)
-//!   measurably diverge from the syntactic baseline on these modules,
-//!   which is what the differential soundness gate and the
-//!   `feasibility` benchmark exercise. When a cluster is present the
-//!   plain public branches are capped so the syntactic path count still
-//!   fits the default soundfuzz budget. [`generate_branch_heavy`] forces
-//!   the shape for benchmarking.
+//!   guards look unsatisfiable (affine-multiplication, residue, and
+//!   variable-order contradictions). The residue and variable-order
+//!   guards are concretely unsatisfiable; the affine-multiplication one is
+//!   not, because `p * m` wraps for `p` near `i64::MAX / m`. The cluster
+//!   only touches the dead `scratch` local, so ground truth is unaffected
+//!   — but the feasibility pipeline measurably diverges from the
+//!   syntactic reference on these modules, which is what the
+//!   differential soundness gate and the `feasibility` benchmark
+//!   exercise. When a cluster is present the plain public branches are
+//!   capped so the syntactic path count still fits the default soundfuzz
+//!   budget. [`generate_branch_heavy`] forces the shape for benchmarking.
+//! * **Some leaks hide behind wraparound** ([`generate_wraparound`]), where
+//!   a tier that reasons over ideal integers would prune a real leak.
 
 use crate::expect::{Expectation, LeakKind};
 use crate::CorpusError;
@@ -245,28 +248,32 @@ pub fn generate(seed: u64) -> SynthModule {
 /// Returns a [`SynthError`] when the plan is incoherent (duplicate site,
 /// two return-channel leaks, or more than one implicit leak).
 pub fn generate_with_leaks(seed: u64, leaks: &[LeakSite]) -> Result<SynthModule, SynthError> {
-    generate_module(seed, leaks, None)
+    generate_module(seed, leaks, None, None)
 }
 
 /// Generates a clean module whose entry is dominated by `clusters`
 /// contradiction clusters (see the module docs): every cluster multiplies
-/// the *syntactic* path count by 36 but the concretely feasible count only
-/// by 12, so the feasibility tiers diverge by a known, seed-stable factor.
+/// the *syntactic* path count by 36, and the feasibility pipeline prunes
+/// the residue and variable-order contradictions, so the tiers diverge by
+/// a seed-stable factor.
 /// This is the fixed corpus shape behind the `feasibility` benchmark and
 /// the tier property tests.
 #[must_use]
 pub fn generate_branch_heavy(seed: u64, clusters: usize) -> SynthModule {
-    match generate_module(seed, &[], Some(clusters)) {
+    match generate_module(seed, &[], Some(clusters), None) {
         Ok(module) => module,
         // An empty leak plan satisfies every coherence constraint.
         Err(_) => unreachable!("empty leak plan is always coherent"),
     }
 }
 
+/// `guards`, when given, is a pair of conditions every injected
+/// prologue/epilogue leak is nested under.
 fn generate_module(
     seed: u64,
     leaks: &[LeakSite],
     forced_clusters: Option<usize>,
+    guards: Option<(String, String)>,
 ) -> Result<SynthModule, SynthError> {
     for (i, site) in leaks.iter().enumerate() {
         if leaks[..i].contains(site) {
@@ -307,6 +314,12 @@ fn generate_module(
         secret_indices.swap(i, rng.below(i as u64 + 1) as usize);
     }
 
+    let guarded = |payload: &str| match &guards {
+        Some((outer, inner)) => format!(
+            "    if ({outer}) {{\n        if ({inner}) {{\n        {payload}        }}\n    }}\n"
+        ),
+        None => payload.to_string(),
+    };
     let mut expectations = Vec::new();
     let mut prologue = String::new();
     let mut epilogue = String::new();
@@ -319,13 +332,13 @@ fn generate_module(
                 let slot = 4 + rng.below((OUT_LEN - 4) as u64) as usize;
                 let c = rng.small();
                 let payload = format!("    out[{slot}] = secret[{idx}] + {c};\n");
-                epilogue.push_str(&payload);
+                epilogue.push_str(&guarded(&payload));
                 (format!("out[{slot}]"), payload)
             }
             LeakSite::ExplicitOcall => {
                 let m = 2 * rng.small() + 1;
                 let payload = format!("    ocall_sink(secret[{idx}] * {m});\n");
-                prologue.push_str(&payload);
+                prologue.push_str(&guarded(&payload));
                 ("argument 0 of `ocall_sink`".to_string(), payload)
             }
             LeakSite::ExplicitReturn => {
@@ -340,14 +353,14 @@ fn generate_module(
                 let payload = format!(
                     "    if (secret[{idx}] > {t}) {{ ocall_progress({a}); }} else {{ ocall_progress({b}); }}\n"
                 );
-                prologue.push_str(&payload);
+                prologue.push_str(&guarded(&payload));
                 ("argument 0 of `ocall_progress`".to_string(), payload)
             }
             LeakSite::ImplicitReturn => {
                 let t = 40 + rng.below(60) as i64;
                 let r = 900 + rng.below(100) as i64;
                 let payload = format!("    if (secret[{idx}] > {t}) {{ return {r}; }}\n");
-                prologue.push_str(&payload);
+                prologue.push_str(&guarded(&payload));
                 ("return value".to_string(), payload)
             }
         };
@@ -473,15 +486,63 @@ fn generate_module(
     })
 }
 
+/// Generates a module whose one leak sits behind a guard pair over the
+/// public scalars that can only be satisfied together through i64
+/// wraparound — each pair is one a tier once refuted by reasoning over
+/// ideal integers. `seed % 3` picks the pair:
+///
+/// * `p - c > k` then `p < 0` (the syntactic tier's offset narrowing;
+///   witness `p = i64::MIN`);
+/// * `p * m < k` then `p > t` (the interval domain's affine refinement;
+///   witness `p = ⌈2⁶³ / m⌉`, where `p * m` wraps to about `i64::MIN`);
+/// * `p + c < q` then `q < p` (the solver's difference logic; witness
+///   `p = i64::MAX`, `q = 0`).
+///
+/// `seed / 3 % 2` picks the leak: an explicit `[out]` write or an implicit
+/// secret-guarded early return. The rest of the module is what
+/// [`generate_with_leaks`] builds for `seed`, without a contradiction
+/// cluster.
+#[must_use]
+pub fn generate_wraparound(seed: u64) -> SynthModule {
+    let mut rng = SplitMix64(seed ^ 0x5bd1_e995_a0c3_7f21);
+    let (p, q) = if rng.below(2) == 0 {
+        ("pub0", "pub1")
+    } else {
+        ("pub1", "pub0")
+    };
+    let c = rng.small();
+    let guards = match seed % 3 {
+        0 => (
+            format!("{p} - {c} > {}", rng.below(100)),
+            format!("{p} < 0"),
+        ),
+        1 => (
+            format!("{p} * {} < {}", 2 + rng.below(3), rng.below(100)),
+            format!("{p} > {}", 100 + rng.below(900)),
+        ),
+        _ => (format!("{p} + {c} < {q}"), format!("{q} < {p}")),
+    };
+    let site = if (seed / 3).is_multiple_of(2) {
+        LeakSite::ExplicitOut
+    } else {
+        LeakSite::ImplicitReturn
+    };
+    match generate_module(seed, &[site], Some(0), Some(guards)) {
+        Ok(module) => module,
+        // A single leak satisfies every coherence constraint.
+        Err(_) => unreachable!("a one-leak plan is always coherent"),
+    }
+}
+
 /// Emits one contradiction cluster: three nested guard shapes over the
 /// public scalars, each of which forks syntactically but has at least one
 /// concretely unsatisfiable side, and each of which only touches the dead
 /// `scratch` local so the module stays benign:
 ///
-/// * an affine-multiplication contradiction — `p > t` followed by
-///   `p * m < m·(t+1) − gap`, unsatisfiable because `p > t` forces
-///   `p * m ≥ m·(t+1)`; refuted by the interval domain (the paper-faithful
-///   syntactic check deliberately keeps multiplication feasible);
+/// * an affine-multiplication guard — `p > t` followed by
+///   `p * m < m·(t+1) − gap`, which ideal integers rule out (`p > t`
+///   forces `p * m ≥ m·(t+1)`) but wraparound satisfies: `p * m` wraps
+///   negative for `p` near `i64::MAX / m`, so every tier keeps both sides;
 /// * a residue contradiction under a positive outer bound — `q > 5`, then
 ///   `q % 4 == r₁` and `q % 4 == r₂` with `r₁ ≠ r₂`; refuted by the
 ///   congruence (stride) domain, and the positive bound keeps `%` free of
@@ -604,6 +665,22 @@ mod tests {
             .count();
         assert!(heavy > 0, "some seeds must carry a contradiction cluster");
         assert!(heavy < 64, "not every seed should be branch-heavy");
+    }
+
+    #[test]
+    fn wraparound_modules_validate_and_cover_every_shape() {
+        for seed in 0..6u64 {
+            let module = generate_wraparound(seed);
+            assert_eq!(module, generate_wraparound(seed), "seed {seed}");
+            module
+                .validate()
+                .unwrap_or_else(|e| panic!("seed {seed} generated invalid module: {e}"));
+            assert_eq!(module.expectations.len(), 1);
+            let e = &module.expectations[0];
+            assert!(module.source.contains(&e.payload));
+            let explicit = (seed / 3).is_multiple_of(2);
+            assert_eq!(e.kind == crate::expect::LeakKind::Explicit, explicit);
+        }
     }
 
     #[test]

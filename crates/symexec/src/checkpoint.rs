@@ -448,15 +448,13 @@ pub(crate) fn fingerprint(
         config.record_trace,
         config.max_value_size,
     );
-    // The feasibility mode joins the fingerprint only when it deviates
-    // from the default: stronger tiers change which branch sides survive,
-    // so a snapshot must not resume under a different mode — but every
-    // pre-existing (syntactic) checkpoint keeps its fingerprint unchanged.
-    let text = if config.feasibility == crate::constraints::FeasibilityMode::Syntactic {
-        text
-    } else {
-        format!("{text}|feasibility={}", config.feasibility.as_str())
-    };
+    // The feasibility pipeline decides which branch sides survive, so its
+    // tag and mode always join the fingerprint: a snapshot never resumes
+    // under another mode, or under a pipeline with other refutation rules.
+    let text = format!(
+        "{text}|feasibility=wrap-faithful-slice/{}",
+        config.feasibility.as_str()
+    );
     fnv1a(text.as_bytes())
 }
 
@@ -512,41 +510,6 @@ pub(crate) fn probe_key(
     constraints.hash(&mut hasher);
     cond.hash(&mut hasher);
     taken.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// [`probe_key`] extended with whatever extra state the active
-/// [`FeasibilityMode`](crate::constraints::FeasibilityMode) reads: the
-/// Tier-1 domain for `intervals`, and additionally the path condition for
-/// `full`. In syntactic mode this is byte-for-byte the legacy key, so
-/// default-mode probe accounting (and resumed `probe_seen` sets) are
-/// unchanged.
-pub(crate) fn probe_key_tiered(
-    mode: crate::constraints::FeasibilityMode,
-    constraints: &crate::constraints::ConstraintManager,
-    domain: &crate::domain::AbstractDomain,
-    path: &crate::path::PathCondition,
-    cond: &crate::value::SVal,
-    taken: bool,
-) -> u64 {
-    use crate::constraints::FeasibilityMode;
-    use std::hash::{Hash, Hasher};
-    if mode == FeasibilityMode::Syntactic {
-        return probe_key(constraints, cond, taken);
-    }
-    let mut hasher = FnvHasher::new();
-    constraints.hash(&mut hasher);
-    cond.hash(&mut hasher);
-    taken.hash(&mut hasher);
-    (mode == FeasibilityMode::Full).hash(&mut hasher);
-    domain.hash(&mut hasher);
-    if mode == FeasibilityMode::Full {
-        for a in path.assumptions() {
-            a.cond.hash(&mut hasher);
-            a.taken.hash(&mut hasher);
-        }
-        path.len().hash(&mut hasher);
-    }
     hasher.finish()
 }
 
@@ -689,14 +652,10 @@ mod tests {
             reference
         );
 
-        // A non-default feasibility mode shapes which sides survive, so it
-        // changes the fingerprint; the default keeps the legacy value.
-        let mut tiered = base.clone();
-        tiered.feasibility = crate::constraints::FeasibilityMode::Full;
-        assert_ne!(fp(&tiered), reference);
-        let mut explicit_default = base.clone();
-        explicit_default.feasibility = crate::constraints::FeasibilityMode::Syntactic;
-        assert_eq!(fp(&explicit_default), reference);
+        // The feasibility mode shapes which sides survive.
+        let mut syntactic = base.clone();
+        syntactic.feasibility = crate::constraints::FeasibilityMode::Syntactic;
+        assert_ne!(fp(&syntactic), reference);
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! Concrete evaluation of symbolic expressions under a full assignment.
 //!
-//! Used to validate the simplifier and the constraint manager: a symbolic
-//! expression evaluated under an assignment must agree with its simplified
-//! form, and a model produced for a path condition must satisfy it.
-//!
-//! Two evaluators live here. [`eval`] is the original integer-only one the
-//! feasibility logic uses. [`ceval`] is the full numeric evaluator behind
-//! the differential oracle's cross-interpreter pre-flight: it mirrors the
-//! SGX simulator's semantics (`sgx_sim::interp`) — wrapping integer
-//! arithmetic, `& 63` shift masks, float contamination, and the same math
-//! builtins — so a symbolic value replayed under a concrete assignment can
-//! be compared against what the simulator actually computed.
+//! [`ceval`] mirrors the SGX simulator's semantics (`sgx_sim::interp`) —
+//! wrapping integer arithmetic, `& 63` shift masks, float contamination,
+//! and the same math builtins — so a symbolic value replayed under a
+//! concrete assignment can be compared against what the simulator
+//! actually computed. It is the oracle for the simplifier, for the
+//! feasibility tiers (a concretely true guard must never be refuted) and
+//! for the differential oracle's cross-interpreter pre-flight.
 
 use std::collections::BTreeMap;
 
@@ -18,54 +14,6 @@ use minic::ast::{BinOp, UnOp};
 
 use crate::simplify::fold_ints;
 use crate::value::SVal;
-
-/// Maps symbol ids to concrete integer values.
-pub type Assignment = BTreeMap<u32, i64>;
-
-/// Evaluates `sval` under `assignment`.
-///
-/// Returns `None` when the expression contains [`SVal::Unknown`], a pointer
-/// value, an uninterpreted call, floats (the checker's feasibility logic is
-/// integer-only), or an unassigned symbol — i.e. whenever no unique concrete
-/// integer is denoted.
-pub fn eval(sval: &SVal, assignment: &Assignment) -> Option<i64> {
-    match sval {
-        SVal::Int(v) => Some(*v),
-        SVal::Float(_) => None,
-        SVal::Sym(sym) => assignment.get(&sym.id).copied(),
-        SVal::Loc(_) => None,
-        SVal::Binary { op, lhs, rhs } => {
-            // && and || short-circuit, but with both sides total this is
-            // observationally the same as strict evaluation.
-            let a = eval(lhs, assignment)?;
-            let b = eval(rhs, assignment)?;
-            match fold_ints(*op, a, b)? {
-                SVal::Int(v) => Some(v),
-                _ => None, // division by zero
-            }
-        }
-        SVal::Unary { op, arg } => {
-            let v = eval(arg, assignment)?;
-            Some(match op {
-                UnOp::Neg => v.wrapping_neg(),
-                UnOp::Plus => v,
-                UnOp::Not => i64::from(v == 0),
-                UnOp::BitNot => !v,
-            })
-        }
-        SVal::Call { .. } | SVal::Unknown => None,
-    }
-}
-
-/// Evaluates `sval` as a branch condition: `Some(true)` if non-zero.
-pub fn eval_bool(sval: &SVal, assignment: &Assignment) -> Option<bool> {
-    eval(sval, assignment).map(|v| v != 0)
-}
-
-/// A tiny helper for tests: builds an assignment from pairs.
-pub fn assignment<I: IntoIterator<Item = (u32, i64)>>(pairs: I) -> Assignment {
-    pairs.into_iter().collect()
-}
 
 /// A concrete numeric value: what one run of the program computes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,47 +182,20 @@ mod tests {
         SVal::Sym(Symbol::new(1, "x"))
     }
 
-    #[test]
-    fn evaluates_expressions() {
-        let e = SVal::binary(
-            BinOp::Add,
-            SVal::binary(BinOp::Mul, SVal::Int(2), x()),
-            SVal::Int(5),
-        );
-        assert_eq!(eval(&e, &assignment([(1, 10)])), Some(25));
-    }
-
-    #[test]
-    fn unassigned_symbol_is_none() {
-        assert_eq!(eval(&x(), &assignment([])), None);
-    }
-
-    #[test]
-    fn division_by_zero_is_none() {
-        let e = SVal::binary(BinOp::Div, SVal::Int(1), x());
-        assert_eq!(eval(&e, &assignment([(1, 0)])), None);
-        assert_eq!(eval(&e, &assignment([(1, 2)])), Some(0));
-    }
-
-    #[test]
-    fn bool_evaluation() {
-        let e = SVal::binary(BinOp::Gt, x(), SVal::Int(3));
-        assert_eq!(eval_bool(&e, &assignment([(1, 5)])), Some(true));
-        assert_eq!(eval_bool(&e, &assignment([(1, 1)])), Some(false));
-    }
-
-    #[test]
-    fn unknown_and_calls_are_none() {
-        assert_eq!(eval(&SVal::Unknown, &assignment([])), None);
-        let call = SVal::Call {
-            func: "sqrt".into(),
-            args: vec![SVal::Int(4)],
-        };
-        assert_eq!(eval(&call, &assignment([])), None);
-    }
-
     fn cassign<I: IntoIterator<Item = (u32, CVal)>>(pairs: I) -> CAssignment {
         pairs.into_iter().collect()
+    }
+
+    #[test]
+    fn ceval_wraps_and_is_partial() {
+        let e = SVal::binary(BinOp::Add, x(), SVal::Int(10));
+        assert_eq!(
+            ceval(&e, &cassign([(1, CVal::Int(i64::MAX - 9))])),
+            Some(CVal::Int(i64::MIN))
+        );
+        // Unassigned symbols and unknowns denote no number.
+        assert_eq!(ceval(&x(), &cassign([])), None);
+        assert_eq!(ceval(&SVal::Unknown, &cassign([])), None);
     }
 
     #[test]

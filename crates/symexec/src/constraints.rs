@@ -4,19 +4,24 @@
 //! `RangeConstraintManager` (the engine the paper's prototype runs on)
 //! rather than an SMT solver: it tracks per-symbol integer intervals and
 //! disequality sets, normalizes `±constant` terms, and answers "is this
-//! fork still feasible?". Constraints it cannot represent are simply not
+//! fork still feasible?". Like Clang SA's manager it reasons over the
+//! program's fixed-width integers: `sym + c` wraps at i64 exactly as the
+//! engine folds it. Constraints it cannot represent are simply not
 //! recorded — the fork stays feasible, which is sound for a *detector*
 //! (never prunes a real path) at the cost of possible extra paths.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::RwLock;
 
 use minic::ast::{BinOp, UnOp};
 use serde::{Deserialize, Serialize};
 
-use crate::concrete::Assignment;
-use crate::domain::AbstractDomain;
-use crate::path::PathCondition;
+use crate::checkpoint::FnvHasher;
+use crate::domain::{AbstractDomain, Fact};
+use crate::intern::Intern;
+use crate::path::{Assumption, PathCondition};
 use crate::solver::{self, Verdict};
 use crate::value::SVal;
 
@@ -30,43 +35,37 @@ pub enum Feasibility {
     Infeasible,
 }
 
-/// How much feasibility machinery a run enables (`--feasibility=…`).
+/// Which tiers of the feasibility pipeline a run enables.
 ///
-/// The tiers are strictly layered: each mode runs every cheaper tier
-/// first and only escalates on "unknown", so a stronger mode can only
-/// refute *more* branch sides, never fewer — and never a concretely
-/// satisfiable one (each tier is sound for refutation).
+/// [`FeasibilityMode::Full`] is the default and the only pipeline the CLI
+/// runs; [`FeasibilityMode::Syntactic`] is the paper-faithful tier-0
+/// reference tests and soundfuzz compare it against. Each tier is sound
+/// for refutation, so the default refutes more, never a reachable side.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum FeasibilityMode {
-    /// Tier 0 only: the Clang-SA-faithful syntactic check above. The
-    /// default — probe keys, counters, and reports are byte-identical to
-    /// earlier releases.
-    #[default]
+    /// Tier 0 only: the Clang-SA-faithful syntactic check.
     Syntactic,
-    /// Tier 0 + Tier 1: interval/congruence abstract domain
-    /// ([`crate::domain`]).
-    Intervals,
-    /// Tiers 0–2: also the SAT-lite DPLL solver ([`crate::solver`]) when
-    /// the domain answers "unknown".
+    /// Tier 0, then the interval/congruence domain ([`crate::domain`]) and
+    /// the SAT-lite solver ([`crate::solver`]) on the condition's
+    /// independent slice.
+    #[default]
     Full,
 }
 
 impl FeasibilityMode {
-    /// Parses a `--feasibility` flag value.
+    /// Parses a mode name (`syntactic` or `full`).
     pub fn parse(s: &str) -> Option<FeasibilityMode> {
         match s {
             "syntactic" => Some(FeasibilityMode::Syntactic),
-            "intervals" => Some(FeasibilityMode::Intervals),
             "full" => Some(FeasibilityMode::Full),
             _ => None,
         }
     }
 
-    /// The canonical flag spelling.
+    /// The canonical mode name.
     pub fn as_str(&self) -> &'static str {
         match self {
             FeasibilityMode::Syntactic => "syntactic",
-            FeasibilityMode::Intervals => "intervals",
             FeasibilityMode::Full => "full",
         }
     }
@@ -99,8 +98,9 @@ impl ProbeOutcome {
 }
 
 /// The layered feasibility pipeline: syntactic → interval/congruence →
-/// SAT-lite → assume-feasible. A pure function of its arguments, so it
-/// memoizes and parallelizes freely.
+/// SAT-lite → assume-feasible, with tiers 1–2 run on the condition's
+/// independent slice. A pure function of its arguments; this is the
+/// uncached form of [`FeasibilityCache::probe`].
 pub fn probe_pipeline(
     mode: FeasibilityMode,
     cm: &ConstraintManager,
@@ -109,26 +109,114 @@ pub fn probe_pipeline(
     cond: &SVal,
     truth: bool,
 ) -> ProbeOutcome {
-    // Tier 0: the syntactic check is the cheapest and also what the
-    // committed `assume` will replay, so it always runs first.
-    if cm.clone().assume(cond, truth) == Feasibility::Infeasible {
-        return ProbeOutcome::RefutedSyntactic;
-    }
-    if mode == FeasibilityMode::Syntactic {
-        return ProbeOutcome::Feasible;
-    }
-    // Tier 1: refine a clone of the per-path abstract domain.
-    if domain.clone().assume(cond, truth) == Feasibility::Infeasible {
+    FeasibilityCache::new(0)
+        .probe(mode, cm, domain, path, cond, truth)
+        .0
+}
+
+/// Tiers 1–2 on a condition's slice. Tier 1 refines a clone of the whole
+/// domain but reads only the facts of the condition's symbols; tier 2
+/// reads only the slice's assumptions and the facts of their symbols. The
+/// outcome is therefore a pure function of the [`SliceKey`].
+fn slice_tiers(key: &SliceKey, domain: &AbstractDomain) -> ProbeOutcome {
+    if domain.clone().assume(&key.cond, key.truth) == Feasibility::Infeasible {
         return ProbeOutcome::RefutedIntervals;
     }
-    if mode == FeasibilityMode::Intervals {
-        return ProbeOutcome::Feasible;
-    }
-    // Tier 2: SAT-lite over π ∧ cond with a deterministic budget.
-    match solver::check_path(path, cond, truth, domain, solver::Budget::default()) {
+    let budget = solver::Budget::default();
+    match solver::check_path(&key.assumptions, &key.cond, key.truth, domain, budget) {
         Verdict::Unsat => ProbeOutcome::RefutedSolver,
         Verdict::Unknown => ProbeOutcome::SolverUnknown,
         Verdict::Sat => ProbeOutcome::Feasible,
+    }
+}
+
+/// A probed condition with its independent slice of the path state
+/// (KLEE's constraint independence): the π assumptions that transitively
+/// share a symbol with the condition, oldest first, and the domain facts
+/// of those symbols. Assumptions outside the slice constrain other
+/// symbols only, so they cannot decide the condition.
+#[derive(Debug, Clone, PartialEq)]
+struct SliceKey {
+    cond: SVal,
+    truth: bool,
+    assumptions: Vec<Assumption>,
+    facts: Vec<(u32, Fact)>,
+}
+
+thread_local! {
+    /// The slice walk's scratch: the symbols reached so far (sorted) and a
+    /// membership flag per π index. Reused, so the walk allocates nothing
+    /// once it has grown to the longest π seen.
+    static WALK: RefCell<(Vec<u32>, Vec<bool>)> = RefCell::default();
+}
+
+impl SliceKey {
+    fn of(domain: &AbstractDomain, path: &PathCondition, cond: &SVal, truth: bool) -> SliceKey {
+        WALK.with(|walk| {
+            let (symbols, members) = &mut *walk.borrow_mut();
+            symbols.clear();
+            members.clear();
+            members.resize(path.len(), false);
+            let add = |symbols: &mut Vec<u32>, sym: u32| {
+                if let Err(at) = symbols.binary_search(&sym) {
+                    symbols.insert(at, sym);
+                }
+                false
+            };
+            cond.any_symbol(&mut |sym| add(symbols, sym));
+            // Grow to a fixpoint: a member can link the condition to an
+            // older assumption only through a symbol it introduced.
+            let mut grew = !symbols.is_empty();
+            while grew {
+                grew = false;
+                for (i, assumption) in path.assumptions().iter().enumerate() {
+                    if !members[i]
+                        && assumption
+                            .cond
+                            .any_symbol(&mut |sym| symbols.binary_search(&sym).is_ok())
+                    {
+                        members[i] = true;
+                        grew = true;
+                        assumption.cond.any_symbol(&mut |sym| add(symbols, sym));
+                    }
+                }
+            }
+            SliceKey {
+                cond: cond.clone(),
+                truth,
+                assumptions: path
+                    .assumptions()
+                    .iter()
+                    .zip(members.iter())
+                    .filter(|(_, member)| **member)
+                    .map(|(assumption, _)| assumption.clone())
+                    .collect(),
+                facts: symbols
+                    .iter()
+                    .filter_map(|&sym| domain.recorded(sym).map(|fact| (sym, fact)))
+                    .collect(),
+            }
+        })
+    }
+
+    /// Whether tiers 1–2 see nothing but the condition itself.
+    fn is_empty(&self) -> bool {
+        self.assumptions.is_empty() && self.facts.is_empty()
+    }
+
+    /// The stable digest of the key, hashing nodes through their cached
+    /// shallow hashes: one word per assumption, not a walk of its tree.
+    fn digest(&self) -> u64 {
+        let mut hasher = FnvHasher::new();
+        "slice".hash(&mut hasher);
+        self.cond.shallow_hash().hash(&mut hasher);
+        self.truth.hash(&mut hasher);
+        for assumption in &self.assumptions {
+            assumption.cond.shallow_hash().hash(&mut hasher);
+            assumption.taken.hash(&mut hasher);
+        }
+        self.facts.hash(&mut hasher);
+        hasher.finish()
     }
 }
 
@@ -214,14 +302,14 @@ impl ConstraintManager {
             _ if op.is_comparison() => {
                 let op = if truth { op } else { negate_cmp(op) };
                 // Try `expr cmp const` in both orientations.
-                if let Some(c) = const_of(rhs) {
+                if let Some(k) = const_of(rhs) {
                     if let Some((sym, offset)) = linear_sym(lhs) {
-                        return self.apply_cmp(sym, op, c as i128 - offset);
+                        return self.apply_cmp(sym, op, offset, k);
                     }
                 }
-                if let Some(c) = const_of(lhs) {
+                if let Some(k) = const_of(lhs) {
                     if let Some((sym, offset)) = linear_sym(rhs) {
-                        return self.apply_cmp(sym, flip_cmp(op), c as i128 - offset);
+                        return self.apply_cmp(sym, flip_cmp(op), offset, k);
                     }
                 }
                 Feasibility::Feasible
@@ -230,26 +318,26 @@ impl ConstraintManager {
         }
     }
 
-    fn apply_cmp(&mut self, sym: u32, op: BinOp, c: i128) -> Feasibility {
+    /// Assumes `sym + offset ⋈ k`, where the left side wraps at i64 as the
+    /// engine computes it. `==`/`!=` are exact through the wrapped shift
+    /// `k − offset mod 2⁶⁴`. An order comparison narrows only when the
+    /// symbol's current range shifted by `offset` stays inside i64 — then
+    /// no value of the symbol wraps — and is left unrecorded otherwise.
+    fn apply_cmp(&mut self, sym: u32, op: BinOp, offset: i128, k: i64) -> Feasibility {
+        let target = i128::from(k) - offset;
+        // `as` keeps the low 64 bits: the wrapped shift.
+        let wrapped = target as i64;
+        let range = self.ranges.get(&sym).copied().unwrap_or_else(Range::full);
+        let no_wrap =
+            range.lo + offset >= i64::MIN as i128 && range.hi + offset <= i64::MAX as i128;
         match op {
-            BinOp::Lt => self.narrow(sym, i64::MIN as i128, c - 1),
-            BinOp::Le => self.narrow(sym, i64::MIN as i128, c),
-            BinOp::Gt => self.narrow(sym, c + 1, i64::MAX as i128),
-            BinOp::Ge => self.narrow(sym, c, i64::MAX as i128),
-            BinOp::Eq => {
-                if let Ok(v) = i64::try_from(c) {
-                    self.add_eq(sym, v)
-                } else {
-                    Feasibility::Infeasible
-                }
-            }
-            BinOp::Ne => {
-                if let Ok(v) = i64::try_from(c) {
-                    self.add_diseq(sym, v)
-                } else {
-                    Feasibility::Feasible
-                }
-            }
+            BinOp::Eq => self.add_eq(sym, wrapped),
+            BinOp::Ne => self.add_diseq(sym, wrapped),
+            _ if !no_wrap => Feasibility::Feasible,
+            BinOp::Lt => self.narrow(sym, i64::MIN as i128, target - 1),
+            BinOp::Le => self.narrow(sym, i64::MIN as i128, target),
+            BinOp::Gt => self.narrow(sym, target + 1, i64::MAX as i128),
+            BinOp::Ge => self.narrow(sym, target, i64::MAX as i128),
             _ => Feasibility::Feasible,
         }
     }
@@ -332,81 +420,59 @@ impl ConstraintManager {
     pub(crate) fn symbol_ids(&self) -> impl Iterator<Item = u32> + '_ {
         self.ranges.keys().chain(self.diseqs.keys()).copied()
     }
+}
 
-    /// Produces a concrete assignment satisfying the recorded constraints
-    /// for the given symbols (best effort; constraints the manager did not
-    /// record are not reflected).
-    pub fn model(&self, symbols: &BTreeSet<u32>) -> Assignment {
-        let mut out = Assignment::new();
-        for &sym in symbols {
-            let range = self.ranges.get(&sym).copied().unwrap_or_else(Range::full);
-            let empty = BTreeSet::new();
-            let diseqs = self.diseqs.get(&sym).unwrap_or(&empty);
-            // Prefer small non-negative witnesses.
-            let mut candidates = (0..=64).map(i128::from).collect::<Vec<_>>();
-            candidates.push(range.lo);
-            candidates.push(range.hi);
-            let pick = candidates
-                .into_iter()
-                .filter(|v| *v >= range.lo && *v <= range.hi)
-                .find(|v| {
-                    i64::try_from(*v)
-                        .map(|v64| !diseqs.contains(&v64))
-                        .unwrap_or(false)
-                })
-                .unwrap_or(range.lo.max(i64::MIN as i128));
-            out.insert(sym, i64::try_from(pick).unwrap_or(0));
-        }
-        out
-    }
+/// The verified key of one memoized probe.
+#[derive(Debug)]
+enum ProbeKey {
+    /// Tier 0: the constraint set and the condition.
+    Syntactic {
+        cm: ConstraintManager,
+        cond: SVal,
+        truth: bool,
+    },
+    /// Tiers 1–2: the condition and its slice.
+    Slice(SliceKey),
 }
 
 /// One memoized probe: the full key (for exact verification on a digest
-/// hit) and the tier outcome. `domain`/`path` stay empty in
-/// [`FeasibilityMode::Syntactic`] (they are not part of that mode's key).
+/// hit) and the outcome of the tiers it covers.
 #[derive(Debug)]
 struct CacheEntry {
-    cm: ConstraintManager,
-    domain: AbstractDomain,
-    path: PathCondition,
-    cond: SVal,
-    truth: bool,
+    key: ProbeKey,
     outcome: ProbeOutcome,
 }
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    /// Probes bucketed by their FNV probe-key digest (the same digest the
-    /// engine logs for deterministic hit/miss accounting). Digest
-    /// collisions are tolerated: a bucket holds every distinct triple that
-    /// hashed to it, and hits verify structurally.
+    /// Probes bucketed by their FNV digest (the digests the engine logs
+    /// for deterministic hit/miss accounting). Digest collisions are
+    /// tolerated: a bucket holds every distinct key that hashed to it, and
+    /// hits verify structurally.
     buckets: HashMap<u64, Vec<CacheEntry>>,
     /// Total entries across all buckets (capacity accounting).
     len: usize,
 }
 
-/// Memoizes the tiered feasibility pipeline across path states and worker
+/// Memoizes the feasibility pipeline across path states and worker
 /// threads.
 ///
-/// Probes are bucketed by their 64-bit probe-key digest
-/// ([`crate::checkpoint::probe_key_tiered`]) — the digest the engine has
-/// already computed for its deterministic hit/miss counters, so the common
-/// path hashes the constraint set exactly once. A digest hit is verified
-/// structurally against the stored key *by reference* — no clone is taken
-/// to look up — so a hit can never alias two different probes; the key is
-/// cloned only when a miss inserts. The `RwLock`/`HashMap` pair (imported
-/// at the top of this file) exists solely for this cache: many engine
-/// workers probe concurrently under the read lock, and only misses briefly
-/// take the write lock.
+/// A probe takes two keys. Tier 0 runs first, memoized under the
+/// syntactic key [`crate::checkpoint::probe_key`] (constraint set,
+/// condition, direction). A side it does not refute goes on to tiers 1–2,
+/// memoized under the digest of the condition's independent slice —
+/// which leaves out every constraint on unrelated symbols, so paths that
+/// differ only there share the entry. A digest hit is verified
+/// structurally against the stored key; the constraint set is cloned only
+/// when a miss inserts. Many engine workers probe concurrently under the
+/// read lock, and only misses briefly take the write lock.
 ///
-/// There is no separate syntactic pre-check in front of the cache anymore:
-/// the syntactic check is simply tier 0 of [`probe_pipeline`], which runs
-/// behind the memo table like every other tier. The engine only consults
-/// the cache for *speculative* checks (fork pre-probes, loop concreteness
-/// probes) whose constraint sets are discarded afterwards; committed
-/// `assume` calls still execute directly so their narrowing is recorded in
-/// the path state. Because the pipeline is a pure function of the key,
-/// caching never changes results — only wall-clock.
+/// The engine only consults the cache for *speculative* checks (fork
+/// pre-probes, loop concreteness probes) whose constraint sets are
+/// discarded afterwards; committed `assume` calls still execute directly
+/// so their narrowing is recorded in the path state. Because each tier is
+/// a pure function of its key, caching never changes results — only
+/// wall-clock.
 #[derive(Debug)]
 pub struct FeasibilityCache {
     entries: RwLock<CacheInner>,
@@ -423,93 +489,95 @@ impl FeasibilityCache {
         }
     }
 
-    /// Returns the feasibility of assuming `cond == truth` under `cm` in
-    /// [`FeasibilityMode::Syntactic`], memoizing the (pure) computation.
-    ///
-    /// Computes the probe digest itself; the engine (which already holds a
-    /// digest and a full path state) uses [`Self::check_outcome`].
-    pub fn check(&self, cm: &ConstraintManager, cond: &SVal, truth: bool) -> Feasibility {
-        let digest = crate::checkpoint::probe_key(cm, cond, truth);
-        self.check_outcome(
-            digest,
-            FeasibilityMode::Syntactic,
-            cm,
-            &AbstractDomain::new(),
-            &PathCondition::new(),
-            cond,
-            truth,
-        )
-        .feasibility()
-    }
-
-    /// Runs the tiered pipeline for `cond == truth`, with the probe digest
-    /// supplied by the caller (avoiding a second hash of the constraint
-    /// set), and memoizes the per-tier outcome.
-    ///
-    /// `domain` and `path` are only part of the key when `mode` enables
-    /// the tiers that read them — in [`FeasibilityMode::Syntactic`] the
-    /// lookup is byte-compatible with earlier releases.
-    #[allow(clippy::too_many_arguments)]
-    pub fn check_outcome(
+    /// Runs the pipeline for `cond == truth` and returns the outcome with
+    /// the probe's accounting key: the syntactic key when tier 0 settles
+    /// the probe, when `mode` stops there, or when the slice is empty (the
+    /// tiers then see the condition alone); the slice digest otherwise.
+    pub fn probe(
         &self,
-        digest: u64,
         mode: FeasibilityMode,
         cm: &ConstraintManager,
         domain: &AbstractDomain,
         path: &PathCondition,
         cond: &SVal,
         truth: bool,
+    ) -> (ProbeOutcome, u64) {
+        let digest = crate::checkpoint::probe_key(cm, cond, truth);
+        let syntactic = self.memo(
+            digest,
+            |key| {
+                matches!(key, ProbeKey::Syntactic { cm: c, cond: v, truth: t }
+                    if *t == truth && v == cond && c == cm)
+            },
+            || {
+                // Tier 0, which is also what the committed `assume` replays.
+                let outcome = match cm.clone().assume(cond, truth) {
+                    Feasibility::Infeasible => ProbeOutcome::RefutedSyntactic,
+                    Feasibility::Feasible => ProbeOutcome::Feasible,
+                };
+                let key = ProbeKey::Syntactic {
+                    cm: cm.clone(),
+                    cond: cond.clone(),
+                    truth,
+                };
+                (outcome, key)
+            },
+        );
+        // Tier 0 decides a constant condition exactly.
+        if syntactic != ProbeOutcome::Feasible
+            || mode == FeasibilityMode::Syntactic
+            || cond.is_const()
+        {
+            return (syntactic, digest);
+        }
+        let slice = SliceKey::of(domain, path, cond, truth);
+        let slice_digest = slice.digest();
+        let accounting = if slice.is_empty() {
+            digest
+        } else {
+            slice_digest
+        };
+        let outcome = self.memo(
+            slice_digest,
+            |key| matches!(key, ProbeKey::Slice(stored) if *stored == slice),
+            || (slice_tiers(&slice, domain), ProbeKey::Slice(slice.clone())),
+        );
+        (outcome, accounting)
+    }
+
+    /// Looks `digest` up, verifying the stored key with `matches`; on a
+    /// miss runs `compute` and stores the outcome under the key it returns
+    /// while capacity lasts.
+    fn memo(
+        &self,
+        digest: u64,
+        matches: impl Fn(&ProbeKey) -> bool,
+        compute: impl FnOnce() -> (ProbeOutcome, ProbeKey),
     ) -> ProbeOutcome {
         if self.capacity == 0 {
-            return probe_pipeline(mode, cm, domain, path, cond, truth);
+            return compute().0;
         }
-        let tiered = mode != FeasibilityMode::Syntactic;
         if let Ok(inner) = self.entries.read() {
-            if let Some(bucket) = inner.buckets.get(&digest) {
-                for entry in bucket {
-                    if entry.truth == truth
-                        && entry.cond == *cond
-                        && entry.cm == *cm
-                        && (!tiered || (entry.domain == *domain && entry.path == *path))
-                    {
-                        return entry.outcome;
-                    }
-                }
+            let hit = inner
+                .buckets
+                .get(&digest)
+                .and_then(|bucket| bucket.iter().find(|entry| matches(&entry.key)));
+            if let Some(entry) = hit {
+                return entry.outcome;
             }
         }
-        let outcome = probe_pipeline(mode, cm, domain, path, cond, truth);
+        let (outcome, key) = compute();
         if let Ok(mut inner) = self.entries.write() {
             if inner.len < self.capacity {
                 inner.len += 1;
-                inner.buckets.entry(digest).or_default().push(CacheEntry {
-                    cm: cm.clone(),
-                    domain: if tiered {
-                        domain.clone()
-                    } else {
-                        AbstractDomain::new()
-                    },
-                    path: if tiered {
-                        path.clone()
-                    } else {
-                        PathCondition::new()
-                    },
-                    cond: cond.clone(),
-                    truth,
-                    outcome,
-                });
+                inner
+                    .buckets
+                    .entry(digest)
+                    .or_default()
+                    .push(CacheEntry { key, outcome });
             }
         }
         outcome
-    }
-
-    /// Number of memoized probes currently held.
-    pub fn len(&self) -> usize {
-        self.entries.read().map(|e| e.len).unwrap_or(0)
-    }
-
-    /// Whether the cache holds no memoized probes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -540,7 +608,8 @@ pub(crate) fn const_of(sval: &SVal) -> Option<i64> {
 }
 
 /// Matches `sym (± const)*`, returning the symbol id and accumulated offset
-/// such that the expression equals `sym + offset`.
+/// such that the expression equals `sym + offset` modulo 2⁶⁴ (wrapping
+/// addition is exact modulo 2⁶⁴, whatever the intermediate sums do).
 ///
 /// Deliberately *not* handling multiplication: `2·s == 19` must stay
 /// unconstrained rather than be refuted by divisibility — the paper's
@@ -724,18 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn model_respects_constraints() {
-        let mut cm = ConstraintManager::new();
-        cm.assume(&cmp(BinOp::Ge, s(1), SVal::Int(10)), true);
-        cm.assume(&cmp(BinOp::Ne, s(1), SVal::Int(10)), true);
-        let mut syms = BTreeSet::new();
-        syms.insert(1);
-        let model = cm.model(&syms);
-        let v = model[&1];
-        assert!(v > 10, "bad witness {v}");
-    }
-
-    #[test]
     fn remap_symbols_translates_constraint_keys() {
         let mut cm = ConstraintManager::new();
         cm.assume(&cmp(BinOp::Ge, s(7), SVal::Int(3)), true);
@@ -753,34 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn feasibility_cache_agrees_with_direct_assume() {
-        let cache = FeasibilityCache::new(64);
-        let mut cm = ConstraintManager::new();
-        cm.assume(&cmp(BinOp::Gt, s(1), SVal::Int(10)), true);
-        let cond = cmp(BinOp::Lt, s(1), SVal::Int(5));
-        // Miss, then hit — both must match the uncached answer.
-        for _ in 0..2 {
-            assert_eq!(cache.check(&cm, &cond, true), Feasibility::Infeasible);
-            assert_eq!(cache.check(&cm, &cond, false), Feasibility::Feasible);
-        }
-        assert_eq!(cache.len(), 2);
-        // The probe must not have mutated the manager.
-        assert_eq!(cm.clone().assume(&cond, true), Feasibility::Infeasible);
-    }
-
-    #[test]
-    fn feasibility_cache_capacity_caps_inserts() {
-        let cache = FeasibilityCache::new(1);
-        let cm = ConstraintManager::new();
-        cache.check(&cm, &cmp(BinOp::Gt, s(1), SVal::Int(0)), true);
-        cache.check(&cm, &cmp(BinOp::Gt, s(2), SVal::Int(0)), true);
-        assert_eq!(cache.len(), 1);
-        let disabled = FeasibilityCache::new(0);
-        disabled.check(&cm, &cmp(BinOp::Gt, s(1), SVal::Int(0)), true);
-        assert!(disabled.is_empty());
-    }
-
-    #[test]
     fn small_range_fully_excluded_is_infeasible() {
         let mut cm = ConstraintManager::new();
         cm.assume(&cmp(BinOp::Ge, s(1), SVal::Int(0)), true);
@@ -792,50 +821,167 @@ mod tests {
         );
     }
 
-    /// A probe with `guard` assumed on the path (syntactically, in the
-    /// domain and in π) and `cond` probed true.
-    fn probe_after(guard: SVal, cond: &SVal, mode: FeasibilityMode) -> ProbeOutcome {
+    fn len(cache: &FeasibilityCache) -> usize {
+        cache.entries.read().map(|inner| inner.len).unwrap_or(0)
+    }
+
+    #[test]
+    fn feasibility_cache_agrees_with_the_uncached_pipeline() {
+        let cache = FeasibilityCache::new(64);
         let mut cm = ConstraintManager::new();
         let mut domain = AbstractDomain::new();
+        let mut path = PathCondition::new();
+        let guard = cmp(BinOp::Gt, s(1), SVal::Int(10));
         cm.assume(&guard, true);
         domain.assume(&guard, true);
-        let mut path = PathCondition::new();
         path.push(guard, true);
+        let cond = cmp(BinOp::Lt, s(1), SVal::Int(5));
+        // Miss, then hit — both must match the uncached answer.
+        for mode in [FeasibilityMode::Syntactic, FeasibilityMode::Full] {
+            for _ in 0..2 {
+                for truth in [true, false] {
+                    let (outcome, _) = cache.probe(mode, &cm, &domain, &path, &cond, truth);
+                    assert_eq!(
+                        outcome,
+                        probe_pipeline(mode, &cm, &domain, &path, &cond, truth)
+                    );
+                }
+            }
+        }
+        // One syntactic entry per direction, one slice entry for the side
+        // tier 0 keeps.
+        assert_eq!(len(&cache), 3);
+        // The probe must not have mutated the manager.
+        assert_eq!(cm.clone().assume(&cond, true), Feasibility::Infeasible);
+    }
+
+    #[test]
+    fn feasibility_cache_capacity_caps_inserts() {
+        let cache = FeasibilityCache::new(1);
+        let (cm, domain, path) = (
+            ConstraintManager::new(),
+            AbstractDomain::new(),
+            PathCondition::new(),
+        );
+        let mode = FeasibilityMode::Syntactic;
+        cache.probe(
+            mode,
+            &cm,
+            &domain,
+            &path,
+            &cmp(BinOp::Gt, s(1), SVal::Int(0)),
+            true,
+        );
+        cache.probe(
+            mode,
+            &cm,
+            &domain,
+            &path,
+            &cmp(BinOp::Gt, s(2), SVal::Int(0)),
+            true,
+        );
+        assert_eq!(len(&cache), 1);
+        let disabled = FeasibilityCache::new(0);
+        disabled.probe(
+            mode,
+            &cm,
+            &domain,
+            &path,
+            &cmp(BinOp::Gt, s(1), SVal::Int(0)),
+            true,
+        );
+        assert_eq!(len(&disabled), 0);
+    }
+
+    /// A probe with `guards` assumed on the path (syntactically, in the
+    /// domain and in π) and `cond` probed true.
+    fn probe_after(guards: &[SVal], cond: &SVal, mode: FeasibilityMode) -> ProbeOutcome {
+        let mut cm = ConstraintManager::new();
+        let mut domain = AbstractDomain::new();
+        let mut path = PathCondition::new();
+        for guard in guards {
+            cm.assume(guard, true);
+            domain.assume(guard, true);
+            path.push(guard.clone(), true);
+        }
         probe_pipeline(mode, &cm, &domain, &path, cond, true)
     }
 
     #[test]
     fn each_tier_refutes_exactly_its_own_fixture() {
-        use FeasibilityMode::{Full, Intervals, Syntactic};
+        use FeasibilityMode::{Full, Syntactic};
         // Tier 0: `x > 50` assumed, `x < 5` probed.
         let tier0 = |mode| {
             let guard = cmp(BinOp::Gt, s(0), SVal::Int(50));
-            probe_after(guard, &cmp(BinOp::Lt, s(0), SVal::Int(5)), mode)
+            probe_after(&[guard], &cmp(BinOp::Lt, s(0), SVal::Int(5)), mode)
         };
-        // Tier 1: `x > 37` assumed, `x * 3 < 90` probed; the syntactic
-        // tier keeps multiplication feasible.
+        // Tier 1: `37 < x < 1000` assumed, `x * 3 < 90` probed; the
+        // syntactic tier keeps multiplication feasible, and the bound
+        // keeps `x * 3` from wrapping.
         let tier1 = |mode| {
-            let guard = cmp(BinOp::Gt, s(0), SVal::Int(37));
+            let guards = [
+                cmp(BinOp::Gt, s(0), SVal::Int(37)),
+                cmp(BinOp::Lt, s(0), SVal::Int(1000)),
+            ];
             let tripled = cmp(BinOp::Mul, s(0), SVal::Int(3));
-            probe_after(guard, &cmp(BinOp::Lt, tripled, SVal::Int(90)), mode)
+            probe_after(&guards, &cmp(BinOp::Lt, tripled, SVal::Int(90)), mode)
         };
         // Tier 2: `x < y` assumed, `y < x` probed; a variable-order cycle
         // no non-relational domain sees.
         let tier2 = |mode| {
             probe_after(
-                cmp(BinOp::Lt, s(0), s(1)),
+                &[cmp(BinOp::Lt, s(0), s(1))],
                 &cmp(BinOp::Lt, s(1), s(0)),
                 mode,
             )
         };
-        for mode in [Syntactic, Intervals, Full] {
+        for mode in [Syntactic, Full] {
             assert_eq!(tier0(mode), ProbeOutcome::RefutedSyntactic);
         }
         assert_eq!(tier1(Syntactic), ProbeOutcome::Feasible);
-        assert_eq!(tier1(Intervals), ProbeOutcome::RefutedIntervals);
         assert_eq!(tier1(Full), ProbeOutcome::RefutedIntervals);
         assert_eq!(tier2(Syntactic), ProbeOutcome::Feasible);
-        assert_eq!(tier2(Intervals), ProbeOutcome::Feasible);
         assert_eq!(tier2(Full), ProbeOutcome::RefutedSolver);
+    }
+
+    #[test]
+    fn slice_keeps_only_assumptions_linked_to_the_condition() {
+        let mut path = PathCondition::new();
+        path.push(cmp(BinOp::Lt, s(0), s(1)), true); // linked through s1
+        path.push(cmp(BinOp::Gt, s(5), SVal::Int(3)), true); // unrelated
+        path.push(cmp(BinOp::Lt, s(1), s(2)), true); // shares s2
+        let mut domain = AbstractDomain::new();
+        domain.assume(&cmp(BinOp::Gt, s(1), SVal::Int(0)), true);
+        domain.assume(&cmp(BinOp::Gt, s(5), SVal::Int(3)), true);
+        let cond = cmp(BinOp::Eq, s(2), SVal::Int(0));
+        let slice = SliceKey::of(&domain, &path, &cond, true);
+        let linked = [&path.assumptions()[0], &path.assumptions()[2]];
+        assert!(slice.assumptions.iter().eq(linked));
+        assert_eq!(slice.facts, vec![(1, domain.fact_of(1))]);
+        assert!(SliceKey::of(&domain, &path, &SVal::Int(1), true).is_empty());
+    }
+
+    #[test]
+    fn probe_keys_ignore_constraints_outside_the_slice() {
+        let cache = FeasibilityCache::new(64);
+        let domain = AbstractDomain::new();
+        let cond = cmp(BinOp::Lt, s(1), s(0));
+        let mut path = PathCondition::new();
+        path.push(cmp(BinOp::Lt, s(0), s(1)), true);
+        let key = |path: &PathCondition, cm: &ConstraintManager| {
+            cache.probe(FeasibilityMode::Full, cm, &domain, path, &cond, true)
+        };
+        let (outcome, linked) = key(&path, &ConstraintManager::new());
+        assert_eq!(outcome, ProbeOutcome::RefutedSolver);
+        // An unrelated assumption changes the syntactic key, not the slice.
+        let mut other = ConstraintManager::new();
+        other.assume(&cmp(BinOp::Gt, s(9), SVal::Int(0)), true);
+        let mut longer = path.clone();
+        longer.push(cmp(BinOp::Gt, s(9), SVal::Int(0)), true);
+        assert_eq!(key(&longer, &other), (outcome, linked));
+        // With no linked assumption and no facts, the syntactic key stands.
+        let cm = ConstraintManager::new();
+        let (_, empty) = key(&PathCondition::new(), &cm);
+        assert_eq!(empty, crate::checkpoint::probe_key(&cm, &cond, true));
     }
 }

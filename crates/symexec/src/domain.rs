@@ -1,23 +1,26 @@
-//! Tier-1 feasibility: a relationalless abstract domain of intervals with
-//! widening plus congruences (stride/parity) over the integer fragment.
+//! Tier-1 feasibility: a relationalless abstract domain of intervals plus
+//! congruences (stride/parity) over the integer fragment.
 //!
 //! Modeled on the abstract-interpreter/widening-strategy split in the kirin
 //! exemplar: each symbol carries a [`Fact`] — an [`Interval`] meet a
 //! [`Congruence`] — and the domain refines facts as branch assumptions
 //! accumulate along a path. The domain is *sound for refutation only*: a
-//! [`Feasibility::Infeasible`] answer means no integer assignment satisfies
-//! the recorded assumptions; [`Feasibility::Feasible`] means "unknown", and
-//! the next tier (the SAT-lite solver, `symexec::solver`) takes over.
+//! [`Feasibility::Infeasible`] answer means no i64 assignment satisfies
+//! the recorded assumptions under the engine's wrapping arithmetic;
+//! [`Feasibility::Feasible`] means "unknown", and the next tier (the
+//! SAT-lite solver, `symexec::solver`) takes over.
 //!
-//! # Wrapping vs. ideal integers
+//! # Wrapping
 //!
-//! The concrete semantics (`simplify::fold_ints`) wrap at i64. Forward
-//! abstract evaluation therefore computes in i128 and degrades to ⊤ whenever
-//! a result *could* leave the i64 range — a wrapped value is never assigned
-//! a precise fact. Backward guard refinement (solving `a·x + b ⋈ c` for
-//! `x`) follows the ideal-integer convention that `ConstraintManager`
-//! already uses for its `sym ± const` normalization; DESIGN.md §"Feasibility
-//! pruning tiers" records both conventions.
+//! The concrete semantics (`simplify::fold_ints`, `concrete::ceval`) wrap
+//! at i64. Forward abstract evaluation therefore computes in i128 and
+//! degrades to ⊤ whenever a result *could* leave the i64 range — a wrapped
+//! value is never assigned a precise fact. Backward guard refinement
+//! (solving `a·x + b ⋈ c` for `x`) runs only when the symbol's current
+//! interval proves that `a·x + b` stays inside i64. `+`, `−`, `·` and `<<`
+//! are exact modulo 2⁶⁴, so the wrapped value of the affine form always
+//! equals `a·x + b` modulo 2⁶⁴; inside i64 the two are then equal, and the
+//! ideal-integer solution is exact. DESIGN.md §12 records the contract.
 //!
 //! # Widening / termination
 //!
@@ -100,16 +103,6 @@ impl Interval {
             Some(Interval { lo, hi })
         } else {
             None
-        }
-    }
-
-    /// Classic interval widening: a bound that moved outward jumps to the
-    /// respective i64 extreme. Guarantees stabilization of any ascending
-    /// chain in one step per side.
-    pub fn widen(&self, newer: &Interval) -> Interval {
-        Interval {
-            lo: if newer.lo < self.lo { I64_MIN } else { self.lo },
-            hi: if newer.hi > self.hi { I64_MAX } else { self.hi },
         }
     }
 
@@ -339,20 +332,6 @@ impl Fact {
             meets: self.meets.max(other.meets),
         };
         fact.check_consistent()
-    }
-
-    /// Interval-component widening (the congruence lattice has finite
-    /// chains under the modulus cap, so only the interval needs the jump).
-    pub fn widen(&self, newer: &Fact) -> Fact {
-        Fact {
-            interval: self.interval.widen(&newer.interval),
-            congruence: if self.congruence == newer.congruence {
-                self.congruence
-            } else {
-                Congruence::top()
-            },
-            meets: self.meets,
-        }
     }
 
     /// Bottom check: is there any value in the interval that belongs to
@@ -587,33 +566,33 @@ fn affine_rec(v: &SVal) -> Option<(i128, u32, i128)> {
                 BinOp::Add => match (lc, rc) {
                     (Some(c), None) => {
                         let (a, s, b) = affine_rec(rhs)?;
-                        Some((a, s, b + c))
+                        Some((a, s, b.checked_add(c)?))
                     }
                     (None, Some(c)) => {
                         let (a, s, b) = affine_rec(lhs)?;
-                        Some((a, s, b + c))
+                        Some((a, s, b.checked_add(c)?))
                     }
                     _ => None,
                 },
                 BinOp::Sub => match (lc, rc) {
                     (Some(c), None) => {
                         let (a, s, b) = affine_rec(rhs)?;
-                        Some((-a, s, c - b))
+                        Some((-a, s, c.checked_sub(b)?))
                     }
                     (None, Some(c)) => {
                         let (a, s, b) = affine_rec(lhs)?;
-                        Some((a, s, b - c))
+                        Some((a, s, b.checked_sub(c)?))
                     }
                     _ => None,
                 },
                 BinOp::Mul => match (lc, rc) {
                     (Some(c), None) if c != 0 => {
                         let (a, s, b) = affine_rec(rhs)?;
-                        Some((a * c, s, b * c))
+                        Some((a.checked_mul(c)?, s, b.checked_mul(c)?))
                     }
                     (None, Some(c)) if c != 0 => {
                         let (a, s, b) = affine_rec(lhs)?;
-                        Some((a * c, s, b * c))
+                        Some((a.checked_mul(c)?, s, b.checked_mul(c)?))
                     }
                     _ => None,
                 },
@@ -621,7 +600,7 @@ fn affine_rec(v: &SVal) -> Option<(i128, u32, i128)> {
                     Some(c) if (0..=32).contains(&c) => {
                         let (a, s, b) = affine_rec(lhs)?;
                         let f = 1i128 << c;
-                        Some((a * f, s, b * f))
+                        Some((a.checked_mul(f)?, s, b.checked_mul(f)?))
                     }
                     _ => None,
                 },
@@ -630,6 +609,12 @@ fn affine_rec(v: &SVal) -> Option<(i128, u32, i128)> {
         }
         _ => None,
     }
+}
+
+/// Whether `a·x + b` stays inside i64 for every `x` in `range`.
+pub(crate) fn no_wrap(a: i128, range: &Interval, b: i128) -> bool {
+    let fits = |x: i128| (I64_MIN..=I64_MAX).contains(&(a * x + b));
+    fits(range.lo) && fits(range.hi)
 }
 
 fn div_floor(a: i128, b: i128) -> i128 {
@@ -666,19 +651,14 @@ impl AbstractDomain {
         AbstractDomain::default()
     }
 
-    /// Number of symbols with a non-⊤ fact recorded.
-    pub fn len(&self) -> usize {
-        self.facts.len()
-    }
-
-    /// Whether no facts are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
-    }
-
     /// The recorded fact for a symbol (⊤ when untracked).
     pub fn fact_of(&self, sym: u32) -> Fact {
-        self.facts.get(&sym).copied().unwrap_or_else(Fact::top)
+        self.recorded(sym).unwrap_or_else(Fact::top)
+    }
+
+    /// The fact recorded for a symbol, if any.
+    pub(crate) fn recorded(&self, sym: u32) -> Option<Fact> {
+        self.facts.get(&sym).copied()
     }
 
     /// Forward abstract evaluation of a symbolic value.
@@ -825,8 +805,8 @@ impl AbstractDomain {
         }
     }
 
-    /// Backward refinement of `expr op c` (ideal-integer convention; see
-    /// module docs).
+    /// Backward refinement of `expr op c`, exact only where `expr` cannot
+    /// wrap (see module docs).
     fn refine_vs_const(&mut self, expr: &SVal, op: BinOp, c: i128) -> Feasibility {
         // `x % k op c`: congruence refinement and band refutation.
         if let SVal::Binary {
@@ -844,6 +824,9 @@ impl AbstractDomain {
         let Some((a, sym, b)) = affine_of(expr) else {
             return Feasibility::Feasible;
         };
+        if !no_wrap(a, &self.fact_of(sym).interval, b) {
+            return Feasibility::Feasible;
+        }
         let t = c - b;
         let mut refined = Fact::top();
         match op {
@@ -982,16 +965,11 @@ mod tests {
     }
 
     #[test]
-    fn interval_meet_and_widen() {
+    fn interval_meet() {
         let a = Interval { lo: 0, hi: 10 };
         let b = Interval { lo: 5, hi: 20 };
         assert_eq!(a.meet(&b), Some(Interval { lo: 5, hi: 10 }));
         assert_eq!(Interval { lo: 11, hi: 20 }.meet(&a), None);
-        let w = a.widen(&Interval { lo: -1, hi: 10 });
-        assert_eq!(w.lo, I64_MIN);
-        assert_eq!(w.hi, 10);
-        // Widening stabilizes: widening with itself is the identity.
-        assert_eq!(w.widen(&w), w);
     }
 
     #[test]
@@ -1021,20 +999,33 @@ mod tests {
     }
 
     #[test]
-    fn affine_multiplication_refutes() {
-        // pub0 > 37 ∧ pub0 * 3 < 90 is contradictory (pub0 ≤ 29).
+    fn affine_multiplication_refutes_only_without_wrap() {
+        let tripled_below_90 = bin(BinOp::Lt, bin(BinOp::Mul, sym(0), int(3)), int(90));
+        // pub0 > 37 ∧ pub0 * 3 < 90 is satisfiable: pub0 = i64::MAX / 2
+        // makes pub0 * 3 wrap negative.
         let mut dom = AbstractDomain::new();
+        dom.assume(&bin(BinOp::Gt, sym(0), int(37)), true);
         assert_eq!(
-            dom.assume(&bin(BinOp::Gt, sym(0), int(37)), true),
+            dom.clone().assume(&tripled_below_90, true),
             Feasibility::Feasible
         );
-        assert_eq!(
-            dom.assume(
-                &bin(BinOp::Lt, bin(BinOp::Mul, sym(0), int(3)), int(90)),
-                true
+        // Bounded above, pub0 * 3 cannot wrap: pub0 ≤ 29 contradicts.
+        dom.assume(&bin(BinOp::Lt, sym(0), int(1000)), true);
+        assert_eq!(dom.assume(&tripled_below_90, true), Feasibility::Infeasible);
+    }
+
+    #[test]
+    fn affine_forms_reject_coefficient_overflow() {
+        let huge = bin(
+            BinOp::Mul,
+            bin(
+                BinOp::Mul,
+                bin(BinOp::Mul, sym(0), int(i64::MAX)),
+                int(i64::MAX),
             ),
-            Feasibility::Infeasible
+            int(i64::MAX),
         );
+        assert_eq!(affine_of(&huge), None);
     }
 
     #[test]

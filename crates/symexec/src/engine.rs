@@ -101,12 +101,11 @@ pub struct EngineConfig {
     /// only *speculative* probes go through it, and feasibility is a pure
     /// function of the probed constraints.
     pub feasibility_cache: usize,
-    /// Which feasibility tiers run at each fork probe
-    /// (`--feasibility=syntactic|intervals|full`). Stronger modes refute
-    /// more infeasible branch sides before they consume steps; every tier
-    /// is sound for refutation and deterministic, so findings are
-    /// identical across modes and worker counts. Part of the checkpoint
-    /// fingerprint when non-default.
+    /// Which feasibility tiers run at each fork probe. The default runs
+    /// the whole pipeline; [`FeasibilityMode::Syntactic`] is the tier-0
+    /// reference tests compare it against. Every tier is sound for
+    /// refutation and deterministic, so findings are identical across
+    /// modes and worker counts. Part of the checkpoint fingerprint.
     pub feasibility: FeasibilityMode,
     /// Wall-clock deadline for the whole exploration. When it expires, the
     /// run stops at the first wave boundary after the deadline: every
@@ -254,7 +253,7 @@ pub struct Stats {
     #[serde(default)]
     pub tier1_refuted: usize,
     /// Branch sides refuted by Tier 2 (the SAT-lite solver) after tiers
-    /// 0–1 passed. Always 0 outside `full` mode.
+    /// 0–1 passed. Always 0 in syntactic mode.
     #[serde(default)]
     pub tier2_refuted: usize,
     /// Tier-2 invocations that exhausted their deterministic budget (the
@@ -1126,7 +1125,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
     /// Checks branch feasibility through the shared memoization cache and
     /// logs the probe key for deterministic hit/miss accounting.
     ///
-    /// The *result* comes from [`FeasibilityCache::check`] (a pure function
+    /// The *result* comes from [`FeasibilityCache::probe`] (a pure function
     /// of the key, so memoization can never change it). The *counters* do
     /// not: whether a concrete probe hits the shared cache depends on what
     /// other workers inserted first, so instead each probe's FNV-hashed key
@@ -1141,12 +1140,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
     /// it or whether the cache answered — the totals stay deterministic
     /// without the seen-set machinery.
     fn probe(&mut self, state: &ExecState, cond: &SVal, taken: bool, at: usize) -> Feasibility {
-        // One digest serves both the deterministic hit/miss log and the
-        // shared cache's bucket key. `at` is the source byte offset the
-        // probe is attributed to in the exploration profile.
-        let mode = self.config.feasibility;
-        let key = checkpoint::probe_key_tiered(
-            mode,
+        // The cache's accounting key feeds the deterministic hit/miss log.
+        // `at` is the source byte offset the probe is attributed to in the
+        // exploration profile.
+        let (outcome, key) = self.cache.probe(
+            self.config.feasibility,
             &state.constraints,
             &state.domain,
             &state.path,
@@ -1154,15 +1152,6 @@ impl<'u, 'c> Explorer<'u, 'c> {
             taken,
         );
         self.probe_log.push((key, at));
-        let outcome = self.cache.check_outcome(
-            key,
-            mode,
-            &state.constraints,
-            &state.domain,
-            &state.path,
-            cond,
-            taken,
-        );
         let tier = match outcome {
             ProbeOutcome::RefutedIntervals => Some(Counter::Tier1Refuted),
             ProbeOutcome::RefutedSolver => Some(Counter::Tier2Refuted),
@@ -2191,15 +2180,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
         for (mut st, taken) in pending {
             let feasibility = st.constraints.assume(cond, taken);
             debug_assert_eq!(feasibility, Feasibility::Feasible);
-            if self.config.feasibility != FeasibilityMode::Syntactic {
-                // Commit the Tier-1 refinement alongside the syntactic one.
-                // The probe above already ran this very computation on a
-                // clone and found it feasible, so the committed replay
-                // cannot contradict.
-                let domain_feasibility = st.domain.assume(cond, taken);
-                debug_assert_eq!(domain_feasibility, Feasibility::Feasible);
-                let _ = domain_feasibility;
-            }
+            // Commit the Tier-1 refinement too; in the default mode the
+            // probe above already found this very replay feasible.
+            st.domain.assume(cond, taken);
             if !cond.is_const() {
                 st.path.push(cond.clone(), taken);
             }

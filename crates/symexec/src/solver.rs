@@ -15,7 +15,10 @@
 //!    affine forms become edges `x − y ≤ c` (with a virtual zero node
 //!    carrying the domain's interval bounds), and a Bellman–Ford negative
 //!    cycle is a conflict. This is what catches `x < y ∧ y < x`, which no
-//!    per-symbol domain can see.
+//!    per-symbol domain can see. A side `x + b` joins only when the
+//!    refined interval of `x` proves it cannot wrap at i64; otherwise the
+//!    atom means something else concretely (`x + 1 < y` holds for
+//!    `x = i64::MAX`, `y = 0`) and is left out.
 //!
 //! Only [`Verdict::Unsat`] is load-bearing (a sound refutation). The
 //! search is bounded by a deterministic decision/conflict [`Budget`], so
@@ -25,8 +28,8 @@
 use minic::ast::{BinOp, UnOp};
 
 use crate::constraints::{negate_cmp, Feasibility};
-use crate::domain::{affine_of, AbstractDomain};
-use crate::path::PathCondition;
+use crate::domain::{affine_of, no_wrap, AbstractDomain};
+use crate::path::Assumption;
 use crate::value::SVal;
 
 /// Atom-count ceiling; formulas beyond it return [`Verdict::Unknown`].
@@ -73,10 +76,11 @@ enum Node {
     Or(Vec<Node>),
 }
 
-/// Checks the conjunction `π ∧ (cond == taken)` seeded with the Tier-1
-/// domain already accumulated along the path.
-pub fn check_path(
-    path: &PathCondition,
+/// Checks the conjunction of `assumptions` (π, or a slice of it) and
+/// `cond == taken`, seeded with the Tier-1 domain accumulated along the
+/// path.
+pub fn check_path<'a>(
+    assumptions: impl IntoIterator<Item = &'a Assumption>,
     cond: &SVal,
     taken: bool,
     seed: &AbstractDomain,
@@ -84,7 +88,7 @@ pub fn check_path(
 ) -> Verdict {
     let mut atoms: Vec<SVal> = Vec::new();
     let mut conjuncts: Vec<Node> = Vec::new();
-    for a in path.assumptions() {
+    for a in assumptions {
         conjuncts.push(translate(&a.cond, a.taken, &mut atoms));
     }
     conjuncts.push(translate(cond, taken, &mut atoms));
@@ -368,7 +372,10 @@ impl Search<'_> {
             let (Some((1, x, bx)), Some((1, y, by))) = (affine_of(lhs), affine_of(rhs)) else {
                 continue;
             };
-            if x == y {
+            if x == y
+                || !no_wrap(1, &dom.fact_of(x).interval, bx)
+                || !no_wrap(1, &dom.fact_of(y).interval, by)
+            {
                 continue;
             }
             touch(&mut nodes, x);
@@ -428,6 +435,7 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::PathCondition;
     use crate::value::Symbol;
 
     fn sym(id: u32) -> SVal {
@@ -448,7 +456,7 @@ mod tests {
             path.push(c.clone(), *t);
         }
         check_path(
-            &path,
+            path.assumptions(),
             &cond,
             taken,
             &AbstractDomain::new(),
@@ -470,10 +478,41 @@ mod tests {
 
     #[test]
     fn var_chain_with_offsets_is_unsat() {
-        // x ≤ y ∧ y ≤ x − 1 is a negative cycle.
+        // x > 0 ∧ x ≤ y ∧ y ≤ x − 1 is a negative cycle (without x > 0,
+        // x = i64::MIN wraps x − 1 to i64::MAX and satisfies it).
         let verdict = check(
-            &[(bin(BinOp::Le, sym(0), sym(1)), true)],
+            &[
+                (bin(BinOp::Gt, sym(0), int(0)), true),
+                (bin(BinOp::Le, sym(0), sym(1)), true),
+            ],
             bin(BinOp::Le, sym(1), bin(BinOp::Sub, sym(0), int(1))),
+            true,
+        );
+        assert_eq!(verdict, Verdict::Unsat);
+    }
+
+    #[test]
+    fn offsets_that_may_wrap_build_no_edge() {
+        // x + 1 < y ∧ y < x holds for x = i64::MAX, y = 0.
+        let verdict = check(
+            &[(
+                bin(BinOp::Lt, bin(BinOp::Add, sym(0), int(1)), sym(1)),
+                true,
+            )],
+            bin(BinOp::Lt, sym(1), sym(0)),
+            true,
+        );
+        assert_eq!(verdict, Verdict::Sat);
+        // Once x is bounded below i64::MAX the offset is exact again.
+        let verdict = check(
+            &[
+                (bin(BinOp::Lt, sym(0), int(100)), true),
+                (
+                    bin(BinOp::Lt, bin(BinOp::Add, sym(0), int(1)), sym(1)),
+                    true,
+                ),
+            ],
+            bin(BinOp::Lt, sym(1), sym(0)),
             true,
         );
         assert_eq!(verdict, Verdict::Unsat);
@@ -521,7 +560,7 @@ mod tests {
         seed.assume(&bin(BinOp::Ge, sym(0), int(0)), true);
         seed.assume(&bin(BinOp::Le, sym(0), int(3)), true);
         let verdict = check_path(
-            &PathCondition::new(),
+            &[],
             &bin(BinOp::Gt, sym(0), int(7)),
             true,
             &seed,
@@ -547,7 +586,7 @@ mod tests {
         let mut path = PathCondition::new();
         path.push(a, true);
         let verdict = check_path(
-            &path,
+            path.assumptions(),
             &b,
             true,
             &AbstractDomain::new(),

@@ -399,37 +399,33 @@ impl SVal {
 
     /// Collects the ids of all symbols occurring in the expression.
     pub fn symbols(&self, out: &mut std::collections::BTreeSet<u32>) {
+        self.any_symbol(&mut |id| {
+            out.insert(id);
+            false
+        });
+    }
+
+    /// Whether `pred` holds for some symbol occurring in the expression,
+    /// visiting symbols in tree order and stopping at the first match.
+    /// Allocates nothing.
+    pub fn any_symbol(&self, pred: &mut impl FnMut(u32) -> bool) -> bool {
         match self {
-            SVal::Sym(sym) => {
-                out.insert(sym.id);
-            }
-            SVal::Loc(region) => region_symbols(region, out),
-            SVal::Binary { lhs, rhs, .. } => {
-                lhs.symbols(out);
-                rhs.symbols(out);
-            }
-            SVal::Unary { arg, .. } => arg.symbols(out),
-            SVal::Call { args, .. } => {
-                for arg in args {
-                    arg.symbols(out);
-                }
-            }
-            SVal::Int(_) | SVal::Float(_) | SVal::Unknown => {}
+            SVal::Sym(sym) => pred(sym.id),
+            SVal::Loc(region) => region_any_symbol(region, pred),
+            SVal::Binary { lhs, rhs, .. } => lhs.any_symbol(pred) || rhs.any_symbol(pred),
+            SVal::Unary { arg, .. } => arg.any_symbol(pred),
+            SVal::Call { args, .. } => args.iter().any(|arg| arg.any_symbol(pred)),
+            SVal::Int(_) | SVal::Float(_) | SVal::Unknown => false,
         }
     }
 }
 
-fn region_symbols(region: &Region, out: &mut std::collections::BTreeSet<u32>) {
+fn region_any_symbol(region: &Region, pred: &mut impl FnMut(u32) -> bool) -> bool {
     match region {
-        Region::Element { base, index } => {
-            region_symbols(base, out);
-            index.symbols(out);
-        }
-        Region::Field { base, .. } => region_symbols(base, out),
-        Region::Sym { symbol } => {
-            out.insert(symbol.id);
-        }
-        Region::Var { .. } | Region::Global { .. } | Region::Str { .. } => {}
+        Region::Element { base, index } => region_any_symbol(base, pred) || index.any_symbol(pred),
+        Region::Field { base, .. } => region_any_symbol(base, pred),
+        Region::Sym { symbol } => pred(symbol.id),
+        Region::Var { .. } | Region::Global { .. } | Region::Str { .. } => false,
     }
 }
 

@@ -735,14 +735,7 @@ mod tests {
                     serde_json::to_string(&oracle).expect("serializes")
                 );
                 let probe = |st: &ExecState| {
-                    crate::checkpoint::probe_key_tiered(
-                        crate::constraints::FeasibilityMode::Full,
-                        &st.constraints,
-                        &st.domain,
-                        &st.path,
-                        &SVal::Int(1),
-                        true,
-                    )
+                    crate::checkpoint::probe_key(&st.constraints, &SVal::Int(1), true)
                 };
                 proptest::prop_assert_eq!(probe(&delta), probe(&oracle));
                 proptest::prop_assert_eq!(delta.store.has_orphans(), output.store.has_orphans());

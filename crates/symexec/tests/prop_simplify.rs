@@ -5,7 +5,7 @@
 //! assignments on a small domain).
 
 use proptest::prelude::*;
-use symexec::concrete::{assignment, eval, eval_bool};
+use symexec::concrete::{ceval, ceval_bool, CAssignment, CVal};
 use symexec::constraints::{ConstraintManager, Feasibility};
 use symexec::simplify::{fold_binary, fold_unary, simplify};
 use symexec::value::{Region, SVal, Symbol};
@@ -51,6 +51,11 @@ fn arb_sval() -> impl Strategy<Value = SVal> {
             ((0..UNOPS.len()).prop_map(|i| UNOPS[i]), inner).prop_map(|(op, a)| SVal::unary(op, a)),
         ]
     })
+}
+
+/// Assigns `values[i]` to symbol `i`.
+fn ints<const N: usize>(values: [i64; N]) -> CAssignment {
+    (0u32..).zip(values.map(CVal::Int)).collect()
 }
 
 /// The reference simplifier: re-simplifies and re-folds every node of the
@@ -155,19 +160,19 @@ proptest! {
         }
     }
 
-    /// `eval(simplify(e)) == eval(e)` wherever both are defined.
+    /// `ceval(simplify(e)) == ceval(e)` wherever both are defined.
     #[test]
     fn simplifier_is_sound(e in arb_sval(), v0 in -20i64..20, v1 in -20i64..20, v2 in -20i64..20) {
-        let env = assignment([(0, v0), (1, v1), (2, v2)]);
-        let before = eval(&e, &env);
-        let after = eval(&simplify(&e), &env);
+        let env = ints([v0, v1, v2]);
+        let before = ceval(&e, &env);
+        let after = ceval(&simplify(&e), &env);
         match (before, after) {
             (Some(a), Some(b)) => prop_assert_eq!(a, b, "simplify changed value of {}", e),
             // Division by zero inside the tree may collapse to Unknown on
             // one side only — both None or one None is acceptable only when
             // the original was undefined.
             (None, _) => {}
-            (Some(a), None) => prop_assert!(false, "simplify lost definedness of {} (= {})", e, a),
+            (Some(a), None) => prop_assert!(false, "simplify lost definedness of {} (= {:?})", e, a),
         }
     }
 
@@ -186,11 +191,11 @@ proptest! {
         conds in proptest::collection::vec(arb_sval(), 1..5),
         v0 in -20i64..20, v1 in -20i64..20, v2 in -20i64..20,
     ) {
-        let env = assignment([(0, v0), (1, v1), (2, v2)]);
+        let env = ints([v0, v1, v2]);
         let mut cm = ConstraintManager::new();
         for cond in &conds {
             let cond = simplify(cond);
-            let Some(truth) = eval_bool(&cond, &env) else {
+            let Some(truth) = ceval_bool(&cond, &env) else {
                 // undefined condition (e.g. division by zero) — skip
                 continue;
             };

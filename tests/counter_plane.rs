@@ -1,18 +1,20 @@
 //! One counter plane: the per-site exploration profile is the only place
 //! the exploration counters are incremented, and every other view of them
 //! is derived from it. With telemetry on, over the corpus modules, the
-//! vulnerable recommender, a branch-heavy synthetic module at
-//! `--feasibility full` and a module whose global initializer runs a
-//! branching helper before wave 0, at workers 1 and 4:
+//! vulnerable recommender, a branch-heavy synthetic module and a module
+//! whose global initializer runs a branching helper before wave 0, at
+//! workers 1 and 4:
 //!
 //! * every `wave` span carries every counter;
 //! * every `engine.*` counter in the metrics summary equals the profile
 //!   total, init-phase probes included;
-//! * every exploration field of `Report.stats` equals the profile total.
+//! * every exploration field of `Report.stats` equals the profile total;
+//! * the branch-heavy module's feasibility tiers refuted something, so the
+//!   tier counters are exercised.
 
 use std::path::PathBuf;
 
-use privacyscope::{Analyzer, AnalyzerOptions, FeasibilityMode, Report};
+use privacyscope::{Analyzer, AnalyzerOptions, Report};
 use serde_json::Value;
 use symexec::profile::Counter;
 use telemetry::{Level, TelemetryConfig};
@@ -48,7 +50,8 @@ struct Subject {
     source: String,
     edl: String,
     entry: &'static str,
-    feasibility: FeasibilityMode,
+    /// Whether the feasibility tiers must refute something here.
+    branch_heavy: bool,
 }
 
 fn subjects() -> Vec<Subject> {
@@ -61,7 +64,7 @@ fn subjects() -> Vec<Subject> {
             source: module.source.to_string(),
             edl: module.edl.to_string(),
             entry: module.entry,
-            feasibility: FeasibilityMode::default(),
+            branch_heavy: false,
         })
         .collect();
     let synth = mlcorpus::synth::generate_branch_heavy(3, 1);
@@ -70,14 +73,14 @@ fn subjects() -> Vec<Subject> {
         source: synth.source,
         edl: synth.edl,
         entry: synth.entry,
-        feasibility: FeasibilityMode::Full,
+        branch_heavy: true,
     });
     subjects.push(Subject {
         name: "init-phase".to_string(),
         source: INIT_PHASE_SOURCE.to_string(),
         edl: INIT_PHASE_EDL.to_string(),
         entry: "enclave_entry",
-        feasibility: FeasibilityMode::default(),
+        branch_heavy: false,
     });
     subjects
 }
@@ -108,7 +111,6 @@ fn analyze_traced(subject: &Subject, workers: usize) -> (Report, Vec<Value>, Val
         max_paths: 32,
         loop_bound: 2,
         workers,
-        feasibility: subject.feasibility,
         telemetry: telemetry.clone(),
         ..AnalyzerOptions::default()
     };
@@ -190,7 +192,7 @@ fn spans_metrics_and_stats_agree_with_the_profile() {
                     counter.name()
                 );
             }
-            if subject.feasibility == FeasibilityMode::Full {
+            if subject.branch_heavy {
                 assert!(
                     totals.tier1_refuted + totals.tier2_refuted > 0,
                     "{label}: the tiers refuted nothing"

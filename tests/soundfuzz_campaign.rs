@@ -4,8 +4,9 @@
 //! panics and stalls degrade the verdict instead of aborting the run).
 
 use privacyscope::oracle::{
-    run_campaign, DisagreementClass, Evidence, HarnessDegradation, OracleConfig,
+    check_module, run_campaign, DisagreementClass, Evidence, HarnessDegradation, OracleConfig,
 };
+use privacyscope::FeasibilityMode;
 
 /// A campaign-test budget: small enough for CI, big enough to explore the
 /// generator's leaky seeds exhaustively — the branch-heavy
@@ -45,6 +46,41 @@ fn clean_campaign_finds_no_disagreements() {
     assert_eq!(campaign.degraded_modules(), 0, "{}", campaign.to_json());
     assert!(campaign.all_agreed());
     assert!(campaign.shrunk.is_empty());
+}
+
+#[test]
+fn wraparound_guarded_leaks_are_never_missed() {
+    // Every guard pair, both leak variants, under the default pipeline
+    // and its tier-0 reference: a leak reachable only through i64
+    // wraparound must be reported, and nothing else may be.
+    for seed in 0..12u64 {
+        let module = mlcorpus::synth::generate_wraparound(seed);
+        for feasibility in [FeasibilityMode::default(), FeasibilityMode::Syntactic] {
+            let config = OracleConfig {
+                feasibility,
+                ..fast()
+            };
+            let verdict = check_module(&module, &config);
+            assert!(
+                verdict.degradations.is_empty(),
+                "seed {seed} {}: {:?}",
+                feasibility.as_str(),
+                verdict.degradations
+            );
+            assert_eq!(
+                (
+                    verdict.missed_leaks().count(),
+                    verdict.false_alarms().count()
+                ),
+                (0, 0),
+                "seed {seed} {}: {}\n{:?}",
+                feasibility.as_str(),
+                module.source,
+                verdict.disagreements
+            );
+            assert_eq!(verdict.findings, 1, "seed {seed}: the one planted leak");
+        }
+    }
 }
 
 #[test]
