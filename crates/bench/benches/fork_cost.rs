@@ -64,11 +64,11 @@ fn populated_state(n: usize) -> ExecState {
     state
 }
 
-/// The pre-COW representation of the same contents: what `ExecState::clone`
-/// used to copy on every fork.
+/// The pre-COW representation of the same contents (σ and τ in one map, as
+/// the store keeps them): what `ExecState::clone` would copy on every fork
+/// without structural sharing.
 type DeepMirror = (
-    BTreeMap<Region, SVal>,
-    BTreeMap<Region, TaintSet>,
+    BTreeMap<Region, (SVal, TaintSet)>,
     BTreeMap<ExprId, Region>,
     Vec<Region>,
 );
@@ -78,12 +78,7 @@ fn deep_mirror(state: &ExecState) -> DeepMirror {
         state
             .store
             .iter()
-            .map(|(r, v)| (r.clone(), v.clone()))
-            .collect(),
-        state
-            .taints
-            .iter()
-            .map(|(r, t)| (r.clone(), t.clone()))
+            .map(|(r, v, t)| (r.clone(), (v.clone(), t.clone())))
             .collect(),
         state.env.iter().map(|(e, r)| (*e, r.clone())).collect(),
         state.write_log.to_vec(),

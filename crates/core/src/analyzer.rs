@@ -361,16 +361,15 @@ impl Analyzer {
                 })
                 .collect();
             for (_, base) in &exploration.out_bases {
-                for (region, value) in path.state.store.regions_within(base) {
+                for (region, value, taint) in path.state.store.regions_within(base) {
                     if !written.contains(region) {
                         continue;
                     }
                     let channel = region_hint(region);
-                    let taint = path.state.taints.get(region);
                     self.check_observation(
                         &channel,
                         value,
-                        &taint,
+                        taint,
                         &path.state.pi_taint,
                         &final_pi,
                         None,

@@ -260,7 +260,7 @@ fn build_assignment(exploration: &Exploration, inputs: &ConcreteInputs) -> CAssi
             collect_symbols(&event.value, &mut hints);
         }
         for (_, base) in &exploration.out_bases {
-            for (region, value) in path.state.store.regions_within(base) {
+            for (region, value, _) in path.state.store.regions_within(base) {
                 if let Region::Element { index, .. } = region {
                     collect_symbols(index, &mut hints);
                 }
@@ -358,7 +358,7 @@ fn compare_path(
     // simulator's final value (untouched slots stay zero-filled on both
     // sides by construction).
     for (name, base) in &exploration.out_bases {
-        for (region, value) in path.state.store.regions_within(base) {
+        for (region, value, _) in path.state.store.regions_within(base) {
             let Region::Element { index, .. } = region else {
                 continue;
             };

@@ -14,14 +14,14 @@
 //! are merged back in canonical order, so the resulting [`Exploration`] is
 //! byte-identical to a sequential run — see the `worklist` module.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minic::ast::{
-    BinOp, Expr, ExprKind, Function, Init, Stmt, StmtKind, TranslationUnit, UnOp, VarDecl,
+    BinOp, Expr, ExprId, ExprKind, Function, Init, Stmt, StmtKind, TranslationUnit, UnOp, VarDecl,
 };
 use minic::types::Type;
 use minic::Span;
@@ -34,6 +34,7 @@ use crate::constraints::{Feasibility, FeasibilityCache, FeasibilityMode, ProbeOu
 use crate::degrade::{CancelToken, Degradation, Ledger, StopKind, Supervisor, YieldToken};
 use crate::error::EngineError;
 use crate::intern::HC;
+use crate::outcomes::Outcomes;
 use crate::profile::{Counter, Profile, SiteCounters};
 use crate::simplify::{fold_binary, fold_unary, simplify};
 use crate::state::{Channel, DeclassifyEvent, ExecState, Frame};
@@ -342,6 +343,7 @@ pub struct Engine<'u> {
     unit: &'u TranslationUnit,
     config: EngineConfig,
     source: Option<String>,
+    names: Names<'u>,
 }
 
 impl<'u> Engine<'u> {
@@ -351,6 +353,7 @@ impl<'u> Engine<'u> {
             unit,
             config,
             source: None,
+            names: Names::of(unit),
         }
     }
 
@@ -432,6 +435,7 @@ impl<'u> Engine<'u> {
             unit: self.unit,
             config: &self.config,
             source: self.source.as_deref(),
+            names: &self.names,
             cache: &cache,
             supervisor: &supervisor,
             next_symbol: 0,
@@ -762,6 +766,7 @@ impl<'u> Engine<'u> {
                 unit: self.unit,
                 config: &self.config,
                 source: self.source.as_deref(),
+                names: &self.names,
                 cache,
                 supervisor,
                 next_symbol: LOCAL_ID_BASE,
@@ -946,7 +951,7 @@ impl CheckpointSink<'_> {
 
 /// Everything one statement-task produced, with ids still task-local.
 struct TaskResult {
-    flows: StateFlows,
+    flows: Flows,
     /// The task's input state, which bounds what the merge must remap.
     base: TaskBase,
     fresh_symbols: u32,
@@ -983,7 +988,7 @@ impl TaskResult {
             ..Stats::default()
         };
         TaskResult {
-            flows: Vec::new(),
+            flows: Outcomes::none(),
             base: TaskBase::default(),
             fresh_symbols: 0,
             fresh_sources: 0,
@@ -1005,7 +1010,7 @@ impl TaskResult {
 /// Folds a task's results into the global explorer, translating task-local
 /// symbol/source ids onto the global counters. Called in canonical task
 /// order, this reproduces the exact numbering of a sequential exploration.
-fn merge_task(explorer: &mut Explorer<'_, '_>, mut task: TaskResult) -> StateFlows {
+fn merge_task(explorer: &mut Explorer<'_, '_>, mut task: TaskResult) -> Flows {
     debug_assert!(
         explorer.next_symbol < LOCAL_ID_BASE && explorer.next_source < LOCAL_ID_BASE,
         "global id counters must stay below the task-local namespace"
@@ -1052,7 +1057,7 @@ fn merge_task(explorer: &mut Explorer<'_, '_>, mut task: TaskResult) -> StateFlo
     }
     let mut flows = task.flows;
     if minted {
-        for (st, flow) in &mut flows {
+        for (st, flow) in flows.iter_mut() {
             remap.remap_state(st, &task.base);
             if let Flow::Return(Some((value, taint))) = flow {
                 value.remap_symbols(&|id| remap.symbol(id));
@@ -1061,7 +1066,7 @@ fn merge_task(explorer: &mut Explorer<'_, '_>, mut task: TaskResult) -> StateFlo
         }
     }
     if cfg!(debug_assertions) {
-        for (st, _) in &flows {
+        for (st, _) in flows.iter() {
             assert_no_local_ids(st);
         }
     }
@@ -1077,14 +1082,75 @@ pub(crate) enum Flow {
     Return(Option<(SVal, TaintSet)>),
 }
 
+/// A wave frontier: every path state with the flow that left it there.
 type StateFlows = Vec<(ExecState, Flow)>;
-type EvalResults = Vec<(ExecState, SVal, TaintSet)>;
-type LvalResults = Vec<(ExecState, Option<Region>)>;
+/// What one statement turned a path state into.
+type Flows = Outcomes<(ExecState, Flow)>;
+/// What evaluating one expression turned a path state into.
+type EvalResults = Outcomes<(ExecState, SVal, TaintSet)>;
+/// What resolving one lvalue turned a path state into.
+type LvalResults = Outcomes<(ExecState, Option<Region>)>;
+
+/// One shared `Arc<str>` for each identifier the unit declares (functions,
+/// parameters, globals and locals), so frames, scope keys and variable
+/// regions clone a reference count instead of allocating the name on
+/// every call and declaration.
+#[derive(Debug)]
+struct Names<'u>(HashMap<&'u str, Arc<str>>);
+
+impl<'u> Names<'u> {
+    fn of(unit: &'u TranslationUnit) -> Self {
+        fn add<'u>(names: &mut HashMap<&'u str, Arc<str>>, name: &'u str) {
+            names.entry(name).or_insert_with(|| name.into());
+        }
+        fn walk<'u>(stmt: &'u Stmt, names: &mut HashMap<&'u str, Arc<str>>) {
+            match &stmt.kind {
+                StmtKind::Decl(decl) => add(names, &decl.name),
+                StmtKind::Block(stmts) => stmts.iter().for_each(|s| walk(s, names)),
+                StmtKind::If { then_s, else_s, .. } => {
+                    walk(then_s, names);
+                    if let Some(else_s) = else_s {
+                        walk(else_s, names);
+                    }
+                }
+                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => walk(body, names),
+                StmtKind::For { init, body, .. } => {
+                    if let Some(init) = init {
+                        walk(init, names);
+                    }
+                    walk(body, names);
+                }
+                StmtKind::Expr(_) | StmtKind::Return(_) | StmtKind::Break | StmtKind::Continue => {}
+            }
+        }
+        let mut names = HashMap::new();
+        for decl in unit.globals() {
+            add(&mut names, &decl.name);
+        }
+        for func in unit.functions() {
+            add(&mut names, &func.name);
+            for param in &func.params {
+                add(&mut names, &param.name);
+            }
+            for stmt in func.body.iter().flatten() {
+                walk(stmt, &mut names);
+            }
+        }
+        Names(names)
+    }
+
+    /// The shared name; an identifier the unit never declares (an
+    /// undeclared global) gets a fresh one.
+    fn get(&self, name: &str) -> Arc<str> {
+        self.0.get(name).cloned().unwrap_or_else(|| name.into())
+    }
+}
 
 struct Explorer<'u, 'c> {
     unit: &'u TranslationUnit,
     config: &'c EngineConfig,
     source: Option<&'c str>,
+    names: &'c Names<'u>,
     cache: &'c FeasibilityCache,
     /// Deadline/cancellation oracle, polled at step granularity.
     supervisor: &'c Supervisor,
@@ -1192,13 +1258,22 @@ impl<'u, 'c> Explorer<'u, 'c> {
     }
 
     /// Replaces an oversized value with a fresh summary symbol; the taint
-    /// (tracked separately) is preserved by the caller.
-    fn summarize(&mut self, value: SVal, hint: &str) -> SVal {
+    /// (tracked separately) is preserved by the caller. The symbol's hint
+    /// is rendered only then.
+    fn summarize(&mut self, value: SVal, hint: impl FnOnce() -> String) -> SVal {
         if value.size_within(self.config.max_value_size).is_some() {
             value
         } else {
             self.ledger.record(Degradation::ValueWidened { count: 1 });
-            SVal::Sym(self.fresh_symbol(format!("summary({hint})")))
+            SVal::Sym(self.fresh_symbol(format!("summary({})", hint())))
+        }
+    }
+
+    /// Records that `id` denotes `region`, for traces only: the environment
+    /// has no other reader.
+    fn bind_env(&self, state: &mut ExecState, id: ExprId, region: &Region) {
+        if self.config.record_trace {
+            state.env.bind(id, region.clone());
         }
     }
 
@@ -1261,16 +1336,17 @@ impl<'u, 'c> Explorer<'u, 'c> {
         out_bases: &mut Vec<(String, Region)>,
     ) -> Result<(), EngineError> {
         for (index, (param, binding)) in func.params.iter().zip(bindings).enumerate() {
+            let name = self.names.get(&param.name);
             let region = Region::Var {
                 frame: 0,
-                name: param.name.as_str().into(),
+                name: name.clone(),
             };
             state
                 .frame_mut()
                 .scopes
                 .last_mut()
                 .expect("frame has a scope")
-                .insert(param.name.clone(), region.clone());
+                .insert(name, region.clone());
 
             let scalar_ok = param.ty.is_arithmetic();
             let pointer_ok = param.ty.is_pointer();
@@ -1344,8 +1420,8 @@ impl<'u, 'c> Explorer<'u, 'c> {
     /// never-written memory. Reads under a secret base mint a fresh taint
     /// source per distinct region — the `get_secret` rule, per element.
     fn read(&mut self, state: &mut ExecState, region: &Region) -> (SVal, TaintSet) {
-        if let Some(value) = state.store.lookup(region) {
-            return (value.clone(), state.taint_of(region));
+        if let Some(binding) = state.store.get(region) {
+            return binding.clone();
         }
         let hint = region_hint(region);
         let sym = self.fresh_symbol(hint.clone());
@@ -1357,8 +1433,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
             TaintSet::bottom()
         };
         let value = SVal::Sym(sym);
-        state.store.bind(region.clone(), value.clone());
-        state.taints.set(region.clone(), taint.clone());
+        state
+            .store
+            .bind(region.clone(), value.clone(), taint.clone());
         (value, taint)
     }
 
@@ -1367,7 +1444,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
         if let Some(region) = state.frame().lookup(name) {
             return region.clone();
         }
-        Region::Global { name: name.into() }
+        Region::Global {
+            name: self.names.get(name),
+        }
     }
 
     /// Declares a fresh local in the innermost scope, uniquifying shadowed
@@ -1377,22 +1456,23 @@ impl<'u, 'c> Explorer<'u, 'c> {
         let frame = state.frame();
         let shadowed = frame.lookup(name).is_some();
         let frame_id = frame.id;
+        let name = self.names.get(name);
         let unique = if shadowed {
             state.next_shadow += 1;
-            format!("{name}~{}", state.next_shadow)
+            format!("{name}~{}", state.next_shadow).into()
         } else {
-            name.to_string()
+            name.clone()
         };
         let region = Region::Var {
             frame: frame_id,
-            name: unique.into(),
+            name: unique,
         };
         state
             .frame_mut()
             .scopes
             .last_mut()
             .expect("frame has a scope")
-            .insert(name.to_string(), region.clone());
+            .insert(name, region.clone());
         region
     }
 
@@ -1435,19 +1515,19 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     fn eval(&mut self, state: ExecState, expr: &Expr) -> EvalResults {
         match &expr.kind {
-            ExprKind::IntLit(v) => vec![(state, SVal::Int(*v), TaintSet::bottom())],
-            ExprKind::CharLit(v) => vec![(state, SVal::Int(*v), TaintSet::bottom())],
-            ExprKind::FloatLit(v) => vec![(state, SVal::float(*v), TaintSet::bottom())],
-            ExprKind::StrLit(text) => vec![(
+            ExprKind::IntLit(v) => Outcomes::one((state, SVal::Int(*v), TaintSet::bottom())),
+            ExprKind::CharLit(v) => Outcomes::one((state, SVal::Int(*v), TaintSet::bottom())),
+            ExprKind::FloatLit(v) => Outcomes::one((state, SVal::float(*v), TaintSet::bottom())),
+            ExprKind::StrLit(text) => Outcomes::one((
                 state,
                 SVal::Loc(Region::Str {
                     text: text.as_str().into(),
                 }),
                 TaintSet::bottom(),
-            )],
+            )),
             ExprKind::SizeofType(ty) => {
                 let size = self.size_of(ty);
-                vec![(state, size, TaintSet::bottom())]
+                Outcomes::one((state, size, TaintSet::bottom()))
             }
             ExprKind::SizeofExpr(inner) => {
                 let size = inner
@@ -1455,28 +1535,25 @@ impl<'u, 'c> Explorer<'u, 'c> {
                     .as_ref()
                     .map(|ty| self.size_of(ty))
                     .unwrap_or(SVal::Unknown);
-                vec![(state, size, TaintSet::bottom())]
+                Outcomes::one((state, size, TaintSet::bottom()))
             }
             ExprKind::Ident(name) => {
                 let mut state = state;
                 let region = self.resolve_name(&state, name);
-                state.env.bind(expr.id, region.clone());
+                self.bind_env(&mut state, expr.id, &region);
                 if matches!(expr.ty, Some(Type::Array(..))) {
-                    vec![(state, SVal::Loc(region), TaintSet::bottom())]
+                    Outcomes::one((state, SVal::Loc(region), TaintSet::bottom()))
                 } else {
                     let (value, taint) = self.read(&mut state, &region);
-                    vec![(state, value, taint)]
+                    Outcomes::one((state, value, taint))
                 }
             }
             ExprKind::Unary { op, expr: inner } => self
                 .eval(state, inner)
-                .into_iter()
-                .map(|(st, v, t)| (st, fold_unary(*op, v), taint::unop(&t)))
-                .collect(),
+                .map(|(st, v, t)| (st, fold_unary(*op, v), taint::unop(&t))),
             ExprKind::Deref(_) | ExprKind::Index { .. } | ExprKind::Member { .. } => {
                 let array_result = matches!(expr.ty, Some(Type::Array(..)));
                 self.lvalue(state, expr)
-                    .into_iter()
                     .map(|(mut st, region)| match region {
                         Some(region) if array_result => (st, SVal::Loc(region), TaintSet::bottom()),
                         Some(region) => {
@@ -1485,18 +1562,13 @@ impl<'u, 'c> Explorer<'u, 'c> {
                         }
                         None => (st, SVal::Unknown, TaintSet::bottom()),
                     })
-                    .collect()
             }
-            ExprKind::AddrOf(inner) => self
-                .lvalue(state, inner)
-                .into_iter()
-                .map(|(st, region)| match region {
-                    Some(region) => (st, SVal::Loc(region), TaintSet::bottom()),
-                    None => (st, SVal::Unknown, TaintSet::bottom()),
-                })
-                .collect(),
+            ExprKind::AddrOf(inner) => self.lvalue(state, inner).map(|(st, region)| match region {
+                Some(region) => (st, SVal::Loc(region), TaintSet::bottom()),
+                None => (st, SVal::Unknown, TaintSet::bottom()),
+            }),
             ExprKind::Binary { op, lhs, rhs } => {
-                let mut out = Vec::new();
+                let mut out = Outcomes::none();
                 for (st, lv, lt) in self.eval(state, lhs) {
                     for (st2, rv, rt) in self.eval(st, rhs) {
                         let value = self.combine_binary(*op, &lv, rv, lhs, rhs);
@@ -1511,7 +1583,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 then_e,
                 else_e,
             } => {
-                let mut out = Vec::new();
+                let mut out = Outcomes::none();
                 for (st, cv, ct) in self.eval(state, cond) {
                     let cv = simplify(&cv);
                     if let Some(c) = cv.as_int() {
@@ -1539,14 +1611,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
             ExprKind::Call { callee, args } => self.eval_call(state, expr, callee, args),
             ExprKind::Cast { expr: inner, ty } => self
                 .eval(state, inner)
-                .into_iter()
-                .map(|(st, v, t)| (st, cast_value(v, ty), t))
-                .collect(),
+                .map(|(st, v, t)| (st, cast_value(v, ty), t)),
             ExprKind::IncDec { op, expr: inner } => {
                 let delta = op.delta();
                 let is_post = op.is_post();
                 self.lvalue(state, inner)
-                    .into_iter()
                     .map(|(mut st, region)| match region {
                         Some(region) => {
                             let (old, taint) = self.read(&mut st, &region);
@@ -1561,12 +1630,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
                         }
                         None => (st, SVal::Unknown, TaintSet::bottom()),
                     })
-                    .collect()
             }
             ExprKind::Comma(lhs, rhs) => {
-                let mut out = Vec::new();
+                let mut out = Outcomes::none();
                 for (st, _, _) in self.eval(state, lhs) {
-                    out.extend(self.eval(st, rhs));
+                    out.append(self.eval(st, rhs));
                 }
                 out
             }
@@ -1620,7 +1688,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         lhs: &Expr,
         rhs: &Expr,
     ) -> EvalResults {
-        let mut out = Vec::new();
+        let mut out = Outcomes::none();
         for (st, region) in self.lvalue(state, lhs) {
             for (mut st2, rv, rt) in self.eval(st, rhs) {
                 let Some(region) = region.clone() else {
@@ -1643,7 +1711,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                         (value, taint::binop(&ot, &rt))
                     }
                 };
-                let value = self.summarize(value, &region_hint(&region));
+                let value = self.summarize(value, || region_hint(&region));
                 st2.write(region, value.clone(), taint.clone());
                 out.push((st2, value, taint));
             }
@@ -1656,28 +1724,24 @@ impl<'u, 'c> Explorer<'u, 'c> {
             ExprKind::Ident(name) => {
                 let mut state = state;
                 let region = self.resolve_name(&state, name);
-                state.env.bind(expr.id, region.clone());
-                vec![(state, Some(region))]
+                self.bind_env(&mut state, expr.id, &region);
+                Outcomes::one((state, Some(region)))
             }
-            ExprKind::Deref(inner) => self
-                .eval(state, inner)
-                .into_iter()
-                .map(|(mut st, v, _)| {
-                    let region = self.pointee_region(&v);
-                    if let Some(region) = &region {
-                        st.env.bind(expr.id, region.clone());
-                    }
-                    (st, region)
-                })
-                .collect(),
+            ExprKind::Deref(inner) => self.eval(state, inner).map(|(mut st, v, _)| {
+                let region = self.pointee_region(&v);
+                if let Some(region) = &region {
+                    self.bind_env(&mut st, expr.id, region);
+                }
+                (st, region)
+            }),
             ExprKind::Index { base, index } => {
-                let mut out = Vec::new();
+                let mut out = Outcomes::none();
                 for (st, bv, _) in self.eval(state, base) {
                     for (mut st2, iv, _) in self.eval(st, index) {
                         let ptr = self.ptr_offset(&bv, iv, false);
                         let region = self.pointee_region(&ptr);
                         if let Some(region) = &region {
-                            st2.env.bind(expr.id, region.clone());
+                            self.bind_env(&mut st2, expr.id, region);
                         }
                         out.push((st2, region));
                     }
@@ -1687,29 +1751,21 @@ impl<'u, 'c> Explorer<'u, 'c> {
             ExprKind::Member { base, field, arrow } => {
                 let results: LvalResults = if *arrow {
                     self.eval(state, base)
-                        .into_iter()
-                        .map(|(st, v, _)| {
-                            let region = self.pointee_region(&v);
-                            (st, region)
-                        })
-                        .collect()
+                        .map(|(st, v, _)| (st, self.pointee_region(&v)))
                 } else {
                     self.lvalue(state, base)
                 };
-                results
-                    .into_iter()
-                    .map(|(mut st, region)| {
-                        let region = region.map(|base| Region::field(base, field.clone()));
-                        if let Some(region) = &region {
-                            st.env.bind(expr.id, region.clone());
-                        }
-                        (st, region)
-                    })
-                    .collect()
+                results.map(|(mut st, region)| {
+                    let region = region.map(|base| Region::field(base, field.clone()));
+                    if let Some(region) = &region {
+                        self.bind_env(&mut st, expr.id, region);
+                    }
+                    (st, region)
+                })
             }
             // Casts of lvalues, e.g. `*(int*)buf = …`, pass through.
             ExprKind::Cast { expr: inner, .. } => self.lvalue(state, inner),
-            _ => vec![(state, None)],
+            _ => Outcomes::one((state, None)),
         }
     }
 
@@ -1742,9 +1798,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
             panic!("injected panic in `{callee}`");
         }
         // Evaluate arguments left to right, threading forks.
-        let mut evaluated: Vec<(ExecState, Vec<(SVal, TaintSet)>)> = vec![(state, Vec::new())];
+        let mut evaluated = Outcomes::one((state, Vec::with_capacity(args.len())));
         for arg in args {
-            let mut next = Vec::new();
+            let mut next = Outcomes::none();
             for (st, mut values) in evaluated {
                 let mut results = self.eval(st, arg).into_iter().peekable();
                 while let Some((st2, v, t)) = results.next() {
@@ -1760,7 +1816,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
             evaluated = next;
         }
 
-        let mut out = Vec::new();
+        let mut out = Outcomes::none();
         for (mut st, values) in evaluated {
             // Sinks: every argument value escapes.
             if self.config.sink_functions.contains(callee) {
@@ -1813,7 +1869,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 continue;
             }
 
-            out.extend(self.call_body_or_model(st, expr, callee, &values));
+            out.append(self.call_body_or_model(st, expr, callee, &values));
         }
         out
     }
@@ -1833,7 +1889,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 return self.inline_call(state, func, values);
             }
         }
-        vec![self.model_builtin(state, expr, callee, values)]
+        Outcomes::one(self.model_builtin(state, expr, callee, values))
     }
 
     fn inline_call(
@@ -1846,35 +1902,35 @@ impl<'u, 'c> Explorer<'u, 'c> {
         // call as opaque (joined taint, unknown result) instead of
         // panicking on malformed user input.
         let Some(body) = func.body.as_ref() else {
-            return vec![(state, SVal::Unknown, join_all(values))];
+            return Outcomes::one((state, SVal::Unknown, join_all(values)));
         };
         let frame_id = state.next_frame;
         state.next_frame += 1;
-        state.frames.push(Frame::new(frame_id, &func.name));
+        state
+            .frames
+            .push(Frame::new(frame_id, self.names.get(&func.name)));
         for (param, (value, taint)) in func.params.iter().zip(values) {
+            let name = self.names.get(&param.name);
             let region = Region::Var {
                 frame: frame_id,
-                name: param.name.as_str().into(),
+                name: name.clone(),
             };
             state
                 .frame_mut()
                 .scopes
                 .last_mut()
                 .expect("frame has a scope")
-                .insert(param.name.clone(), region.clone());
-            let value = self.summarize(value.clone(), &param.name);
+                .insert(name, region.clone());
+            let value = self.summarize(value.clone(), || param.name.clone());
             state.write(region, value, taint.clone());
         }
-        self.exec_block(state, body)
-            .into_iter()
-            .map(|(mut st, flow)| {
-                st.frames.pop();
-                match flow {
-                    Flow::Return(Some((v, t))) => (st, v, t),
-                    _ => (st, SVal::Int(0), TaintSet::bottom()),
-                }
-            })
-            .collect()
+        self.exec_block(state, body).map(|(mut st, flow)| {
+            st.frames.pop();
+            match flow {
+                Flow::Return(Some((v, t))) => (st, v, t),
+                _ => (st, SVal::Int(0), TaintSet::bottom()),
+            }
+        })
     }
 
     fn model_builtin(
@@ -1953,13 +2009,13 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     // ---- statements --------------------------------------------------------
 
-    fn exec_block(&mut self, state: ExecState, stmts: &[Stmt]) -> StateFlows {
-        let mut flows: StateFlows = vec![(state, Flow::Normal)];
+    fn exec_block(&mut self, state: ExecState, stmts: &[Stmt]) -> Flows {
+        let mut flows = Outcomes::one((state, Flow::Normal));
         for stmt in stmts {
-            let mut next = Vec::new();
+            let mut next = Outcomes::none();
             for (st, flow) in flows {
                 if flow == Flow::Normal {
-                    next.extend(self.exec(st, stmt));
+                    next.append(self.exec(st, stmt));
                 } else {
                     next.push((st, flow));
                 }
@@ -1969,7 +2025,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         flows
     }
 
-    fn exec(&mut self, mut state: ExecState, stmt: &Stmt) -> StateFlows {
+    fn exec(&mut self, mut state: ExecState, stmt: &Stmt) -> Flows {
         state.steps += 1;
         self.profile.bump(stmt.span.start, Counter::Steps, 1);
         // Poll the supervisor at step granularity (every 64th step keeps
@@ -1980,64 +2036,48 @@ impl<'u, 'c> Explorer<'u, 'c> {
         if self.interrupted || (state.steps.is_multiple_of(64) && self.supervisor.stop().is_some())
         {
             self.interrupted = true;
-            return Vec::new();
+            return Outcomes::none();
         }
         if state.steps > self.config.max_steps_per_path {
             self.stats.dropped_steps += 1;
             self.exhausted = true;
             self.ledger.record(Degradation::StepBudget { dropped: 1 });
-            return Vec::new();
+            return Outcomes::none();
         }
         match &stmt.kind {
             StmtKind::Decl(decl) => {
                 let region = self.declare_local(&mut state, &decl.name);
-                let mut states = vec![state];
-                if let Some(init) = &decl.init {
-                    states = states
-                        .into_iter()
-                        .flat_map(|st| self.exec_decl_init(st, &region, init, &decl.ty))
-                        .collect();
-                }
-                states
-                    .into_iter()
-                    .map(|st| {
-                        let st = self.snapshot(st, stmt.span);
-                        (st, Flow::Normal)
-                    })
-                    .collect()
+                let states = match &decl.init {
+                    Some(init) => self.exec_decl_init(state, &region, init, &decl.ty),
+                    None => Outcomes::one(state),
+                };
+                states.map(|st| (self.snapshot(st, stmt.span), Flow::Normal))
             }
-            StmtKind::Expr(None) => vec![(state, Flow::Normal)],
+            StmtKind::Expr(None) => Outcomes::one((state, Flow::Normal)),
             StmtKind::Expr(Some(expr)) => self
                 .eval(state, expr)
-                .into_iter()
-                .map(|(st, _, _)| {
-                    let st = self.snapshot(st, stmt.span);
-                    (st, Flow::Normal)
-                })
-                .collect(),
+                .map(|(st, _, _)| (self.snapshot(st, stmt.span), Flow::Normal)),
             StmtKind::Block(stmts) => {
                 state.frame_mut().scopes.push(BTreeMap::new());
-                self.exec_block(state, stmts)
-                    .into_iter()
-                    .map(|(mut st, flow)| {
-                        st.frame_mut().scopes.pop();
-                        (st, flow)
-                    })
-                    .collect()
+                let mut flows = self.exec_block(state, stmts);
+                for (st, _) in flows.iter_mut() {
+                    st.frame_mut().scopes.pop();
+                }
+                flows
             }
             StmtKind::If {
                 cond,
                 then_s,
                 else_s,
             } => {
-                let mut out = Vec::new();
+                let mut out = Outcomes::none();
                 for (st, cv, ct) in self.eval(state, cond) {
                     let cv = simplify(&cv);
                     for (branch, taken) in self.fork(st, &cv, &ct, cond.span) {
                         if taken {
-                            out.extend(self.exec(branch, then_s));
+                            out.append(self.exec(branch, then_s));
                         } else if let Some(else_s) = else_s {
-                            out.extend(self.exec(branch, else_s));
+                            out.append(self.exec(branch, else_s));
                         } else {
                             out.push((branch, Flow::Normal));
                         }
@@ -2054,39 +2094,33 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 body,
             } => {
                 state.frame_mut().scopes.push(BTreeMap::new());
-                let initialized: StateFlows = match init {
+                let initialized = match init {
                     Some(init) => self.exec(state, init),
-                    None => vec![(state, Flow::Normal)],
+                    None => Outcomes::one((state, Flow::Normal)),
                 };
-                let mut out = Vec::new();
+                let mut out = Outcomes::none();
                 for (st, flow) in initialized {
                     if flow != Flow::Normal {
                         out.push((st, flow));
                         continue;
                     }
-                    out.extend(self.exec_loop(st, cond.as_ref(), body, step.as_ref(), false));
+                    out.append(self.exec_loop(st, cond.as_ref(), body, step.as_ref(), false));
                 }
-                out.into_iter()
-                    .map(|(mut st, flow)| {
-                        st.frame_mut().scopes.pop();
-                        (st, flow)
-                    })
-                    .collect()
+                for (st, _) in out.iter_mut() {
+                    st.frame_mut().scopes.pop();
+                }
+                out
             }
             StmtKind::Return(value) => match value {
-                None => vec![(state, Flow::Return(None))],
-                Some(expr) => self
-                    .eval(state, expr)
-                    .into_iter()
-                    .map(|(st, v, t)| {
-                        let st = self.snapshot(st, stmt.span);
-                        let v = self.summarize(simplify(&v), "return");
-                        (st, Flow::Return(Some((v, t))))
-                    })
-                    .collect(),
+                None => Outcomes::one((state, Flow::Return(None))),
+                Some(expr) => self.eval(state, expr).map(|(st, v, t)| {
+                    let st = self.snapshot(st, stmt.span);
+                    let v = self.summarize(simplify(&v), || "return".to_string());
+                    (st, Flow::Return(Some((v, t))))
+                }),
             },
-            StmtKind::Break => vec![(state, Flow::Break)],
-            StmtKind::Continue => vec![(state, Flow::Continue)],
+            StmtKind::Break => Outcomes::one((state, Flow::Break)),
+            StmtKind::Continue => Outcomes::one((state, Flow::Continue)),
         }
     }
 
@@ -2096,115 +2130,117 @@ impl<'u, 'c> Explorer<'u, 'c> {
         region: &Region,
         init: &Init,
         ty: &Type,
-    ) -> Vec<ExecState> {
+    ) -> Outcomes<ExecState> {
         match init {
-            Init::Expr(expr) => self
-                .eval(state, expr)
-                .into_iter()
-                .map(|(mut st, v, t)| {
-                    let v = self.summarize(v, &region_hint(region));
-                    st.write(region.clone(), v, t);
-                    st
-                })
-                .collect(),
+            Init::Expr(expr) => self.eval(state, expr).map(|(mut st, v, t)| {
+                let v = self.summarize(v, || region_hint(region));
+                st.write(region.clone(), v, t);
+                st
+            }),
             Init::List(items) => {
-                let mut states = vec![state];
-                match ty {
-                    Type::Array(elem, _) => {
-                        for (i, item) in items.iter().enumerate() {
-                            let sub = element(region, i as i64);
-                            states = states
-                                .into_iter()
-                                .flat_map(|st| self.exec_decl_init(st, &sub, item, elem))
-                                .collect();
-                        }
+                let unit = self.unit;
+                let subobjects: Vec<(Region, &Init, &Type)> = match ty {
+                    Type::Array(elem, _) => items
+                        .iter()
+                        .enumerate()
+                        .map(|(i, item)| (element(region, i as i64), item, elem.as_ref()))
+                        .collect(),
+                    Type::Struct(name) => unit
+                        .struct_def(name)
+                        .map(|def| {
+                            items
+                                .iter()
+                                .zip(&def.fields)
+                                .map(|(item, f)| {
+                                    (Region::field(region.clone(), f.name.as_str()), item, &f.ty)
+                                })
+                                .collect()
+                        })
+                        .unwrap_or_default(),
+                    _ => Vec::new(),
+                };
+                let mut states = Outcomes::one(state);
+                for (sub, item, sub_ty) in &subobjects {
+                    let mut next = Outcomes::none();
+                    for st in states {
+                        next.append(self.exec_decl_init(st, sub, item, sub_ty));
                     }
-                    Type::Struct(name) => {
-                        let fields: Vec<_> = self
-                            .unit
-                            .struct_def(name)
-                            .map(|d| {
-                                d.fields
-                                    .iter()
-                                    .map(|f| (f.name.clone(), f.ty.clone()))
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        for (item, (fname, fty)) in items.iter().zip(fields) {
-                            let sub = Region::field(region.clone(), fname);
-                            states = states
-                                .into_iter()
-                                .flat_map(|st| self.exec_decl_init(st, &sub, item, &fty))
-                                .collect();
-                        }
-                    }
-                    _ => {}
+                    states = next;
                 }
                 states
             }
         }
     }
 
+    /// Decides a branch on `cond`: probes both sides, then commits each
+    /// feasible one (taken side first) to its own state, cloning the state
+    /// only when both survive.
     fn fork(
         &mut self,
         state: ExecState,
         cond: &SVal,
         cond_taint: &TaintSet,
         span: Span,
-    ) -> Vec<(ExecState, bool)> {
+    ) -> Outcomes<(ExecState, bool)> {
         // Decide feasibility with cheap, memoized probes first, then clone
         // the (heavy) state only when both directions survive. The cache is
         // safe here because these probes are speculative: the committed
-        // `assume` below still runs directly on the path's constraints.
-        let feasible: Vec<bool> = [true, false]
-            .into_iter()
-            .map(|taken| self.probe(&state, cond, taken, span.start) == Feasibility::Feasible)
-            .collect();
-        let pruned = feasible.iter().filter(|f| !**f).count();
-        self.profile
-            .bump(span.start, Counter::Infeasible, pruned as u64);
+        // `assume` in `commit_side` still runs directly on the path's
+        // constraints.
+        let [then_ok, mut else_ok] = [true, false]
+            .map(|taken| self.probe(&state, cond, taken, span.start) == Feasibility::Feasible);
+        let pruned = u64::from(!then_ok) + u64::from(!else_ok);
+        self.profile.bump(span.start, Counter::Infeasible, pruned);
         if cond_taint.is_tainted() {
             self.profile.bump(span.start, Counter::SecretBranches, 1);
         }
-        let mut pending = Vec::new();
-        match (feasible[0], feasible[1]) {
-            (true, true) => {
-                pending.push((state.clone(), true));
-                pending.push((state, false));
-            }
-            (true, false) => pending.push((state, true)),
-            (false, true) => pending.push((state, false)),
-            (false, false) => {}
-        }
-        let mut out = Vec::new();
-        for (mut st, taken) in pending {
-            let feasibility = st.constraints.assume(cond, taken);
-            debug_assert_eq!(feasibility, Feasibility::Feasible);
-            // Commit the Tier-1 refinement too; in the default mode the
-            // probe above already found this very replay feasible.
-            st.domain.assume(cond, taken);
-            if !cond.is_const() {
-                st.path.push(cond.clone(), taken);
-            }
-            st.pi_taint = taint::cond(cond_taint, &st.pi_taint);
-            let st = self.snapshot(st, span);
-            out.push((st, taken));
-        }
-        if out.len() == 2 {
-            // Bound the work, not just the harvest: once the fork count
-            // could already produce `max_paths` leaves, stop splitting.
-            // `base_forks` carries the count from before this wave, so the
-            // decision is identical for every worker layout.
+        // Bound the work, not just the harvest: once the fork count could
+        // already produce `max_paths` leaves, stop splitting and keep only
+        // the taken side. `base_forks` carries the count from before this
+        // wave, so the decision is identical for every worker layout.
+        if then_ok && else_ok {
             let forks = self.base_forks + self.profile.totals().forks;
             if forks >= self.config.max_paths.saturating_mul(4) as u64 {
                 self.exhausted = true;
                 self.ledger.record(Degradation::PathBudget { dropped: 1 });
-                out.truncate(1);
+                else_ok = false;
             } else {
                 self.profile.bump(span.start, Counter::Forks, 1);
             }
         }
-        out
+        let mut sides = Outcomes::none();
+        match (then_ok, else_ok) {
+            (true, true) => {
+                sides.push(self.commit_side(state.clone(), cond, cond_taint, true, span));
+                sides.push(self.commit_side(state, cond, cond_taint, false, span));
+            }
+            (true, false) => sides.push(self.commit_side(state, cond, cond_taint, true, span)),
+            (false, true) => sides.push(self.commit_side(state, cond, cond_taint, false, span)),
+            (false, false) => {}
+        }
+        sides
+    }
+
+    /// Commits one feasible branch side to `state`: the constraint and the
+    /// Tier-1 refinement, π and π's taint, then the trace snapshot.
+    fn commit_side(
+        &mut self,
+        mut state: ExecState,
+        cond: &SVal,
+        cond_taint: &TaintSet,
+        taken: bool,
+        span: Span,
+    ) -> (ExecState, bool) {
+        let feasibility = state.constraints.assume(cond, taken);
+        debug_assert_eq!(feasibility, Feasibility::Feasible);
+        // Commit the Tier-1 refinement too; in the default mode the probe
+        // already found this very replay feasible.
+        state.domain.assume(cond, taken);
+        if !cond.is_const() {
+            state.path.push(cond.clone(), taken);
+        }
+        state.pi_taint = taint::cond(cond_taint, &state.pi_taint);
+        (self.snapshot(state, span), taken)
     }
 
     fn exec_loop(
@@ -2214,42 +2250,40 @@ impl<'u, 'c> Explorer<'u, 'c> {
         body: &Stmt,
         step: Option<&Expr>,
         body_first: bool,
-    ) -> StateFlows {
+    ) -> Flows {
         let write_mark = state.write_log.len();
-        let mut out: StateFlows = Vec::new();
-        // queue of (state, symbolic iterations, concrete iterations,
+        let mut out = Outcomes::none();
+        // stack of (state, symbolic iterations, concrete iterations,
         // condition already satisfied?)
-        let mut queue: Vec<(ExecState, usize, usize, bool)> = vec![(state, 0, 0, body_first)];
+        let mut queue = Outcomes::one((state, 0, 0, body_first));
 
         while let Some((st, sym_iter, conc_iter, skip_cond)) = queue.pop() {
             // 1. Evaluate the continuation condition (unless do-while's
             //    first body execution is pending). Track whether the guard
             //    decided concretely (no real fork) — concrete iterations do
             //    not cost path explosion and get a far larger budget.
-            let continuing: Vec<(ExecState, bool)> = if skip_cond {
-                vec![(st, true)]
-            } else {
-                match cond {
-                    None => vec![(st, true)], // for(;;)
-                    Some(cond_expr) => {
-                        let mut conts = Vec::new();
-                        for (cst, cv, ct) in self.eval(st, cond_expr) {
-                            let cv = simplify(&cv);
-                            let concrete = cv.is_const()
-                                || self.probe(&cst, &cv, true, cond_expr.span.start)
-                                    == Feasibility::Infeasible
-                                || self.probe(&cst, &cv, false, cond_expr.span.start)
-                                    == Feasibility::Infeasible;
-                            for (branch, taken) in self.fork(cst, &cv, &ct, cond_expr.span) {
-                                if taken {
-                                    conts.push((branch, concrete));
-                                } else {
-                                    out.push((branch, Flow::Normal));
-                                }
+            let continuing = match cond {
+                // for(;;), or do-while's first body execution.
+                None => Outcomes::one((st, true)),
+                Some(_) if skip_cond => Outcomes::one((st, true)),
+                Some(cond_expr) => {
+                    let mut conts = Outcomes::none();
+                    for (cst, cv, ct) in self.eval(st, cond_expr) {
+                        let cv = simplify(&cv);
+                        let concrete = cv.is_const()
+                            || self.probe(&cst, &cv, true, cond_expr.span.start)
+                                == Feasibility::Infeasible
+                            || self.probe(&cst, &cv, false, cond_expr.span.start)
+                                == Feasibility::Infeasible;
+                        for (branch, taken) in self.fork(cst, &cv, &ct, cond_expr.span) {
+                            if taken {
+                                conts.push((branch, concrete));
+                            } else {
+                                out.push((branch, Flow::Normal));
                             }
                         }
-                        conts
                     }
+                    conts
                 }
             };
 
@@ -2277,13 +2311,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 for (after_body, flow) in self.exec(body_state, body) {
                     match flow {
                         Flow::Normal | Flow::Continue => {
-                            let stepped: Vec<ExecState> = match step {
-                                None => vec![after_body],
-                                Some(step_expr) => self
-                                    .eval(after_body, step_expr)
-                                    .into_iter()
-                                    .map(|(s, _, _)| s)
-                                    .collect(),
+                            let stepped = match step {
+                                None => Outcomes::one(after_body),
+                                Some(step_expr) => {
+                                    self.eval(after_body, step_expr).map(|(s, _, _)| s)
+                                }
                             };
                             for s in stepped {
                                 queue.push((s, next_sym, next_conc, false));
@@ -2308,8 +2340,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
             let hint = format!("widened({})", region_hint(&region));
             let sym = self.fresh_symbol(hint);
             let taint = state.taint_of(&region);
-            state.store.bind(region.clone(), SVal::Sym(sym));
-            state.taints.set(region, taint);
+            state.store.bind(region, SVal::Sym(sym), taint);
         }
     }
 
@@ -2488,8 +2519,9 @@ mod tests {
         let st = &ex.paths[0].state;
         let writes: Vec<_> = st.store.regions_within(base).collect();
         assert_eq!(writes.len(), 1);
-        let (region, value) = writes[0];
-        assert!(st.taints.get(region).is_reversible());
+        let (region, value, taint) = writes[0];
+        assert!(taint.is_reversible());
+        assert_eq!(st.taint_of(region), *taint);
         assert!(value.to_string().contains("s[0]"));
     }
 
@@ -2727,8 +2759,8 @@ mod tests {
         );
         let (_, base) = &ex.out_bases[0];
         let st = &ex.paths[0].state;
-        let (region, _) = st.store.regions_within(base).next().expect("a write");
-        assert!(st.taints.get(region).is_reversible());
+        let (_, _, taint) = st.store.regions_within(base).next().expect("a write");
+        assert!(taint.is_reversible());
     }
 
     #[test]

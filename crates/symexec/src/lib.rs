@@ -6,9 +6,9 @@
 //! is exactly the 4-tuple *(stmt, env, σ, π)* described there:
 //!
 //! * the **environment** maps lvalue expressions to [`Region`]s
-//!   ([`state::Environment`]);
+//!   ([`state::Environment`]); it is recorded only for traces;
 //! * the **store** σ maps regions to symbolic values ([`value::SVal`],
-//!   [`state::Store`]);
+//!   [`state::Store`]), each with its taint;
 //! * the **path condition** π accumulates the branch assumptions of the
 //!   current path ([`path::PathCondition`]) and is checked for feasibility
 //!   by a Clang-SA-grade range [`constraints::ConstraintManager`];
@@ -48,6 +48,7 @@ pub mod domain;
 pub mod engine;
 pub mod error;
 pub mod intern;
+mod outcomes;
 pub mod path;
 pub mod profile;
 pub mod simplify;

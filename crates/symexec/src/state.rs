@@ -1,33 +1,46 @@
-//! The per-path execution state: environment, store, path condition, taint.
+//! The per-path execution state: store, path condition, taint, call stack.
 //!
 //! Forking a path clones the whole [`ExecState`]. To keep that cheap the
-//! bulk containers are *persistent* (structurally shared): the environment,
-//! store and taint map sit on `im::OrdMap` (O(1) clone; an O(log n) update
+//! bulk containers are *persistent* (structurally shared): the store and
+//! the environment sit on `im::OrdMap` (O(1) clone; an O(log n) update
 //! mutates in place the tree nodes this state owns alone and copies only
 //! those it still shares with a sibling path), and the append-mostly logs
 //! (`write_log`, `events`, `trace`) sit on `im::Vector` (frozen `Arc`
-//! chunks plus a small mutable tail). Both containers serialize and hash
-//! byte-identically to the `std` types they replaced, so reports and
-//! checkpoint files do not change.
+//! chunks plus a small mutable tail).
 //!
-//! Region names and symbol hints are `Arc<str>`, so the key and value
-//! clones an update makes (the write log entry, a copied shared node) bump
-//! a reference count instead of copying the string.
+//! The store holds σ and the memory part of τΔ in one map: each region is
+//! bound to its value *and* that value's taint, so a read is one lookup and
+//! a write one insert. The environment is trace data: the engine binds it
+//! only when traces are recorded, since [`crate::trace::TraceStep`] is its
+//! only reader.
+//!
+//! Serialization keeps the shape of the separate maps: a state's JSON has
+//! a `store` object holding the values and a `taints` object holding the
+//! non-⊥ taints, so checkpoint files written before the maps merged still
+//! load, and reports do not change.
+//!
+//! Region names, symbol hints, frame function names and scope keys are
+//! `Arc<str>`, so the key and value clones an update makes (the write log
+//! entry, a copied shared node) bump a reference count instead of copying
+//! the string.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use im::{OrdMap, Vector};
 use minic::ast::ExprId;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use taint::{TaintMap, TaintSet};
+use serde::{Deserialize, Deserializer, Error, Serialize, Serializer, Value};
+use taint::TaintSet;
 
 use crate::constraints::ConstraintManager;
 use crate::path::PathCondition;
 use crate::value::{Region, SVal};
 
 /// The environment: maps lvalue expressions (by [`ExprId`]) to the memory
-/// region they currently denote (§VI-B).
+/// region they currently denote (§VI-B). Only recorded traces read it, so
+/// the engine binds it only when [`crate::engine::EngineConfig::record_trace`]
+/// is on.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Environment {
     bindings: OrdMap<ExprId, Region>,
@@ -86,10 +99,12 @@ impl Environment {
     }
 }
 
-/// The store σ: maps regions to symbolic values.
+/// The store: σ and the memory part of τΔ in one map. Each bound region
+/// carries its symbolic value and that value's taint, so reading both is
+/// one lookup and writing both one insert.
 #[derive(Debug, Clone, Default)]
 pub struct Store {
-    bindings: OrdMap<Region, SVal>,
+    bindings: OrdMap<Region, (SVal, TaintSet)>,
     /// Sticky flag: set when a subobject binding was ever created whose
     /// immediate parent region was unbound at that moment (or a parent was
     /// unbound out from under its children). The prefix-window walk of
@@ -100,14 +115,23 @@ pub struct Store {
     has_orphans: bool,
 }
 
+/// One store entry as the iterators hand it out.
+type Entry<'a> = (&'a Region, &'a SVal, &'a TaintSet);
+
 impl Store {
     /// Creates an empty store.
     pub fn new() -> Self {
         Store::default()
     }
 
-    /// Binds `region` to `value`, returning the previous binding.
-    pub fn bind(&mut self, region: Region, value: SVal) -> Option<SVal> {
+    /// Binds `region` to `value` with `taint`, returning the previous
+    /// binding.
+    pub fn bind(
+        &mut self,
+        region: Region,
+        value: SVal,
+        taint: TaintSet,
+    ) -> Option<(SVal, TaintSet)> {
         if !self.has_orphans {
             if let Some(parent) = region.parent() {
                 if parent.parent().is_some() && !self.bindings.contains_key(parent) {
@@ -115,16 +139,28 @@ impl Store {
                 }
             }
         }
-        self.bindings.insert(region, value)
+        self.bindings.insert(region, (value, taint))
+    }
+
+    /// The value bound to `region` and its taint.
+    pub fn get(&self, region: &Region) -> Option<&(SVal, TaintSet)> {
+        self.bindings.get(region)
     }
 
     /// The value bound to `region`.
     pub fn lookup(&self, region: &Region) -> Option<&SVal> {
-        self.bindings.get(region)
+        self.get(region).map(|(value, _)| value)
     }
 
-    /// Removes a binding.
-    pub fn unbind(&mut self, region: &Region) -> Option<SVal> {
+    /// The taint of `region`'s value (⊥ if unbound).
+    pub fn taint_of(&self, region: &Region) -> TaintSet {
+        self.get(region)
+            .map(|(_, taint)| taint.clone())
+            .unwrap_or_default()
+    }
+
+    /// Removes a binding, value and taint together.
+    pub fn unbind(&mut self, region: &Region) -> Option<(SVal, TaintSet)> {
         let old = self.bindings.remove(region);
         if old.is_some() && !self.has_orphans && !self.children_of(region).is_empty() {
             // Removing an intermediate region orphans its bound children.
@@ -134,8 +170,19 @@ impl Store {
     }
 
     /// Iterates bindings in region order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Region, &SVal)> {
-        self.bindings.iter()
+    pub fn iter(&self) -> impl Iterator<Item = Entry<'_>> {
+        self.bindings
+            .iter()
+            .map(|(region, (value, taint))| (region, value, taint))
+    }
+
+    /// The tainted (non-⊥) regions with their taints, in region order —
+    /// τΔ restricted to memory.
+    pub fn taints(&self) -> impl Iterator<Item = (&Region, &TaintSet)> + Clone {
+        self.bindings
+            .iter()
+            .filter(|(_, (_, taint))| taint.is_tainted())
+            .map(|(region, (_, taint))| (region, taint))
     }
 
     /// Number of bindings.
@@ -152,7 +199,7 @@ impl Store {
     /// O(log n + m) prefix-window queries (the derived [`Region`] ordering
     /// keeps all `Element{parent, _}` keys contiguous, and likewise all
     /// `Field{parent, _}` keys).
-    fn children_of<'a>(&'a self, parent: &Region) -> Vec<(&'a Region, &'a SVal)> {
+    fn children_of<'a>(&'a self, parent: &Region) -> Vec<(&'a Region, &'a (SVal, TaintSet))> {
         use std::cmp::Ordering;
         // Region variants order as Var < Global < Element < Field < Sym <
         // Str; within Element (resp. Field) keys order by base first. Both
@@ -178,21 +225,18 @@ impl Store {
     /// store. The walk only reaches descendants connected to `base` through
     /// bound intermediates, so stores that ever held an orphaned subobject
     /// fall back to the full filter.
-    pub fn regions_within<'a>(
-        &'a self,
-        base: &'a Region,
-    ) -> impl Iterator<Item = (&'a Region, &'a SVal)> {
-        let mut out: Vec<(&'a Region, &'a SVal)> = Vec::new();
+    pub fn regions_within<'a>(&'a self, base: &'a Region) -> impl Iterator<Item = Entry<'a>> {
+        let mut out: Vec<(&'a Region, &'a (SVal, TaintSet))> = Vec::new();
         if self.has_orphans {
             out.extend(self.bindings.iter().filter(|(r, _)| r.is_within(base)));
         } else {
-            if let Some(value) = self.bindings.get(base) {
-                out.push((base, value));
+            if let Some(binding) = self.bindings.get(base) {
+                out.push((base, binding));
             }
             let mut frontier = vec![base];
             while let Some(parent) = frontier.pop() {
-                for (child, value) in self.children_of(parent) {
-                    out.push((child, value));
+                for (child, binding) in self.children_of(parent) {
+                    out.push((child, binding));
                     frontier.push(child);
                 }
             }
@@ -200,6 +244,7 @@ impl Store {
             out.sort_by_key(|(region, _)| *region);
         }
         out.into_iter()
+            .map(|(region, (value, taint))| (region, value, taint))
     }
 
     /// Rewrites the bindings not shared with `base` through `f` (see
@@ -210,7 +255,7 @@ impl Store {
     /// and no orphan is created or repaired.
     pub(crate) fn update_unshared<F>(&mut self, base: &Store, f: F)
     where
-        F: FnMut(&Region, &SVal) -> Option<(Region, SVal)>,
+        F: FnMut(&Region, &(SVal, TaintSet)) -> Option<(Region, (SVal, TaintSet))>,
     {
         self.bindings.update_unshared(&base.bindings, f);
     }
@@ -228,6 +273,56 @@ impl Store {
             self.bindings.node_count(),
         )
     }
+
+    /// The two JSON objects the store serializes to: `{"bindings": …}` with
+    /// every value, and `{"entries": …}` with every non-⊥ taint.
+    fn to_values(&self) -> Result<(Value, Value), Error> {
+        let values = self
+            .bindings
+            .iter()
+            .map(|(region, (value, _))| (region, value));
+        let object = |name: &str, entries: Value| Value::Object(vec![(name.to_string(), entries)]);
+        Ok((
+            object(
+                "bindings",
+                serde::serialize_map_entries(values, serde::ValueSerializer)?,
+            ),
+            object(
+                "entries",
+                serde::serialize_map_entries(self.taints(), serde::ValueSerializer)?,
+            ),
+        ))
+    }
+
+    /// Rebuilds a store from the two objects of [`Store::to_values`]. A
+    /// taint for an unbound region is rejected: the engine never makes one.
+    fn from_values(store: Value, taints: Value) -> Result<Store, Error> {
+        let mut store = serde::expect_object(store, "Store")?;
+        let values: Vec<(Region, SVal)> =
+            serde::deserialize_map_entries(serde::take_field(&mut store, "bindings", "Store")?)?;
+        let mut taints = serde::expect_object(taints, "TaintMap")?;
+        let taints: Vec<(Region, TaintSet)> =
+            serde::deserialize_map_entries(serde::take_field(&mut taints, "entries", "TaintMap")?)?;
+        let mut bindings: BTreeMap<Region, (SVal, TaintSet)> = values
+            .into_iter()
+            .map(|(region, value)| (region, (value, TaintSet::bottom())))
+            .collect();
+        for (region, taint) in taints {
+            match bindings.get_mut(&region) {
+                Some(binding) => binding.1 = taint,
+                None => return Err(Error::custom(format!("taint for unbound region {region}"))),
+            }
+        }
+        let has_orphans = bindings.keys().any(|region| {
+            region
+                .parent()
+                .is_some_and(|p| p.parent().is_some() && !bindings.contains_key(p))
+        });
+        Ok(Store {
+            bindings: bindings.into_iter().collect(),
+            has_orphans,
+        })
+    }
 }
 
 impl PartialEq for Store {
@@ -238,34 +333,6 @@ impl PartialEq for Store {
     }
 }
 
-impl Serialize for Store {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Matches the derived shape `{"bindings": …}` — the orphan hint is
-        // recomputed on load so checkpoint bytes are unchanged.
-        serializer.serialize_value(serde::Value::Object(vec![(
-            String::from("bindings"),
-            serde::to_value(&self.bindings)?,
-        )]))
-    }
-}
-
-impl<'de> Deserialize<'de> for Store {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut obj = serde::expect_object(deserializer.take_value()?, "Store")?;
-        let bindings: OrdMap<Region, SVal> =
-            serde::from_value(serde::take_field(&mut obj, "bindings", "Store")?)?;
-        let has_orphans = bindings.keys().any(|region| {
-            region
-                .parent()
-                .is_some_and(|p| p.parent().is_some() && !bindings.contains_key(p))
-        });
-        Ok(Store {
-            bindings,
-            has_orphans,
-        })
-    }
-}
-
 impl fmt::Display for Store {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -273,7 +340,7 @@ impl fmt::Display for Store {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{region} ↦ {value}")?;
+            write!(f, "{region} ↦ {}", value.0)?;
         }
         write!(f, "}}")
     }
@@ -332,15 +399,15 @@ pub struct Frame {
     /// Unique frame id within the exploration (keys [`Region::Var`]).
     pub id: u32,
     /// The function this frame executes.
-    pub func: String,
+    pub func: Arc<str>,
     /// Lexical scopes, innermost last; each maps a source name to the
     /// region chosen for it at declaration (shadowing-safe).
-    pub scopes: Vec<BTreeMap<String, Region>>,
+    pub scopes: Vec<BTreeMap<Arc<str>, Region>>,
 }
 
 impl Frame {
     /// Creates a frame with one empty scope.
-    pub fn new(id: u32, func: impl Into<String>) -> Self {
+    pub fn new(id: u32, func: impl Into<Arc<str>>) -> Self {
         Frame {
             id,
             func: func.into(),
@@ -355,18 +422,22 @@ impl Frame {
 }
 
 /// One complete symbolic execution state (a path being explored).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes field by field like a derived impl, except that the store
+/// becomes two objects, `store` (values) and `taints` (non-⊥ taints) — the
+/// layout from when σ and τΔ were separate maps, kept so existing
+/// checkpoints resume.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecState {
-    /// The environment (lvalue expression → region).
+    /// The environment (lvalue expression → region); bound only while
+    /// traces are recorded.
     pub env: Environment,
-    /// The store σ (region → symbolic value).
+    /// The store: σ and τΔ restricted to memory (region → value, taint).
     pub store: Store,
     /// The path condition π.
     pub path: PathCondition,
     /// Range constraints backing feasibility checks for π.
     pub constraints: ConstraintManager,
-    /// Taint of each region (τΔ restricted to memory).
-    pub taints: TaintMap<Region>,
     /// Taint of the path condition (τΔ\[π\] in the paper's semantics).
     pub pi_taint: TaintSet,
     /// Declassification events recorded on this path so far (persistent —
@@ -397,8 +468,68 @@ pub struct ExecState {
     /// maintained incrementally alongside `constraints` when the run's
     /// [`crate::constraints::FeasibilityMode`] enables them. Empty — and
     /// absent from old checkpoints, hence the default — in syntactic mode.
-    #[serde(default)]
     pub domain: crate::domain::AbstractDomain,
+}
+
+impl Serialize for ExecState {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let (store, taints) = self.store.to_values()?;
+        let fields = [
+            ("env", serde::to_value(&self.env)?),
+            ("store", store),
+            ("path", serde::to_value(&self.path)?),
+            ("constraints", serde::to_value(&self.constraints)?),
+            ("taints", taints),
+            ("pi_taint", serde::to_value(&self.pi_taint)?),
+            ("events", serde::to_value(&self.events)?),
+            ("write_log", serde::to_value(&self.write_log)?),
+            ("steps", serde::to_value(&self.steps)?),
+            ("frames", serde::to_value(&self.frames)?),
+            ("trace", serde::to_value(&self.trace)?),
+            ("next_frame", serde::to_value(&self.next_frame)?),
+            ("next_shadow", serde::to_value(&self.next_shadow)?),
+            ("secret_bases", serde::to_value(&self.secret_bases)?),
+            ("domain", serde::to_value(&self.domain)?),
+        ];
+        serializer.serialize_value(Value::Object(
+            fields
+                .into_iter()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+        ))
+    }
+}
+
+impl<'de> Deserialize<'de> for ExecState {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let mut obj = serde::expect_object(deserializer.take_value()?, "ExecState")?;
+        let mut field = |name: &str| serde::take_field(&mut obj, name, "ExecState");
+        let env = serde::from_value(field("env")?)?;
+        let store = field("store")?;
+        let path = serde::from_value(field("path")?)?;
+        let constraints = serde::from_value(field("constraints")?)?;
+        let store = Store::from_values(store, field("taints")?)?;
+        Ok(ExecState {
+            env,
+            store,
+            path,
+            constraints,
+            pi_taint: serde::from_value(field("pi_taint")?)?,
+            events: serde::from_value(field("events")?)?,
+            write_log: serde::from_value(field("write_log")?)?,
+            steps: serde::from_value(field("steps")?)?,
+            frames: serde::from_value(field("frames")?)?,
+            trace: serde::from_value(field("trace")?)?,
+            next_frame: serde::from_value(field("next_frame")?)?,
+            next_shadow: serde::from_value(field("next_shadow")?)?,
+            secret_bases: serde::from_value(field("secret_bases")?)?,
+            // Absent from checkpoints written before the domain existed.
+            domain: serde::take_field_opt(&mut obj, "domain")
+                .map(serde::from_value)
+                .transpose()?
+                .unwrap_or_default(),
+        })
+    }
 }
 
 impl ExecState {
@@ -432,13 +563,12 @@ impl ExecState {
     /// Binds a region to a value with taint, recording the write.
     pub fn write(&mut self, region: Region, value: SVal, taint: TaintSet) {
         self.write_log.push(region.clone());
-        self.taints.set(region.clone(), taint);
-        self.store.bind(region, value);
+        self.store.bind(region, value, taint);
     }
 
     /// The taint of a region (⊥ if never set).
     pub fn taint_of(&self, region: &Region) -> TaintSet {
-        self.taints.get(region)
+        self.store.taint_of(region)
     }
 
     /// Whether `region` lies within any base marked secret on this path.
@@ -460,7 +590,7 @@ impl ExecState {
 
     /// Diagnostic: how much of this state's persistent structure is the
     /// *same allocation* as `other`'s — `(shared, total)` counts over the
-    /// store, taint and environment tree nodes plus the frozen elements of
+    /// store and environment tree nodes plus the frozen elements of
     /// the event/write/trace logs. A fresh fork shares everything
     /// (`shared == total`); each divergent write then unshares only an
     /// O(log n) path. Drives the bytes-shared ratio in `bench_fork_cost`.
@@ -469,7 +599,6 @@ impl ExecState {
         let mut total = 0;
         for (s, t) in [
             self.store.sharing(&other.store),
-            self.taints.sharing(&other.taints),
             self.env.sharing(&other.env),
         ] {
             shared += s;
@@ -508,11 +637,67 @@ mod tests {
     #[test]
     fn store_bind_and_lookup() {
         let mut store = Store::new();
-        assert!(store.bind(var("x"), SVal::Int(3)).is_none());
+        let t1 = TaintSet::source(SourceId::new(1));
+        assert!(store.bind(var("x"), SVal::Int(3), t1.clone()).is_none());
         assert_eq!(store.lookup(&var("x")), Some(&SVal::Int(3)));
-        assert_eq!(store.bind(var("x"), SVal::Int(4)), Some(SVal::Int(3)));
-        assert_eq!(store.unbind(&var("x")), Some(SVal::Int(4)));
+        assert_eq!(store.taint_of(&var("x")), t1);
+        assert_eq!(
+            store.bind(var("x"), SVal::Int(4), TaintSet::bottom()),
+            Some((SVal::Int(3), t1))
+        );
+        assert_eq!(store.taints().count(), 0, "⊥ is not listed as a taint");
+        assert_eq!(
+            store.unbind(&var("x")),
+            Some((SVal::Int(4), TaintSet::bottom()))
+        );
         assert!(store.is_empty());
+        assert!(store.taint_of(&var("x")).is_empty());
+    }
+
+    #[test]
+    fn json_keeps_separate_store_and_taint_objects() {
+        let mut state = ExecState::new();
+        state.write(var("h"), SVal::Int(5), TaintSet::source(SourceId::new(2)));
+        state.write(var("l"), SVal::Int(6), TaintSet::bottom());
+        let json = serde_json::to_string(&state).expect("serializes");
+        let value: serde_json::Value = serde_json::from_str(&json).expect("parses");
+        let keys: Vec<&str> = match &value {
+            serde_json::Value::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("state is not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            [
+                "env",
+                "store",
+                "path",
+                "constraints",
+                "taints",
+                "pi_taint",
+                "events",
+                "write_log",
+                "steps",
+                "frames",
+                "trace",
+                "next_frame",
+                "next_shadow",
+                "secret_bases",
+                "domain"
+            ]
+        );
+        assert_eq!(
+            serde_json::to_string(&value["store"]).unwrap(),
+            r#"{"bindings":[[{"Var":{"frame":0,"name":"h"}},{"Int":5}],[{"Var":{"frame":0,"name":"l"}},{"Int":6}]]}"#
+        );
+        assert_eq!(
+            serde_json::to_string(&value["taints"]).unwrap(),
+            r#"{"entries":[[{"Var":{"frame":0,"name":"h"}},{"sources":[2]}]]}"#
+        );
+        let back: ExecState = serde_json::from_str(&json).expect("deserializes");
+        assert_eq!(back, state);
+        // A taint for a region the store does not bind is malformed.
+        let orphan = json.replace(r#"[{"Var":{"frame":0,"name":"h"}},{"Int":5}],"#, "");
+        assert!(serde_json::from_str::<ExecState>(&orphan).is_err());
     }
 
     #[test]
@@ -522,8 +707,8 @@ mod tests {
         };
         let elem0 = Region::element(base.clone(), SVal::Int(0));
         let mut store = Store::new();
-        store.bind(elem0.clone(), SVal::Int(9));
-        store.bind(var("x"), SVal::Int(1));
+        store.bind(elem0.clone(), SVal::Int(9), TaintSet::bottom());
+        store.bind(var("x"), SVal::Int(1), TaintSet::bottom());
         let within: Vec<_> = store.regions_within(&base).collect();
         assert_eq!(within.len(), 1);
         assert_eq!(within[0].0, &elem0);
@@ -542,8 +727,8 @@ mod tests {
     #[test]
     fn store_display_is_deterministic() {
         let mut store = Store::new();
-        store.bind(var("b"), SVal::Int(2));
-        store.bind(var("a"), SVal::Int(1));
+        store.bind(var("b"), SVal::Int(2), TaintSet::bottom());
+        store.bind(var("a"), SVal::Int(1), TaintSet::bottom());
         assert_eq!(store.to_string(), "{a ↦ 1, b ↦ 2}");
     }
 

@@ -27,11 +27,14 @@
 //! * a task's input state is post-merge, so it holds no local ids;
 //! * `write_log`, `events` and the path are append-only within a task, so
 //!   only the entries past the input's lengths can hold local ids;
-//! * persistent map nodes are immutable, so any env, store or taint node
-//!   that is still the *same allocation* as the input's node for its key
-//!   holds only global ids — and so does its whole subtree.
+//! * persistent map nodes are immutable, so any env or store node that is
+//!   still the *same allocation* as the input's node for its key holds only
+//!   global ids — and so does its whole subtree.
 //!
-//! [`TaskBase`] keeps the input's log lengths and O(1) clones of its maps.
+//! [`TaskBase`] keeps the input's log lengths and O(1) clones of its two
+//! maps: the environment (empty unless traces are recorded) and the store,
+//! whose entries carry each region's value *and* taint, so one walk over
+//! its unshared entries remaps regions, values and taints together.
 //! [`IdRemap::remap_state`] rewrites only the log suffixes and the map
 //! entries outside shared subtrees (found by `OrdMap::update_unshared`),
 //! rekeying them in place; a task that minted no ids skips the remap
@@ -44,7 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use im::Vector;
-use taint::{SourceId, TaintMap, TaintSet};
+use taint::{SourceId, TaintSet};
 
 use crate::state::{Channel, DeclassifyEvent, Environment, ExecState, Store};
 use crate::value::Region;
@@ -62,7 +65,6 @@ pub(crate) const LOCAL_ID_BASE: u32 = 0x8000_0000;
 pub(crate) struct TaskBase {
     env: Environment,
     store: Store,
-    taints: TaintMap<Region>,
     path: usize,
     write_log: usize,
     events: usize,
@@ -74,7 +76,6 @@ impl TaskBase {
         TaskBase {
             env: state.env.clone(),
             store: state.store.clone(),
-            taints: state.taints.clone(),
             path: state.path.len(),
             write_log: state.write_log.len(),
             events: state.events.len(),
@@ -145,12 +146,25 @@ impl IdRemap {
         state.env.update_unshared(&base.env, |expr, region| {
             region.remapped(&sym).map(|region| (*expr, region))
         });
-        state.store.update_unshared(&base.store, |region, value| {
-            either_changed(region, region.remapped(&sym), value, value.remapped(&sym))
-        });
-        state.taints.update_unshared(&base.taints, |region, ts| {
-            either_changed(region, region.remapped(&sym), ts, self.remapped_taint(ts))
-        });
+        state
+            .store
+            .update_unshared(&base.store, |region, (value, taint)| {
+                let (new_region, new_value, new_taint) = (
+                    region.remapped(&sym),
+                    value.remapped(&sym),
+                    self.remapped_taint(taint),
+                );
+                if new_region.is_none() && new_value.is_none() && new_taint.is_none() {
+                    return None;
+                }
+                Some((
+                    new_region.unwrap_or_else(|| region.clone()),
+                    (
+                        new_value.unwrap_or_else(|| value.clone()),
+                        new_taint.unwrap_or_else(|| taint.clone()),
+                    ),
+                ))
+            });
         state.path.remap_symbols_from(base.path, &sym);
         remap_log(&mut state.write_log, base.write_log, |region| {
             region.remapped(&sym)
@@ -180,23 +194,6 @@ impl IdRemap {
         }
         // `state.trace` holds rendered text only — nothing to translate.
     }
-}
-
-/// The rewritten `(key, value)` pair when either half changed, filling the
-/// unchanged half from the original.
-fn either_changed<K: Clone, V: Clone>(
-    key: &K,
-    new_key: Option<K>,
-    value: &V,
-    new_value: Option<V>,
-) -> Option<(K, V)> {
-    if new_key.is_none() && new_value.is_none() {
-        return None;
-    }
-    Some((
-        new_key.unwrap_or_else(|| key.clone()),
-        new_value.unwrap_or_else(|| value.clone()),
-    ))
 }
 
 /// Rewrites an append-only log from index `start` on, where `remap` returns
@@ -244,14 +241,10 @@ pub(crate) fn assert_no_local_ids(state: &ExecState) {
         ("env", state.env.iter().all(|(_, r)| region_ok(r))),
         (
             "store",
-            state.store.iter().all(|(r, v)| region_ok(r) && value_ok(v)),
-        ),
-        (
-            "taints",
             state
-                .taints
+                .store
                 .iter()
-                .all(|(r, ts)| region_ok(r) && taint_ok(ts)),
+                .all(|(r, v, ts)| region_ok(r) && value_ok(v) && taint_ok(ts)),
         ),
         (
             "path",
@@ -473,12 +466,12 @@ mod tests {
         state.env = env;
 
         let mut store = Store::new();
-        for (region, value) in std::mem::take(&mut state.store).iter() {
+        for (region, value, taint) in std::mem::take(&mut state.store).iter() {
             let mut region = region.clone();
             let mut value = value.clone();
             region.remap_symbols(&sym);
             value.remap_symbols(&sym);
-            store.bind(region, value);
+            store.bind(region, value, remap.taint(taint));
         }
         state.store = store;
 
@@ -491,15 +484,6 @@ mod tests {
 
         state.constraints.remap_symbols(&sym);
         state.domain.remap_symbols(sym);
-
-        state.taints = std::mem::take(&mut state.taints)
-            .iter()
-            .map(|(region, ts)| {
-                let mut region = region.clone();
-                region.remap_symbols(&sym);
-                (region, remap.taint(ts))
-            })
-            .collect();
 
         state.pi_taint = remap.taint(&state.pi_taint);
 
@@ -619,8 +603,9 @@ mod tests {
                 let region = ids.region(a);
                 let sym = ids.symbol();
                 let source = ids.source();
-                state.store.bind(region.clone(), SVal::Sym(sym));
-                state.taints.set(region, TaintSet::source(source));
+                state
+                    .store
+                    .bind(region, SVal::Sym(sym), TaintSet::source(source));
             }
             2 => forks.push(state.clone()),
             3 => {
@@ -658,9 +643,7 @@ mod tests {
                 state.secret_bases.insert(ids.region(a));
             }
             7 => {
-                let region = ids.region(a);
-                state.store.unbind(&region);
-                state.taints.remove(&region);
+                state.store.unbind(&ids.region(a));
             }
             _ => state
                 .env

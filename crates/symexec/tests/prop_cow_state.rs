@@ -7,7 +7,8 @@
 //! the shared representation is observationally identical to the model:
 //! no write on one sibling may ever leak into the other, and every query
 //! (store, taint, environment, secret bases, subregion windows) must agree
-//! with the deep baseline.
+//! with the deep baseline. The store keeps each region's value and taint
+//! in one map, so every operation below acts on both together.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,15 +58,15 @@ fn universe() -> Vec<Region> {
 
 #[derive(Clone, Debug)]
 enum Op {
-    /// `ExecState::write`: store + taint + write log.
+    /// `ExecState::write`: value + taint + write log.
     Write {
         region: usize,
         value: i64,
         source: u32,
     },
-    /// Remove a store binding.
+    /// Remove a store binding, value and taint.
     Unbind { region: usize },
-    /// Join extra taint into a region.
+    /// Join extra taint into a bound region's taint.
     Join { region: usize, source: u32 },
     /// Bind an lvalue expression to a region.
     BindEnv { expr: u32, region: usize },
@@ -77,8 +78,7 @@ enum Op {
 /// what a deep-cloned state would hold.
 #[derive(Clone, Debug, Default)]
 struct Model {
-    store: BTreeMap<Region, SVal>,
-    taints: BTreeMap<Region, TaintSet>,
+    store: BTreeMap<Region, (SVal, TaintSet)>,
     env: BTreeMap<ExprId, Region>,
     write_log: Vec<Region>,
     secrets: BTreeSet<Region>,
@@ -103,12 +103,7 @@ fn apply(op: &Op, state: &mut ExecState, model: &mut Model, regions: &[Region]) 
             let ts = taint_of(source);
             state.write(r.clone(), SVal::Int(value), ts.clone());
             model.write_log.push(r.clone());
-            if ts.is_empty() {
-                model.taints.remove(&r);
-            } else {
-                model.taints.insert(r.clone(), ts);
-            }
-            model.store.insert(r, SVal::Int(value));
+            model.store.insert(r, (SVal::Int(value), ts));
         }
         Op::Unbind { region } => {
             let r = &regions[region % regions.len()];
@@ -118,11 +113,11 @@ fn apply(op: &Op, state: &mut ExecState, model: &mut Model, regions: &[Region]) 
         Op::Join { region, source } => {
             let r = regions[region % regions.len()].clone();
             let ts = taint_of(source);
-            state.taints.join_into(r.clone(), &ts);
-            if !ts.is_empty() {
-                let mut joined = model.taints.get(&r).cloned().unwrap_or_default();
-                joined.join_assign(&ts);
-                model.taints.insert(r, joined);
+            if let Some((value, taint)) = state.store.get(&r).cloned() {
+                state.store.bind(r.clone(), value, taint.join(&ts));
+            }
+            if let Some((_, taint)) = model.store.get_mut(&r) {
+                taint.join_assign(&ts);
             }
         }
         Op::BindEnv { expr, region } => {
@@ -140,31 +135,40 @@ fn apply(op: &Op, state: &mut ExecState, model: &mut Model, regions: &[Region]) 
 
 /// Asserts a COW state is observationally identical to its deep model.
 fn check(state: &ExecState, model: &Model, regions: &[Region]) -> Result<(), TestCaseError> {
-    // Store: same entries, same iteration order.
+    // Store: same values and taints, same iteration order.
     let got: Vec<_> = state
         .store
         .iter()
-        .map(|(r, v)| (r.clone(), v.clone()))
+        .map(|(r, v, t)| (r.clone(), v.clone(), t.clone()))
         .collect();
     let want: Vec<_> = model
         .store
         .iter()
-        .map(|(r, v)| (r.clone(), v.clone()))
+        .map(|(r, (v, t))| (r.clone(), v.clone(), t.clone()))
         .collect();
     prop_assert_eq!(got, want, "store content/order diverged");
 
-    // Taints: canonical (no ⊥ entries), same order.
+    // Taints: canonical (no ⊥ entries), same order, same as single reads.
     let got: Vec<_> = state
-        .taints
-        .iter()
+        .store
+        .taints()
         .map(|(r, t)| (r.clone(), t.clone()))
         .collect();
     let want: Vec<_> = model
-        .taints
+        .store
         .iter()
-        .map(|(r, t)| (r.clone(), t.clone()))
+        .filter(|(_, (_, t))| t.is_tainted())
+        .map(|(r, (_, t))| (r.clone(), t.clone()))
         .collect();
     prop_assert_eq!(got, want, "taint map diverged");
+    for r in regions {
+        let want = model
+            .store
+            .get(r)
+            .map(|(_, t)| t.clone())
+            .unwrap_or_default();
+        prop_assert_eq!(state.taint_of(r), want, "taint read diverged for {}", r);
+    }
 
     // Environment lookups.
     for id in 0..8u32 {
@@ -199,7 +203,7 @@ fn check(state: &ExecState, model: &Model, regions: &[Region]) -> Result<(), Tes
         let got: Vec<Region> = state
             .store
             .regions_within(base)
-            .map(|(r, _)| r.clone())
+            .map(|(r, _, _)| r.clone())
             .collect();
         let want: Vec<Region> = model
             .store
@@ -272,12 +276,12 @@ proptest! {
         let mut reference: BTreeMap<Region, SVal> = BTreeMap::new();
         for (i, r) in regions.iter().enumerate() {
             if bind_mask & (1 << i) != 0 {
-                store.bind(r.clone(), SVal::Int(i as i64));
+                store.bind(r.clone(), SVal::Int(i as i64), TaintSet::bottom());
                 reference.insert(r.clone(), SVal::Int(i as i64));
             }
         }
         for base in &regions {
-            let got: Vec<Region> = store.regions_within(base).map(|(r, _)| r.clone()).collect();
+            let got: Vec<Region> = store.regions_within(base).map(|(r, _, _)| r.clone()).collect();
             let want: Vec<Region> = reference
                 .iter()
                 .filter(|(r, _)| r.is_within(base))

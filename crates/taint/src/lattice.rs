@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -148,18 +148,31 @@ impl fmt::Display for Label {
 /// ```
 ///
 /// The set is shared behind an `Arc`: cloning a taint (every read, write
-/// and unary operation does) is a reference-count bump, and a join that
-/// adds nothing returns an operand's existing allocation. Equality,
-/// ordering, hashing and the JSON form are those of the plain set.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+/// and unary operation does) is a reference-count bump, a join that adds
+/// nothing returns an operand's existing allocation, and every ⊥ shares
+/// one process-wide empty set. Equality, ordering, hashing and the JSON
+/// form are those of the plain set.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TaintSet {
     sources: Arc<BTreeSet<SourceId>>,
 }
 
+/// The one allocation behind every ⊥ built by [`TaintSet::bottom`].
+static BOTTOM: LazyLock<Arc<BTreeSet<SourceId>>> = LazyLock::new(Arc::default);
+
+impl Default for TaintSet {
+    fn default() -> Self {
+        TaintSet::bottom()
+    }
+}
+
 impl TaintSet {
-    /// The empty (⊥) taint set.
+    /// The empty (⊥) taint set; a reference-count bump on a shared empty
+    /// set, never an allocation.
     pub fn bottom() -> Self {
-        TaintSet::default()
+        TaintSet {
+            sources: Arc::clone(&BOTTOM),
+        }
     }
 
     /// A singleton taint set for one source.
@@ -414,6 +427,36 @@ mod tests {
             serde_json::to_string(&TaintSet::bottom()).unwrap(),
             r#"{"sources":[]}"#
         );
+    }
+
+    #[test]
+    fn bottom_is_one_shared_allocation() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let (a, b) = (TaintSet::bottom(), TaintSet::default());
+        assert!(Arc::ptr_eq(&a.sources, &b.sources));
+        // Sharing changes no observable: equality, hashing and JSON are
+        // those of a freshly built empty set.
+        let fresh = TaintSet {
+            sources: Arc::new(BTreeSet::new()),
+        };
+        assert_eq!(a, fresh);
+        let hash = |ts: &TaintSet| {
+            let mut hasher = DefaultHasher::new();
+            ts.hash(&mut hasher);
+            hasher.finish()
+        };
+        assert_eq!(hash(&a), hash(&fresh));
+        assert_eq!(serde_json::to_string(&a).unwrap(), r#"{"sources":[]}"#);
+        assert_eq!(
+            serde_json::from_str::<TaintSet>(r#"{"sources":[]}"#).unwrap(),
+            b
+        );
+        // Growing a shared ⊥ copies it; the shared set stays empty.
+        let mut grown = TaintSet::bottom();
+        grown.extend([SourceId::new(3)]);
+        assert_eq!(grown.len(), 1);
+        assert!(TaintSet::bottom().is_empty());
     }
 
     #[test]

@@ -14,10 +14,9 @@ use crate::lattice::TaintSet;
 /// everything starts untainted. Keys iterate in a deterministic (sorted)
 /// order so that analysis traces are reproducible.
 ///
-/// Entries live in a persistent ordered map: cloning the environment (as
-/// the symbolic engine does on every path fork) is O(1), and updates share
-/// all untouched tree nodes with the original — which is why the key type
-/// carries a `Clone` bound.
+/// Entries live in a persistent ordered map: cloning the environment is
+/// O(1), and updates share all untouched tree nodes with the original —
+/// which is why the key type carries a `Clone` bound.
 ///
 /// # Examples
 ///
@@ -102,24 +101,6 @@ impl<K: Ord + Clone> TaintMap<K> {
     /// Removes a binding.
     pub fn remove(&mut self, key: &K) -> Option<TaintSet> {
         self.entries.remove(key)
-    }
-
-    /// Rewrites through `f` the entries not shared with `base` (see
-    /// [`OrdMap::update_unshared`]); `f` returns `Some((key, taint))` to
-    /// replace an entry, possibly under a new key, and must not return ⊥.
-    pub fn update_unshared<F>(&mut self, base: &TaintMap<K>, f: F)
-    where
-        F: FnMut(&K, &TaintSet) -> Option<(K, TaintSet)>,
-    {
-        self.entries.update_unshared(&base.entries, f);
-    }
-
-    /// Diagnostic: (shared-with-`other`, total) map-node counts.
-    pub fn sharing(&self, other: &TaintMap<K>) -> (usize, usize) {
-        (
-            self.entries.shared_node_count(&other.entries),
-            self.entries.node_count(),
-        )
     }
 }
 

@@ -6,6 +6,8 @@
 //! representation at every worker count. The golden files under
 //! `tests/golden/` were generated from the pre-refactor tree; these tests
 //! assert the current tree still produces the same bytes at workers 1 and 4.
+//! The one intentional change since: the environment is bound only while
+//! traces are recorded, so the checkpoint golden's `env` objects are empty.
 //!
 //! Regenerate (only when an *intentional* output change lands) with:
 //! `PS_UPDATE_GOLDENS=1 cargo test --test cow_golden`
@@ -121,6 +123,29 @@ fn checkpoint_bytes_match_golden_at_workers_1_and_4() {
     let w4 = run(4);
     assert_eq!(w1, w4, "checkpoint differs across worker counts");
     assert_golden("branches_checkpoint.snap", &w1);
+}
+
+/// The golden snapshot keeps the `store`/`taints` layout of the separate
+/// σ and τ maps; it loads and resumes to the uninterrupted exploration.
+#[test]
+fn golden_checkpoint_resumes_to_the_uninterrupted_result() {
+    let (source, _) = branches_fixture();
+    let unit = minic::parse(&source).expect("fixture parses");
+    let bindings = [ParamBinding::SecretPointer, ParamBinding::OutPointer];
+    let engine = Engine::new(
+        &unit,
+        EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+    );
+    let snapshot = symexec::Snapshot::load(&golden_dir().join("branches_checkpoint.snap"))
+        .expect("golden snapshot loads");
+    let resumed = engine
+        .resume("entry", &bindings, snapshot)
+        .expect("golden snapshot resumes");
+    let uninterrupted = engine.run("entry", &bindings).expect("fixture explores");
+    assert_eq!(resumed, uninterrupted);
 }
 
 #[test]
