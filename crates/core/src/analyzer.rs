@@ -255,6 +255,7 @@ impl Analyzer {
             inline_depth: self.options.inline_depth,
             record_trace: self.options.record_trace,
             workers: self.options.workers,
+            merge_returns: self.merges_returns(),
             feasibility: self.options.feasibility,
             deadline: self.options.deadline_ms.map(Duration::from_millis),
             cancel: self.options.cancel.clone(),
@@ -387,7 +388,7 @@ impl Analyzer {
         let mut timing_obs: BTreeMap<SourceId, BTreeMap<usize, String>> = BTreeMap::new();
         if self.options.check_timing {
             for path in &exploration.paths {
-                if let Some(source) = path.state.pi_taint.sole_source() {
+                for source in path.state.pi_taint.solo_sources() {
                     timing_obs
                         .entry(source)
                         .or_default()
@@ -498,6 +499,7 @@ impl Analyzer {
             inline_depth: self.options.inline_depth,
             record_trace: true,
             workers: self.options.workers,
+            merge_returns: self.merges_returns(),
             feasibility: self.options.feasibility,
             deadline: self.options.deadline_ms.map(Duration::from_millis),
             cancel: self.options.cancel.clone(),
@@ -506,6 +508,13 @@ impl Analyzer {
         let engine = Engine::new(&self.unit, engine_config).with_source(self.source.clone());
         let exploration = engine.run(function, &bindings)?;
         Ok(symexec::trace::render_table(&exploration.traces()))
+    }
+
+    /// Whether the engine may merge paths at side-effect-free call
+    /// returns: only nonreversibility, which flags single-source
+    /// observations, keeps every finding over a merged path.
+    fn merges_returns(&self) -> bool {
+        self.options.property == Property::Nonreversibility
     }
 
     /// Derives parameter bindings from the EDL attributes and the XML
@@ -566,9 +575,10 @@ impl Analyzer {
         // Algorithm 1: explicit check first; only when it passes, consult
         // the path constraint. Which taints count as violations depends on
         // the enforced property: nonreversibility flags only single-source
-        // values, noninterference flags any tainted value.
+        // values (for a value merged from several paths, every source some
+        // arm reveals on its own), noninterference flags any tainted value.
         let explicit_sources: Vec<SourceId> = match self.options.property {
-            Property::Nonreversibility => taint.sole_source().into_iter().collect(),
+            Property::Nonreversibility => taint.solo_sources().collect(),
             Property::Noninterference => taint.sources().collect(),
         };
         if !explicit_sources.is_empty() {
@@ -596,7 +606,7 @@ impl Analyzer {
             return;
         }
         let pi_sources: Vec<SourceId> = match self.options.property {
-            Property::Nonreversibility => pi_taint.sole_source().into_iter().collect(),
+            Property::Nonreversibility => pi_taint.solo_sources().collect(),
             Property::Noninterference => pi_taint.sources().collect(),
         };
         for source in pi_sources {

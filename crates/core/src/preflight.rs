@@ -220,6 +220,11 @@ fn collect_symbols(value: &SVal, out: &mut BTreeMap<u32, String>) {
                 collect_symbols(arg, out);
             }
         }
+        SVal::Ite { cond, then, els } => {
+            collect_symbols(cond, out);
+            collect_symbols(then, out);
+            collect_symbols(els, out);
+        }
         SVal::Int(_) | SVal::Float(_) | SVal::Loc(_) | SVal::Unknown => {}
     }
 }

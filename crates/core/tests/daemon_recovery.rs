@@ -107,6 +107,7 @@ fn corpus_job(name: &str, max_paths: u64) -> Job {
     let module = mlcorpus::modules()
         .into_iter()
         .chain(std::iter::once(mlcorpus::recommender_vulnerable()))
+        .chain(std::iter::once(mlcorpus::kmeans::entry_branching()))
         .find(|m| m.name == name)
         .unwrap_or_else(|| panic!("corpus has no module named `{name}`"));
     Job {
@@ -199,9 +200,13 @@ fn fetch_report(client: &mut Client, id: u64) -> String {
 /// and every journaled job completes byte-identical to a direct run.
 #[test]
 fn kill9_restart_recovers_all_jobs_byte_identical() {
-    // Kmeans at these budgets outlives the kill window by a wide margin
-    // in debug builds, so neither job can slip to Done before the -9.
-    let jobs = [corpus_job("Kmeans", 16), corpus_job("Kmeans", 12)];
+    // Kmeans with its secret branch in the entry function outlives the
+    // kill window by a wide margin at these budgets in debug builds, so
+    // neither job can slip to Done before the -9.
+    let jobs = [
+        corpus_job("KmeansEntryBranching", 16),
+        corpus_job("KmeansEntryBranching", 12),
+    ];
     let expected: Vec<String> = jobs.iter().map(direct_report).collect();
 
     for pool in [1usize, 4] {
@@ -250,7 +255,7 @@ fn kill9_restart_recovers_all_jobs_byte_identical() {
 #[test]
 fn sigterm_drains_parks_and_exits_zero() {
     let dir = spool("sigterm");
-    let job = corpus_job("Kmeans", 16);
+    let job = corpus_job("KmeansEntryBranching", 16);
     let mut daemon = Daemon::start(1, &dir, &["--slice-ms", "200"]);
     let mut client = Client::connect(&daemon.addr);
     client.send(&submit_frame(&job));

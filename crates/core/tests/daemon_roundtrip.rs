@@ -53,6 +53,7 @@ fn corpus_files(name: &str) -> (PathBuf, PathBuf, String) {
     let module = mlcorpus::modules()
         .into_iter()
         .chain(std::iter::once(mlcorpus::recommender_vulnerable()))
+        .chain(std::iter::once(mlcorpus::kmeans::entry_branching()))
         .find(|m| m.name == name)
         .unwrap_or_else(|| panic!("corpus has no module named `{name}`"));
     let dir = std::env::temp_dir().join(format!("ps-daemon-inputs-{}", std::process::id()));
@@ -119,11 +120,12 @@ fn normalize(stdout: &[u8]) -> String {
 
 #[test]
 fn daemon_output_matches_local_cli_at_pool_1_and_4() {
-    let (source, edl, entry) = corpus_files("Kmeans");
+    let (source, edl, entry) = corpus_files("KmeansEntryBranching");
     let local_json = analyze(&source, &edl, &entry, &["--json"]);
     let local_rendered = analyze(&source, &edl, &entry, &[]);
-    // Kmeans is clean but loses paths at this budget: secure verdict,
-    // degraded-completeness exit. Either secure code is acceptable here —
+    // Kmeans with its secret branch in the entry function is clean but
+    // loses paths at this budget: secure verdict, degraded-completeness
+    // exit. Either secure code is acceptable here —
     // the assertions that matter are daemon == local below.
     assert!(
         matches!(local_json.status.code(), Some(0) | Some(3)),

@@ -165,9 +165,10 @@ fn stats_frames_are_well_formed_mid_load_and_after_kill_and_recover() {
     let spool = spool("recover");
     let mut daemon = Daemon::start(1, &spool, &["--slice-ms", "100", "--on-disconnect", "park"]);
 
-    // Load the single worker: a slow kmeans job plus queued fillers.
+    // Load the single worker: a slow kmeans job (its secret branch in the
+    // entry function, so it forks at every assignment) plus queued fillers.
     let mut submitter = Client::connect(&daemon.addr);
-    let kmeans = mlcorpus::kmeans::module();
+    let kmeans = mlcorpus::kmeans::entry_branching();
     let filler = mlcorpus::recommender_vulnerable();
     submitter.send(&submit_frame(&kmeans, 16));
     submitter.send(&submit_frame(&filler, 12));

@@ -33,6 +33,7 @@ fn spool(tag: &str) -> PathBuf {
 fn corpus_spec(name: &str, max_paths: usize) -> JobSpec {
     let module = mlcorpus::modules()
         .into_iter()
+        .chain(std::iter::once(mlcorpus::kmeans::entry_branching()))
         .find(|m| m.name == name)
         .unwrap_or_else(|| panic!("corpus has no module named `{name}`"));
     JobSpec {
@@ -138,9 +139,9 @@ fn saturated_queue_does_not_starve_any_job() {
     // slice: every job must reach a terminal state with its own correct
     // report, and the preempted ones must match their unpreempted runs.
     let specs = [
-        corpus_spec("Kmeans", 16),
+        corpus_spec("KmeansEntryBranching", 16),
         corpus_spec("Recommender", 12),
-        corpus_spec("Kmeans", 12),
+        corpus_spec("KmeansEntryBranching", 12),
     ];
     let expected: Vec<String> = specs.iter().map(direct_report).collect();
     let service = AnalysisService::start(ServiceConfig {

@@ -6,7 +6,9 @@
 //! corpus <module> <source-out.c> <edl-out.edl>
 //! ```
 //!
-//! `<module>` is one of `linear-regression`, `kmeans`, `recommender`,
+//! `<module>` is one of `linear-regression`, `kmeans`,
+//! `kmeans-entry-branching` (the budget-cut variant, see
+//! `mlcorpus::kmeans::entry_branching`), `recommender`,
 //! `recommender-vulnerable`. The module's entry ECALL name is printed on
 //! stdout. Exit code 0 on success, 2 on usage or I/O errors.
 
@@ -29,14 +31,15 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<&'static str, String> {
     let [name, source_out, edl_out] = args else {
         return Err(
-            "usage: corpus <linear-regression|kmeans|recommender|recommender-vulnerable> \
-             <source-out.c> <edl-out.edl>"
+            "usage: corpus <linear-regression|kmeans|kmeans-entry-branching|recommender|\
+             recommender-vulnerable> <source-out.c> <edl-out.edl>"
                 .into(),
         );
     };
     let module = match name.as_str() {
         "linear-regression" => mlcorpus::linear_regression::module(),
         "kmeans" => mlcorpus::kmeans::module(),
+        "kmeans-entry-branching" => mlcorpus::kmeans::entry_branching(),
         "recommender" => mlcorpus::recommender::module(),
         "recommender-vulnerable" => mlcorpus::recommender_vulnerable(),
         other => return Err(format!("unknown corpus module `{other}`")),

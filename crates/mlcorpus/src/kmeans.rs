@@ -8,6 +8,8 @@
 //! used by [`crate::inject`] for case study 2 (the clean build treats them
 //! as comments).
 
+use std::sync::LazyLock;
+
 use crate::Module;
 
 /// The enclave source (179 LoC, matching the paper's Table V).
@@ -240,5 +242,64 @@ pub fn module() -> Module {
         edl: EDL,
         entry: "enclave_kmeans",
         expected_violations: 0,
+    }
+}
+
+/// The call [`entry_branching`] writes out inside `enclave_kmeans`.
+const ITERATIONS_CALL: &str =
+    "    run_iterations(points, centroids, assignments, sums, counts, shift_cell);\n";
+
+/// `run_iterations` with `assign_points` and `nearest_centroid` inlined by
+/// hand, so the secret branch `d1 < d0` sits in the entry function.
+const ITERATIONS_INLINE: &str = r#"    double previous[2];
+    int iter = 0;
+    shift_cell[0] = 0.0;
+    for (iter = 0; iter < 3; iter++) {
+        copy_centroids(centroids, previous);
+        int i = 0;
+        for (i = 0; i < 10; i++) {
+            double value = point_at(points, i);
+            double d0 = squared_distance(value, centroids[0]);
+            double d1 = squared_distance(value, centroids[1]);
+            if (d1 < d0) {
+                assignments[i] = 1;
+            } else {
+                assignments[i] = 0;
+            }
+        }
+        zero_accumulators(sums, counts);
+        accumulate_clusters(points, assignments, sums, counts);
+        update_centroids(centroids, sums, counts);
+        shift_cell[0] = centroid_shift(previous, centroids);
+    }
+"#;
+
+static ENTRY_BRANCHING: LazyLock<String> =
+    LazyLock::new(|| SOURCE.replacen(ITERATIONS_CALL, ITERATIONS_INLINE, 1));
+
+/// The same clean algorithm with the iteration loop, the assignment loop
+/// and the `d1 < d0` branch written inside `enclave_kmeans`. A branch of
+/// the entry function is never merged at a call return, so this variant
+/// still forks at every assignment: its 2³⁰ paths outrun every budget,
+/// which makes it the slow, budget-cut fixture for tests of the service's
+/// suspension, recovery and degraded exits.
+pub fn entry_branching() -> Module {
+    Module {
+        name: "KmeansEntryBranching",
+        source: ENTRY_BRANCHING.as_str(),
+        edl: EDL,
+        entry: "enclave_kmeans",
+        expected_violations: 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn entry_branching_inlines_the_iterations() {
+        let module = super::entry_branching();
+        module.validate().expect("variant parses");
+        assert!(!module.source.contains(super::ITERATIONS_CALL));
+        assert!(module.source.contains("if (d1 < d0)"));
     }
 }

@@ -74,6 +74,23 @@ pub enum LeakSite {
     ImplicitOcall,
     /// Secret-guarded early return — implicit leak through the return.
     ImplicitReturn,
+    /// `out[j] = buf[k]`, with two single-source slots in `buf` and `k`
+    /// from a helper branching on two secrets, whose paths merge at its
+    /// return — explicit leaks of both slots' secrets.
+    MergedIndexRead,
+    /// `buf[k] = secret[i]; out[j] = buf[1] + secret[h]`, `k` as above —
+    /// an explicit leak of `secret[h]` on the arm that leaves `buf[1]`
+    /// public.
+    MergedIndexWrite,
+    /// A helper branching on one secret returns one of two codes into
+    /// `ocall_sink` — an implicit leak; the helper's paths must not merge.
+    /// No benign code calls `ocall_sink`, so a merged observation would
+    /// leave `hm` one value and miss the leak.
+    CalleeSecretBranch,
+    /// A helper branching on a public scalar, its result sent by
+    /// `ocall_sink` under a secret guard — an implicit leak; the helper's
+    /// paths must not merge.
+    CalleePublicBranch,
 }
 
 impl LeakSite {
@@ -93,7 +110,11 @@ impl LeakSite {
             LeakSite::ExplicitOut | LeakSite::ExplicitOcall | LeakSite::ExplicitReturn => {
                 LeakKind::Explicit
             }
-            LeakSite::ImplicitOcall | LeakSite::ImplicitReturn => LeakKind::Implicit,
+            LeakSite::MergedIndexRead | LeakSite::MergedIndexWrite => LeakKind::Explicit,
+            LeakSite::ImplicitOcall
+            | LeakSite::ImplicitReturn
+            | LeakSite::CalleeSecretBranch
+            | LeakSite::CalleePublicBranch => LeakKind::Implicit,
         }
     }
 
@@ -109,9 +130,52 @@ impl LeakSite {
             LeakSite::ExplicitReturn => "synth-explicit-return",
             LeakSite::ImplicitOcall => "synth-implicit-ocall",
             LeakSite::ImplicitReturn => "synth-implicit-return",
+            LeakSite::MergedIndexRead => "synth-merged-index-read",
+            LeakSite::MergedIndexWrite => "synth-merged-index-write",
+            LeakSite::CalleeSecretBranch => "synth-callee-secret-branch",
+            LeakSite::CalleePublicBranch => "synth-callee-public-branch",
         }
     }
+
+    /// Whether the leak calls one of the callee-branch helpers.
+    fn uses_callee_helpers(self) -> bool {
+        matches!(
+            self,
+            LeakSite::MergedIndexRead
+                | LeakSite::MergedIndexWrite
+                | LeakSite::CalleeSecretBranch
+                | LeakSite::CalleePublicBranch
+        )
+    }
 }
+
+/// The helpers the callee-branch leak sites call: `cb_pick` branches on a
+/// sum of two secrets (π is ⊤ at its return, so its paths merge),
+/// `cb_above` on one secret and `cb_public` on a public scalar (neither
+/// merges). The squares keep those two conditions out of the feasibility
+/// constraints, so only the π rule keeps their arms apart.
+const CALLEE_HELPERS: &str = "int cb_pick(int a, int b, int t) {
+    if (a + b > t) {
+        return 1;
+    }
+    return 0;
+}
+
+int cb_above(int v, int t, int hi, int lo) {
+    if (v * v > t) {
+        return hi;
+    }
+    return lo;
+}
+
+int cb_public(int p, int t, int hi, int lo) {
+    if (p * p > t) {
+        return hi;
+    }
+    return lo;
+}
+
+";
 
 /// A requested leak plan that cannot be injected coherently.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,6 +189,8 @@ pub enum SynthError {
     /// π carries that secret on every subsequent path, so a second
     /// implicit expectation could be masked by multi-source π taint.
     MultipleImplicit,
+    /// Both merged-index leaks: they declare the same locals.
+    MultipleMergedIndex,
 }
 
 impl fmt::Display for SynthError {
@@ -141,6 +207,12 @@ impl fmt::Display for SynthError {
             }
             SynthError::MultipleImplicit => {
                 write!(f, "at most one implicit leak can be injected per module")
+            }
+            SynthError::MultipleMergedIndex => {
+                write!(
+                    f,
+                    "at most one merged-index leak can be injected per module"
+                )
             }
         }
     }
@@ -267,6 +339,34 @@ pub fn generate_branch_heavy(seed: u64, clusters: usize) -> SynthModule {
     }
 }
 
+/// Generates a module whose leaks sit behind branching helpers (see the
+/// callee-branch [`LeakSite`]s): `seed % 2` picks the implicit leak, a
+/// helper branching on one secret ([`LeakSite::CalleeSecretBranch`]) or
+/// on a public scalar ([`LeakSite::CalleePublicBranch`]), neither of which
+/// may merge; `seed / 2 % 2` picks the explicit one behind a helper whose
+/// paths merge, read through ([`LeakSite::MergedIndexRead`]) or written
+/// through ([`LeakSite::MergedIndexWrite`]) the merged index. The rest of
+/// the module is what [`generate_with_leaks`] builds for `seed`, without
+/// a contradiction cluster.
+#[must_use]
+pub fn generate_callee_branch(seed: u64) -> SynthModule {
+    let implicit = if seed.is_multiple_of(2) {
+        LeakSite::CalleeSecretBranch
+    } else {
+        LeakSite::CalleePublicBranch
+    };
+    let explicit = if (seed / 2).is_multiple_of(2) {
+        LeakSite::MergedIndexRead
+    } else {
+        LeakSite::MergedIndexWrite
+    };
+    match generate_module(seed, &[explicit, implicit], Some(0), None) {
+        Ok(module) => module,
+        // One explicit and one implicit leak satisfy every constraint.
+        Err(_) => unreachable!("a callee-branch plan is always coherent"),
+    }
+}
+
 /// `guards`, when given, is a pair of conditions every injected
 /// prologue/epilogue leak is nested under.
 fn generate_module(
@@ -290,6 +390,9 @@ fn generate_module(
         > 1
     {
         return Err(SynthError::MultipleImplicit);
+    }
+    if leaks.contains(&LeakSite::MergedIndexRead) && leaks.contains(&LeakSite::MergedIndexWrite) {
+        return Err(SynthError::MultipleMergedIndex);
     }
 
     let mut rng = SplitMix64(seed);
@@ -324,8 +427,17 @@ fn generate_module(
     let mut prologue = String::new();
     let mut epilogue = String::new();
     let mut leak_return = String::new();
-    for (n, site) in leaks.iter().enumerate() {
-        let idx = secret_indices[n];
+    // Each leak takes the next unused secret byte; a merged-index leak
+    // takes three more (the helper's two operands and a second slot). A
+    // coherent plan needs at most all eight.
+    let mut unused = secret_indices.into_iter();
+    let mut next_secret = move || {
+        unused
+            .next()
+            .expect("a coherent leak plan uses at most SECRET_LEN secret bytes")
+    };
+    for site in leaks {
+        let idx = next_secret();
         let secret = format!("secret[{idx}]");
         let (channel, payload) = match site {
             LeakSite::ExplicitOut => {
@@ -362,6 +474,58 @@ fn generate_module(
                 let payload = format!("    if (secret[{idx}] > {t}) {{ return {r}; }}\n");
                 prologue.push_str(&guarded(&payload));
                 ("return value".to_string(), payload)
+            }
+            LeakSite::MergedIndexRead | LeakSite::MergedIndexWrite => {
+                let (a, b, other) = (next_secret(), next_secret(), next_secret());
+                let slot = 4 + rng.below((OUT_LEN - 4) as u64) as usize;
+                let t = rng.below(100) as i64 - 50;
+                let pick = format!(
+                    "    int cb_buf[2];\n    cb_buf[0] = 0;\n    cb_buf[1] = 0;\n    int cb_k = cb_pick(secret[{a}], secret[{b}], {t});\n"
+                );
+                let payload = if *site == LeakSite::MergedIndexRead {
+                    format!(
+                        "{pick}    cb_buf[0] = secret[{other}];\n    cb_buf[1] = secret[{idx}];\n    out[{slot}] = cb_buf[cb_k];\n"
+                    )
+                } else {
+                    format!(
+                        "{pick}    cb_buf[cb_k] = secret[{other}];\n    out[{slot}] = cb_buf[1] + secret[{idx}];\n"
+                    )
+                };
+                if *site == LeakSite::MergedIndexRead {
+                    // Both slots' secrets are revealed, one per arm.
+                    expectations.push(Expectation {
+                        id: format!("{}-slot0", site.id()),
+                        kind: site.kind(),
+                        secret: format!("secret[{other}]"),
+                        channel: format!("out[{slot}]"),
+                        payload: payload.trim().to_string(),
+                    });
+                }
+                epilogue.push_str(&guarded(&payload));
+                (format!("out[{slot}]"), payload)
+            }
+            LeakSite::CalleeSecretBranch => {
+                let t = 40 + rng.below(60) as i64;
+                let lo = rng.small();
+                let hi = lo + rng.small();
+                let payload =
+                    format!("    ocall_sink(cb_above(secret[{idx}], {t}, {hi}, {lo}));\n");
+                prologue.push_str(&guarded(&payload));
+                ("argument 0 of `ocall_sink`".to_string(), payload)
+            }
+            LeakSite::CalleePublicBranch => {
+                let which = if rng.below(2) == 0 { "pub0" } else { "pub1" };
+                let t = rng.below(100) as i64;
+                let lo = rng.small();
+                let hi = lo + rng.small();
+                let guard = 40 + rng.below(60) as i64;
+                // The secret is read before the helper forks, so every
+                // path observes the same source.
+                let payload = format!(
+                    "    int cb_s = secret[{idx}];\n    int cb_r = cb_public({which}, {t}, {hi}, {lo});\n    if (cb_s > {guard}) {{ ocall_sink(cb_r); }}\n"
+                );
+                prologue.push_str(&guarded(&payload));
+                ("argument 0 of `ocall_sink`".to_string(), payload)
             }
         };
         expectations.push(Expectation {
@@ -402,6 +566,10 @@ fn generate_module(
             src.push_str(&format!("    acc = acc + {c2};\n"));
         }
         src.push_str("    return acc;\n}\n\n");
+    }
+
+    if leaks.iter().any(|site| site.uses_callee_helpers()) {
+        src.push_str(CALLEE_HELPERS);
     }
 
     // Aliased write into the out buffer through a pointer parameter.
@@ -684,6 +852,24 @@ mod tests {
     }
 
     #[test]
+    fn callee_branch_modules_validate_and_cover_every_shape() {
+        let mut sites = std::collections::BTreeSet::new();
+        for seed in 0..8u64 {
+            let module = generate_callee_branch(seed);
+            assert_eq!(module, generate_callee_branch(seed), "seed {seed}");
+            module
+                .validate()
+                .unwrap_or_else(|e| panic!("seed {seed} generated invalid module: {e}"));
+            assert!(module.source.contains("int cb_pick("));
+            for e in &module.expectations {
+                assert!(module.source.contains(&e.payload), "seed {seed}: {}", e.id);
+                sites.insert(e.id.clone());
+            }
+        }
+        assert_eq!(sites.len(), 5, "{sites:?}");
+    }
+
+    #[test]
     fn incoherent_plans_are_rejected() {
         use LeakSite::*;
         assert_eq!(
@@ -695,6 +881,20 @@ mod tests {
             Err(SynthError::ReturnChannelConflict)
         );
         assert!(generate_with_leaks(1, &[ImplicitOcall, ImplicitReturn]).is_err());
+        assert_eq!(
+            generate_with_leaks(1, &[MergedIndexRead, MergedIndexWrite]),
+            Err(SynthError::MultipleMergedIndex)
+        );
+        // The largest coherent plan uses every secret byte.
+        let full = [
+            ExplicitOut,
+            ExplicitOcall,
+            ExplicitReturn,
+            MergedIndexRead,
+            ImplicitOcall,
+        ];
+        let module = generate_with_leaks(1, &full).expect("coherent plan");
+        module.validate().expect("valid module");
     }
 
     #[test]

@@ -448,12 +448,14 @@ pub(crate) fn fingerprint(
         config.record_trace,
         config.max_value_size,
     );
-    // The feasibility pipeline decides which branch sides survive, so its
-    // tag and mode always join the fingerprint: a snapshot never resumes
-    // under another mode, or under a pipeline with other refutation rules.
+    // The feasibility pipeline decides which branch sides survive, and
+    // call-return merging which states the frontier holds, so their tags
+    // and settings always join the fingerprint: a snapshot never resumes
+    // under another mode, or under a pipeline with other rules.
     let text = format!(
-        "{text}|feasibility=wrap-faithful-slice/{}",
-        config.feasibility.as_str()
+        "{text}|feasibility=wrap-faithful-slice/{}|merge=call-return/{}",
+        config.feasibility.as_str(),
+        config.merge_returns
     );
     fnv1a(text.as_bytes())
 }
@@ -656,6 +658,11 @@ mod tests {
         let mut syntactic = base.clone();
         syntactic.feasibility = crate::constraints::FeasibilityMode::Syntactic;
         assert_ne!(fp(&syntactic), reference);
+
+        // So does call-return merging.
+        let mut unmerged = base.clone();
+        unmerged.merge_returns = false;
+        assert_ne!(fp(&unmerged), reference);
     }
 
     #[test]

@@ -126,19 +126,18 @@ pub fn ceval(sval: &SVal, assignment: &CAssignment) -> Option<CVal> {
                 (UnOp::BitNot, CVal::Float(_)) => return None,
             })
         }
+        SVal::Ite { cond, then, els } => {
+            // Only the taken arm is evaluated, as the simulator runs only
+            // the taken side, so the untaken arm may be unevaluable
+            // without disagreement.
+            let chosen = if ceval(cond, assignment)?.truthy() {
+                then
+            } else {
+                els
+            };
+            ceval(chosen, assignment)
+        }
         SVal::Call { func, args } => {
-            if &**func == "ite" {
-                // The engine's non-forking ternary: `ite(cond, then, else)`.
-                // The simulator evaluates only the taken arm, so the untaken
-                // arm is allowed to be unevaluable without disagreement.
-                let cond = ceval(args.first()?, assignment)?;
-                let chosen = if cond.truthy() {
-                    args.get(1)?
-                } else {
-                    args.get(2)?
-                };
-                return ceval(chosen, assignment);
-            }
             let vals: Vec<CVal> = args
                 .iter()
                 .map(|a| ceval(a, assignment))
@@ -257,10 +256,7 @@ mod tests {
         // `out = p > 2 ? a : b` with a symbolic condition becomes
         // `ite(p > 2, a, b)`; the concrete evaluator must pick the arm the
         // simulator would execute.
-        let ite = |cond, t, e| SVal::Call {
-            func: "ite".into(),
-            args: vec![cond, t, e],
-        };
+        let ite = SVal::ite;
         let cond = SVal::binary(BinOp::Gt, x(), SVal::Int(2));
         let e = ite(cond.clone(), SVal::float(1.5), SVal::Int(9));
         assert_eq!(

@@ -36,7 +36,7 @@ use crate::error::EngineError;
 use crate::intern::HC;
 use crate::outcomes::Outcomes;
 use crate::profile::{Counter, Profile, SiteCounters};
-use crate::simplify::{fold_binary, fold_unary, simplify};
+use crate::simplify::{fold_binary, fold_ite, fold_unary, simplify};
 use crate::state::{Channel, DeclassifyEvent, ExecState, Frame};
 use crate::trace::TraceStep;
 use crate::value::{Region, SVal, Symbol};
@@ -102,6 +102,13 @@ pub struct EngineConfig {
     /// only *speculative* probes go through it, and feasibility is a pure
     /// function of the probed constraints.
     pub feasibility_cache: usize,
+    /// Merge the results of a side-effect-free inlined call into one state
+    /// whose return value is an `ite` over the arms (see DESIGN.md
+    /// "Call-return merging"). Merging keeps every finding of a
+    /// nonreversibility check, which flags single-source observations
+    /// only; the analyzer derives this from its property and turns it off
+    /// under noninterference. Part of the checkpoint fingerprint.
+    pub merge_returns: bool,
     /// Which feasibility tiers run at each fork probe. The default runs
     /// the whole pipeline; [`FeasibilityMode::Syntactic`] is the tier-0
     /// reference tests compare it against. Every tier is sound for
@@ -170,6 +177,7 @@ impl Default for EngineConfig {
             max_value_size: 64,
             workers: 0,
             feasibility_cache: 1 << 16,
+            merge_returns: true,
             feasibility: FeasibilityMode::default(),
             deadline: None,
             cancel: CancelToken::new(),
@@ -1341,12 +1349,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 frame: 0,
                 name: name.clone(),
             };
-            state
-                .frame_mut()
-                .scopes
-                .last_mut()
-                .expect("frame has a scope")
-                .insert(name, region.clone());
+            state.frame_mut().declare(name, region.clone());
 
             let scalar_ok = param.ty.is_arithmetic();
             let pointer_ok = param.ty.is_pointer();
@@ -1419,9 +1422,20 @@ impl<'u, 'c> Explorer<'u, 'c> {
     /// Reads a region, lazily materializing a fresh symbol for
     /// never-written memory. Reads under a secret base mint a fresh taint
     /// source per distinct region — the `get_secret` rule, per element.
+    ///
+    /// A read through an `ite` element index reads each arm:
+    /// `a[ite(c, i, j)]` is `ite(c, a[i], a[j])`, tainted by both arms.
     fn read(&mut self, state: &mut ExecState, region: &Region) -> (SVal, TaintSet) {
         if let Some(binding) = state.store.get(region) {
             return binding.clone();
+        }
+        if let Some((cond, then, els)) = split_ite_region(region) {
+            let (then_value, then_taint) = self.read(state, &then);
+            let (else_value, else_taint) = self.read(state, &els);
+            return (
+                fold_ite(cond, then_value, else_value),
+                TaintSet::merge([&then_taint, &else_taint]),
+            );
         }
         let hint = region_hint(region);
         let sym = self.fresh_symbol(hint.clone());
@@ -1437,6 +1451,24 @@ impl<'u, 'c> Explorer<'u, 'c> {
             .store
             .bind(region.clone(), value.clone(), taint.clone());
         (value, taint)
+    }
+
+    /// Writes `value` to `region`. A write through an `ite` element index
+    /// expands over the arms, each keeping its old value where the other
+    /// arm is taken: `a[ite(c, i, j)] = v` writes `a[i] = ite(c, v, a[i])`
+    /// and `a[j] = ite(c, a[j], v)`.
+    fn write(&mut self, state: &mut ExecState, region: Region, value: SVal, taint: TaintSet) {
+        let Some((cond, then, els)) = split_ite_region(&region) else {
+            state.write(region, value, taint);
+            return;
+        };
+        let (old, old_taint) = self.read(state, &then);
+        let merged = fold_ite(cond.clone(), value.clone(), old);
+        let merged = self.summarize(merged, || region_hint(&then));
+        self.write(state, then, merged, TaintSet::merge([&taint, &old_taint]));
+        let (old, old_taint) = self.read(state, &els);
+        let merged = self.summarize(fold_ite(cond, old, value), || region_hint(&els));
+        self.write(state, els, merged, TaintSet::merge([&old_taint, &taint]));
     }
 
     /// Resolves an identifier to its region (locals, then globals).
@@ -1467,12 +1499,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
             frame: frame_id,
             name: unique,
         };
-        state
-            .frame_mut()
-            .scopes
-            .last_mut()
-            .expect("frame has a scope")
-            .insert(name, region.clone());
+        state.frame_mut().declare(name, region.clone());
         region
     }
 
@@ -1593,13 +1620,10 @@ impl<'u, 'c> Explorer<'u, 'c> {
                         }
                     } else {
                         // Evaluate both arms without forking; the result is
-                        // an uninterpreted selection tainted by everything.
+                        // an `ite` selection tainted by everything.
                         for (st2, tv, tt) in self.eval(st, then_e) {
                             for (st3, ev, et) in self.eval(st2, else_e) {
-                                let value = SVal::Call {
-                                    func: "ite".into(),
-                                    args: vec![cv.clone(), tv.clone(), ev],
-                                };
+                                let value = simplify(&SVal::ite(cv.clone(), tv.clone(), ev));
                                 let taint = taint::binop(&ct, &taint::binop(&tt, &et));
                                 out.push((st3, value, taint));
                             }
@@ -1624,7 +1648,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                             } else {
                                 simplify(&SVal::binary(BinOp::Add, old.clone(), SVal::Int(delta)))
                             };
-                            st.write(region, new.clone(), taint.clone());
+                            self.write(&mut st, region, new.clone(), taint.clone());
                             let value = if is_post { old } else { new };
                             (st, value, taint)
                         }
@@ -1712,7 +1736,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                     }
                 };
                 let value = self.summarize(value, || region_hint(&region));
-                st2.write(region, value.clone(), taint.clone());
+                self.write(&mut st2, region, value.clone(), taint.clone());
                 out.push((st2, value, taint));
             }
         }
@@ -1886,7 +1910,8 @@ impl<'u, 'c> Explorer<'u, 'c> {
         let unit = self.unit;
         if let Some(func) = unit.function(callee).filter(|f| f.body.is_some()) {
             if state.frames.len() <= self.config.inline_depth {
-                return self.inline_call(state, func, values);
+                let results = self.inline_call(state, func, values);
+                return self.merge_returns(results, func, expr.span.start);
             }
         }
         Outcomes::one(self.model_builtin(state, expr, callee, values))
@@ -1915,12 +1940,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 frame: frame_id,
                 name: name.clone(),
             };
-            state
-                .frame_mut()
-                .scopes
-                .last_mut()
-                .expect("frame has a scope")
-                .insert(name, region.clone());
+            state.frame_mut().declare(name, region.clone());
             let value = self.summarize(value.clone(), || param.name.clone());
             state.write(region, value, taint.clone());
         }
@@ -1931,6 +1951,54 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 _ => (st, SVal::Int(0), TaintSet::bottom()),
             }
         })
+    }
+
+    /// Merges the results of an inlined call into one state whose value is
+    /// an `ite` over the arms' π suffixes, or hands them back unchanged
+    /// when they may not merge (see [`mergeable`]). The merged state keeps
+    /// the arms' common π prefix, the first arm's trace and environment,
+    /// and the most steps any arm took; its value's taint remembers each
+    /// arm ([`TaintSet::merge`]).
+    fn merge_returns(&mut self, results: EvalResults, func: &Function, at: usize) -> EvalResults {
+        if !self.config.merge_returns
+            || results.len() < 2
+            || func.ret.decay().is_pointer()
+            || !mergeable(&results)
+        {
+            return results;
+        }
+        let mut arms: Vec<(ExecState, SVal, TaintSet)> = results.into_iter().collect();
+        let first = &arms[0].0;
+        let prefix = arms[1..].iter().fold(first.path.len(), |len, (st, _, _)| {
+            first.path.assumptions()[..len]
+                .iter()
+                .zip(st.path.assumptions())
+                .take_while(|(a, b)| a == b)
+                .count()
+        });
+        let steps = arms.iter().map(|(st, _, _)| st.steps).max().unwrap_or(0);
+        let taint = TaintSet::merge(arms.iter().map(|(_, _, t)| t));
+        let (mut state, mut value, _) = arms.pop().expect("at least two arms");
+        for (st, arm_value, _) in arms.into_iter().rev() {
+            let cond = st.path.assumptions()[prefix..]
+                .iter()
+                .map(|a| {
+                    if a.taken {
+                        a.cond.clone()
+                    } else {
+                        fold_unary(UnOp::Not, a.cond.clone())
+                    }
+                })
+                .reduce(|all, next| fold_binary(BinOp::LogAnd, all, next))
+                .unwrap_or(SVal::Int(1));
+            value = fold_ite(cond, arm_value, value);
+            state = st;
+        }
+        state.path.truncate(prefix);
+        state.steps = steps;
+        self.profile.bump(at, Counter::Merges, 1);
+        let value = self.summarize(value, || format!("{}()", func.name));
+        Outcomes::one((state, value, taint))
     }
 
     fn model_builtin(
@@ -1953,7 +2021,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                             let from = element(&src_r, i);
                             let to = element(&dst_r, i);
                             let (v, t) = self.read(&mut state, &from);
-                            state.write(to, v, t);
+                            self.write(&mut state, to, v, t);
                         }
                         let first = values[0].clone();
                         return (state, first.0, TaintSet::bottom());
@@ -1968,7 +2036,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 {
                     if let Some(dst_r) = self.pointee_region(dst) {
                         for i in 0..n.clamp(0, 64) {
-                            state.write(element(&dst_r, i), byte.clone(), bt.clone());
+                            self.write(&mut state, element(&dst_r, i), byte.clone(), bt.clone());
                         }
                         let first = values[0].clone();
                         return (state, first.0, TaintSet::bottom());
@@ -2058,10 +2126,10 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 .eval(state, expr)
                 .map(|(st, _, _)| (self.snapshot(st, stmt.span), Flow::Normal)),
             StmtKind::Block(stmts) => {
-                state.frame_mut().scopes.push(BTreeMap::new());
+                state.frame_mut().push_scope();
                 let mut flows = self.exec_block(state, stmts);
                 for (st, _) in flows.iter_mut() {
-                    st.frame_mut().scopes.pop();
+                    st.frame_mut().pop_scope();
                 }
                 flows
             }
@@ -2093,7 +2161,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 step,
                 body,
             } => {
-                state.frame_mut().scopes.push(BTreeMap::new());
+                state.frame_mut().push_scope();
                 let initialized = match init {
                     Some(init) => self.exec(state, init),
                     None => Outcomes::one((state, Flow::Normal)),
@@ -2107,7 +2175,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                     out.append(self.exec_loop(st, cond.as_ref(), body, step.as_ref(), false));
                 }
                 for (st, _) in out.iter_mut() {
-                    st.frame_mut().scopes.pop();
+                    st.frame_mut().pop_scope();
                 }
                 out
             }
@@ -2367,6 +2435,79 @@ fn join_all(values: &[(SVal, TaintSet)]) -> TaintSet {
         out.join_assign(t);
     }
     out
+}
+
+/// Whether the results of an inlined call may merge: every arm agrees with
+/// the first on everything but π, the step count, the trace and the
+/// environment; no value is a pointer; and the shared π-taint is a plain ⊤.
+/// ⊤ absorbs every later join, so no observation on the merged path can
+/// reach `hm` or the timing check, which compare values across paths whose
+/// π depends on a single secret. A ⊥ or single-source π must stay forked:
+/// one `ite` observation would stand in for two distinct values.
+fn mergeable(results: &EvalResults) -> bool {
+    let mut arms = results.iter();
+    let Some((first, first_value, _)) = arms.next() else {
+        return false;
+    };
+    let pi = &first.pi_taint;
+    let plain = |value: &SVal| !matches!(value, SVal::Loc(_));
+    pi.len() >= 2
+        && !pi.is_merged()
+        && plain(first_value)
+        && arms.all(|(st, value, _)| {
+            plain(value)
+                && st.next_frame == first.next_frame
+                && st.next_shadow == first.next_shadow
+                && st.pi_taint == *pi
+                && st.frames == first.frames
+                && st.secret_bases == first.secret_bases
+                && st.events == first.events
+                && st.write_log == first.write_log
+                && st.constraints == first.constraints
+                && st.domain == first.domain
+                && st.store == first.store
+        })
+}
+
+/// Splits a region reached through an `ite` element index into its two
+/// arms, `(cond, then, else)`, when every arm index is a constant; any
+/// other index stays one symbolic element.
+fn split_ite_region(region: &Region) -> Option<(SVal, Region, Region)> {
+    fn constant_arms(index: &SVal) -> bool {
+        match index {
+            SVal::Int(_) => true,
+            SVal::Ite { then, els, .. } => constant_arms(then) && constant_arms(els),
+            _ => false,
+        }
+    }
+    match region {
+        Region::Element { base, index } => match index.as_ref() {
+            SVal::Ite { cond, then, els } if constant_arms(index) => {
+                let arm = |index: &HC<SVal>| Region::Element {
+                    base: base.clone(),
+                    index: index.clone(),
+                };
+                Some((cond.as_ref().clone(), arm(then), arm(els)))
+            }
+            _ => {
+                let (cond, then, els) = split_ite_region(base)?;
+                let arm = |base| Region::Element {
+                    base: HC::new(base),
+                    index: index.clone(),
+                };
+                Some((cond, arm(then), arm(els)))
+            }
+        },
+        Region::Field { base, field } => {
+            let (cond, then, els) = split_ite_region(base)?;
+            Some((
+                cond,
+                Region::field(then, field.clone()),
+                Region::field(els, field.clone()),
+            ))
+        }
+        _ => None,
+    }
 }
 
 fn cast_value(value: SVal, ty: &Type) -> SVal {

@@ -382,6 +382,12 @@ impl Intern for SVal {
             SVal::Unknown => {
                 h.tag(7);
             }
+            SVal::Ite { cond, then, els } => {
+                h.tag(8)
+                    .u64(cond.cached_hash())
+                    .u64(then.cached_hash())
+                    .u64(els.cached_hash());
+            }
         }
         h.finish()
     }
@@ -395,6 +401,10 @@ impl Intern for SVal {
             SVal::Call { args, .. } => args
                 .iter()
                 .fold(0, |sum: u32, arg| sum.saturating_add(arg.tree_size())),
+            SVal::Ite { cond, then, els } => cond
+                .tree_size()
+                .saturating_add(then.tree_size())
+                .saturating_add(els.tree_size()),
         };
         children.saturating_add(1)
     }

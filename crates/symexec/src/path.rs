@@ -51,6 +51,12 @@ impl PathCondition {
         }
     }
 
+    /// Keeps the first `len` assumptions (the common prefix of merged
+    /// paths).
+    pub fn truncate(&mut self, len: usize) {
+        self.assumptions.truncate(len);
+    }
+
     /// The recorded assumptions, oldest first.
     pub fn assumptions(&self) -> &[Assumption] {
         &self.assumptions

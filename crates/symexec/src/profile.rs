@@ -55,12 +55,14 @@ pub enum Counter {
     Tier2Refuted,
     /// Tier-2 probes that exhausted their deterministic budget.
     Tier2Unknown,
+    /// Inlined calls whose results merged into one state at the return.
+    Merges,
 }
 
 impl Counter {
     /// Every counter, in [`SiteCounters`] declaration order (the order of
     /// the hotspot-table columns).
-    pub const ALL: [Counter; 10] = [
+    pub const ALL: [Counter; 11] = [
         Counter::Steps,
         Counter::Forks,
         Counter::Infeasible,
@@ -71,6 +73,7 @@ impl Counter {
         Counter::Tier1Refuted,
         Counter::Tier2Refuted,
         Counter::Tier2Unknown,
+        Counter::Merges,
     ];
 
     /// The [`SiteCounters`] field name, also the wave-span field name.
@@ -100,6 +103,7 @@ impl Counter {
             Counter::Tier1Refuted => ("tier1_refuted", "t1ref", names::ENGINE_TIER1_REFUTED),
             Counter::Tier2Refuted => ("tier2_refuted", "t2ref", names::ENGINE_TIER2_REFUTED),
             Counter::Tier2Unknown => ("tier2_unknown", "t2unk", names::ENGINE_TIER2_UNKNOWN),
+            Counter::Merges => ("merges", "merge", names::ENGINE_MERGES),
         }
     }
 }
@@ -133,6 +137,9 @@ pub struct SiteCounters {
     /// Tier-2 probes here that exhausted their deterministic budget.
     #[serde(default)]
     pub tier2_unknown: u64,
+    /// Calls made here whose results merged at the callee's return.
+    #[serde(default)]
+    pub merges: u64,
 }
 
 impl SiteCounters {
@@ -153,6 +160,7 @@ impl SiteCounters {
             Counter::Tier1Refuted => &mut self.tier1_refuted,
             Counter::Tier2Refuted => &mut self.tier2_refuted,
             Counter::Tier2Unknown => &mut self.tier2_unknown,
+            Counter::Merges => &mut self.merges,
         }
     }
 
@@ -424,7 +432,7 @@ mod tests {
         let json = serde_json::to_string(&profile).expect("serializes");
         assert_eq!(
             json,
-            r#"{"sites":{"42":{"steps":0,"forks":0,"infeasible":0,"widenings":0,"cache_hits":7,"cache_misses":0,"secret_branches":0,"tier1_refuted":0,"tier2_refuted":0,"tier2_unknown":0}}}"#
+            r#"{"sites":{"42":{"steps":0,"forks":0,"infeasible":0,"widenings":0,"cache_hits":7,"cache_misses":0,"secret_branches":0,"tier1_refuted":0,"tier2_refuted":0,"tier2_unknown":0,"merges":0}}}"#
         );
         let back: Profile = serde_json::from_str(&json).expect("parses");
         assert_eq!(profile, back);

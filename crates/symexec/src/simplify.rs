@@ -33,7 +33,31 @@ pub fn simplify(sval: &SVal) -> SVal {
             func: func.clone(),
             args: args.iter().map(simplify).collect(),
         },
+        SVal::Ite { cond, then, els } => {
+            let (cond, then, els) = (simplify_hc(cond), simplify_hc(then), simplify_hc(els));
+            rewrite_ite(&cond, &then, &els).unwrap_or(SVal::Ite { cond, then, els })
+        }
         other => other.clone(),
+    }
+}
+
+/// Folds an `ite` node whose children are already simplified.
+pub fn fold_ite(cond: SVal, then: SVal, els: SVal) -> SVal {
+    rewrite_ite(&cond, &then, &els).unwrap_or_else(|| SVal::ite(cond, then, els))
+}
+
+/// `ite(k, a, b)` for a constant `k` is the arm `k` selects, and
+/// `ite(c, a, a)` is `a`; tiers 0–2 treat every other `ite` as opaque.
+fn rewrite_ite(cond: &SVal, then: &SVal, els: &SVal) -> Option<SVal> {
+    let taken = match cond {
+        SVal::Int(v) => Some(*v != 0),
+        SVal::Float(v) => Some(v.0 != 0.0),
+        _ => None,
+    };
+    match taken {
+        Some(true) => Some(then.clone()),
+        Some(false) => Some(els.clone()),
+        None => (then == els).then(|| then.clone()),
     }
 }
 

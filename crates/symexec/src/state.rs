@@ -394,15 +394,26 @@ pub struct DeclassifyEvent {
 
 /// One call frame of the interpreted program (the entry function is frame
 /// 0; inlined callees push further frames).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The lexical scopes are one flat list of declarations, innermost last,
+/// plus the index where each nested scope starts: opening a scope and
+/// forking a frame allocate no per-scope map. Within a scope the
+/// declarations stay sorted by name, so a lookup binary-searches each
+/// scope, innermost first, and a frame serializes as its list of
+/// per-scope name → region objects, exactly like the map-per-scope layout
+/// it replaced.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Frame {
     /// Unique frame id within the exploration (keys [`Region::Var`]).
     pub id: u32,
     /// The function this frame executes.
     pub func: Arc<str>,
-    /// Lexical scopes, innermost last; each maps a source name to the
-    /// region chosen for it at declaration (shadowing-safe).
-    pub scopes: Vec<BTreeMap<Arc<str>, Region>>,
+    /// Every live declaration: a source name and the region chosen for it
+    /// (shadowing-safe), outermost scope first, sorted by name within a
+    /// scope.
+    bindings: Vec<(Arc<str>, Region)>,
+    /// Where each scope nested in the outermost one starts in `bindings`.
+    marks: Vec<usize>,
 }
 
 impl Frame {
@@ -411,13 +422,103 @@ impl Frame {
         Frame {
             id,
             func: func.into(),
-            scopes: vec![BTreeMap::new()],
+            bindings: Vec::new(),
+            marks: Vec::new(),
         }
     }
 
-    /// Resolves a name through the scope chain.
+    /// Resolves a name through the scope chain, innermost first, by a
+    /// binary search of each scope.
     pub fn lookup(&self, name: &str) -> Option<&Region> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+        let mut end = self.bindings.len();
+        for start in self.marks.iter().rev().copied().chain([0]) {
+            let scope = &self.bindings[start..end];
+            if let Ok(at) = scope.binary_search_by(|(bound, _)| (**bound).cmp(name)) {
+                return Some(&scope[at].1);
+            }
+            end = start;
+        }
+        None
+    }
+
+    /// Binds `name` to `region` in the innermost scope, replacing a binding
+    /// of the same name there.
+    pub fn declare(&mut self, name: Arc<str>, region: Region) {
+        let start = self.marks.last().copied().unwrap_or(0);
+        match self.bindings[start..].binary_search_by(|(bound, _)| bound.cmp(&name)) {
+            Ok(at) => self.bindings[start + at].1 = region,
+            Err(at) => self.bindings.insert(start + at, (name, region)),
+        }
+    }
+
+    /// Opens a nested scope.
+    pub fn push_scope(&mut self) {
+        self.marks.push(self.bindings.len());
+    }
+
+    /// Closes the innermost nested scope, dropping its declarations.
+    pub fn pop_scope(&mut self) {
+        if let Some(start) = self.marks.pop() {
+            self.bindings.truncate(start);
+        }
+    }
+
+    /// Every declared region, outermost scope first.
+    pub fn regions(&self) -> impl Iterator<Item = &Region> {
+        self.bindings.iter().map(|(_, region)| region)
+    }
+
+    /// Every declared region, mutably.
+    pub fn regions_mut(&mut self) -> impl Iterator<Item = &mut Region> {
+        self.bindings.iter_mut().map(|(_, region)| region)
+    }
+
+    /// The declarations of each scope, outermost first.
+    fn scopes(&self) -> impl Iterator<Item = &[(Arc<str>, Region)]> {
+        let starts = std::iter::once(0).chain(self.marks.iter().copied());
+        let ends = self
+            .marks
+            .iter()
+            .copied()
+            .chain(std::iter::once(self.bindings.len()));
+        starts
+            .zip(ends)
+            .map(|(start, end)| &self.bindings[start..end])
+    }
+}
+
+impl Serialize for Frame {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let scopes = self
+            .scopes()
+            .map(|scope| {
+                let map: BTreeMap<Arc<str>, Region> = scope.iter().cloned().collect();
+                serde::to_value(&map)
+            })
+            .collect::<Result<Vec<Value>, Error>>()?;
+        serializer.serialize_value(Value::Object(vec![
+            ("id".to_string(), serde::to_value(&self.id)?),
+            ("func".to_string(), serde::to_value(&self.func)?),
+            ("scopes".to_string(), Value::Array(scopes)),
+        ]))
+    }
+}
+
+impl<'de> Deserialize<'de> for Frame {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let mut obj = serde::expect_object(deserializer.take_value()?, "Frame")?;
+        let mut field = |name: &str| serde::take_field(&mut obj, name, "Frame");
+        let id = serde::from_value(field("id")?)?;
+        let func: Arc<str> = serde::from_value(field("func")?)?;
+        let scopes: Vec<BTreeMap<Arc<str>, Region>> = serde::from_value(field("scopes")?)?;
+        let mut frame = Frame::new(id, func);
+        for (depth, scope) in scopes.into_iter().enumerate() {
+            if depth > 0 {
+                frame.push_scope();
+            }
+            frame.bindings.extend(scope);
+        }
+        Ok(frame)
     }
 }
 

@@ -270,6 +270,17 @@ pub enum SVal {
     },
     /// A value the engine cannot represent more precisely.
     Unknown,
+    /// A selection between arms: `then` where `cond` is non-zero, `els`
+    /// elsewhere. Built for the non-forking ternary and for the results
+    /// of an inlined call whose paths merged at its return.
+    Ite {
+        /// The selecting condition (hash-consed, shared across states).
+        cond: HC<SVal>,
+        /// The value where `cond` holds.
+        then: HC<SVal>,
+        /// The value where `cond` is zero.
+        els: HC<SVal>,
+    },
 }
 
 impl SVal {
@@ -297,6 +308,16 @@ impl SVal {
         }
     }
 
+    /// Builds an [`SVal::Ite`] node (no simplification), interning every
+    /// edge.
+    pub fn ite(cond: SVal, then: SVal, els: SVal) -> SVal {
+        SVal::Ite {
+            cond: HC::new(cond),
+            then: HC::new(then),
+            els: HC::new(els),
+        }
+    }
+
     /// Whether the value is a concrete constant.
     pub fn is_const(&self) -> bool {
         matches!(self, SVal::Int(_) | SVal::Float(_))
@@ -318,6 +339,9 @@ impl SVal {
             SVal::Binary { lhs, rhs, .. } => lhs.has_unknown() || rhs.has_unknown(),
             SVal::Unary { arg, .. } => arg.has_unknown(),
             SVal::Call { args, .. } => args.iter().any(SVal::has_unknown),
+            SVal::Ite { cond, then, els } => {
+                cond.has_unknown() || then.has_unknown() || els.has_unknown()
+            }
         }
     }
 
@@ -393,6 +417,20 @@ impl SVal {
                     args,
                 })
             }
+            SVal::Ite { cond, then, els } => {
+                let (c, t, e) = (cond.remapped(f), then.remapped(f), els.remapped(f));
+                if c.is_none() && t.is_none() && e.is_none() {
+                    return None;
+                }
+                let keep = |new: Option<SVal>, old: &HC<SVal>| {
+                    new.map(HC::new).unwrap_or_else(|| old.clone())
+                };
+                Some(SVal::Ite {
+                    cond: keep(c, cond),
+                    then: keep(t, then),
+                    els: keep(e, els),
+                })
+            }
             SVal::Int(_) | SVal::Float(_) | SVal::Unknown => None,
         }
     }
@@ -415,6 +453,9 @@ impl SVal {
             SVal::Binary { lhs, rhs, .. } => lhs.any_symbol(pred) || rhs.any_symbol(pred),
             SVal::Unary { arg, .. } => arg.any_symbol(pred),
             SVal::Call { args, .. } => args.iter().any(|arg| arg.any_symbol(pred)),
+            SVal::Ite { cond, then, els } => {
+                cond.any_symbol(pred) || then.any_symbol(pred) || els.any_symbol(pred)
+            }
             SVal::Int(_) | SVal::Float(_) | SVal::Unknown => false,
         }
     }
@@ -449,6 +490,7 @@ impl fmt::Display for SVal {
                 write!(f, ")")
             }
             SVal::Unknown => write!(f, "⟨unknown⟩"),
+            SVal::Ite { cond, then, els } => write!(f, "ite({cond}, {then}, {els})"),
         }
     }
 }

@@ -49,7 +49,7 @@ use std::sync::Mutex;
 use im::Vector;
 use taint::{SourceId, TaintSet};
 
-use crate::state::{Channel, DeclassifyEvent, Environment, ExecState, Store};
+use crate::state::{Channel, DeclassifyEvent, Environment, ExecState, Frame, Store};
 use crate::value::Region;
 
 /// First id of the task-local symbol/source namespace (2³¹).
@@ -114,7 +114,7 @@ impl IdRemap {
 
     /// Rebuilds a taint set with all source ids mapped.
     pub fn taint(&self, ts: &TaintSet) -> TaintSet {
-        TaintSet::from_sources(ts.sources().map(|s| self.source(s)))
+        ts.map_sources(|s| self.source(s))
     }
 
     /// The remapped taint set, or `None` when it holds no local source.
@@ -186,10 +186,8 @@ impl IdRemap {
             })
             .collect();
         for frame in &mut state.frames {
-            for scope in &mut frame.scopes {
-                for region in scope.values_mut() {
-                    region.remap_symbols(&sym);
-                }
+            for region in frame.regions_mut() {
+                region.remap_symbols(&sym);
             }
         }
         // `state.trace` holds rendered text only — nothing to translate.
@@ -264,12 +262,7 @@ pub(crate) fn assert_no_local_ids(state: &ExecState) {
         ("secret_bases", state.secret_bases.iter().all(region_ok)),
         (
             "frames",
-            state
-                .frames
-                .iter()
-                .flat_map(|frame| &frame.scopes)
-                .flat_map(|scope| scope.values())
-                .all(region_ok),
+            state.frames.iter().flat_map(Frame::regions).all(region_ok),
         ),
     ];
     for (component, ok) in checks {
@@ -513,10 +506,8 @@ mod tests {
             })
             .collect();
         for frame in &mut state.frames {
-            for scope in &mut frame.scopes {
-                for region in scope.values_mut() {
-                    region.remap_symbols(&sym);
-                }
+            for region in frame.regions_mut() {
+                region.remap_symbols(&sym);
             }
         }
     }
@@ -636,7 +627,7 @@ mod tests {
                 // An inlined call binding a parameter.
                 let mut frame = crate::state::Frame::new(state.next_frame, "callee");
                 state.next_frame += 1;
-                frame.scopes[0].insert("p".into(), ids.region(a));
+                frame.declare("p".into(), ids.region(a));
                 state.frames.push(frame);
             }
             6 => {

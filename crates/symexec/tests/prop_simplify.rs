@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use symexec::concrete::{ceval, ceval_bool, CAssignment, CVal};
 use symexec::constraints::{ConstraintManager, Feasibility};
-use symexec::simplify::{fold_binary, fold_unary, simplify};
+use symexec::simplify::{fold_binary, fold_ite, fold_unary, simplify};
 use symexec::value::{Region, SVal, Symbol};
 
 use minic::ast::{BinOp, UnOp};
@@ -48,7 +48,9 @@ fn arb_sval() -> impl Strategy<Value = SVal> {
                 inner.clone()
             )
                 .prop_map(|(op, a, b)| SVal::binary(op, a, b)),
-            ((0..UNOPS.len()).prop_map(|i| UNOPS[i]), inner).prop_map(|(op, a)| SVal::unary(op, a)),
+            ((0..UNOPS.len()).prop_map(|i| UNOPS[i]), inner.clone())
+                .prop_map(|(op, a)| SVal::unary(op, a)),
+            (inner.clone(), inner.clone(), inner).prop_map(|(c, t, e)| SVal::ite(c, t, e)),
         ]
     })
 }
@@ -70,6 +72,11 @@ fn reference_simplify(sval: &SVal) -> SVal {
             func: func.clone(),
             args: args.iter().map(reference_simplify).collect(),
         },
+        SVal::Ite { cond, then, els } => fold_ite(
+            reference_simplify(cond),
+            reference_simplify(then),
+            reference_simplify(els),
+        ),
         other => other.clone(),
     }
 }
@@ -88,6 +95,7 @@ fn walked_size(sval: &SVal) -> usize {
         SVal::Binary { lhs, rhs, .. } => walked_size(lhs) + walked_size(rhs),
         SVal::Unary { arg, .. } => walked_size(arg),
         SVal::Call { args, .. } => args.iter().map(walked_size).sum(),
+        SVal::Ite { cond, then, els } => walked_size(cond) + walked_size(then) + walked_size(els),
         SVal::Int(_) | SVal::Float(_) | SVal::Sym(_) | SVal::Unknown => 0,
     }
 }
@@ -101,7 +109,7 @@ fn arb_const() -> impl Strategy<Value = i64> {
 /// grows by nodes whose operands are earlier pool entries, so later
 /// entries reuse (and share the allocations of) earlier ones.
 fn arb_dag() -> impl Strategy<Value = Vec<SVal>> {
-    proptest::collection::vec((0usize..30, 0usize..64, 0usize..64, arb_const()), 1..14).prop_map(
+    proptest::collection::vec((0usize..32, 0usize..64, 0usize..64, arb_const()), 1..14).prop_map(
         |steps| {
             let mut pool: Vec<SVal> = (0..3)
                 .map(|id| SVal::Sym(Symbol::new(id, format!("s{id}"))))
@@ -125,6 +133,8 @@ fn arb_dag() -> impl Strategy<Value = Vec<SVal>> {
                         },
                         a,
                     )),
+                    29 => SVal::ite(SVal::Int(c % 2), a, b),
+                    30 => SVal::ite(b, a.clone(), a),
                     _ => SVal::binary(BinOp::Mul, SVal::Int(c % 2), a),
                 };
                 pool.push(node);

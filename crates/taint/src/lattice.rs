@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, LazyLock};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
 /// Identifier of a taint source (the `tᵢ` of the paper's lattice).
 ///
@@ -152,17 +152,60 @@ impl fmt::Display for Label {
 /// nothing returns an operand's existing allocation, and every ⊥ shares
 /// one process-wide empty set. Equality, ordering, hashing and the JSON
 /// form are those of the plain set.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// # Merged taints
+///
+/// A value merged from several paths ([`TaintSet::merge`]) stands for one
+/// taint per path, its *arms*. The union of their sources alone would
+/// lose leaks: arms `{A}` and `{B}` union to `{A,B}`, which reveals
+/// nothing, although each path reveals one secret. A merged set therefore
+/// also keeps `solo`, the sources that are some arm's whole taint, and
+/// `bot`, whether some arm is ⊥. [`TaintSet::join`] keeps both as an
+/// over-approximation over every pair of arms, and
+/// [`TaintSet::solo_sources`] is what the nonreversibility checks flag.
+/// An unmerged set carries neither, and its equality, hashing and JSON
+/// are exactly the plain set's.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TaintSet {
-    sources: Arc<BTreeSet<SourceId>>,
+    inner: Arc<Inner>,
+}
+
+/// The shared body of a [`TaintSet`].
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Inner {
+    sources: BTreeSet<SourceId>,
+    /// The arm summary of a merged set; `None` for every set whose arms
+    /// read like the plain set (`solo` = its sole source, `bot` = empty).
+    /// Boxed, so the unmerged sets the engine builds at almost every step
+    /// stay as small as the plain set.
+    arms: Option<Box<Arms>>,
+}
+
+/// What a merged [`TaintSet`] remembers of its arms.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct Arms {
+    /// Sources that are the whole taint of some arm.
+    solo: BTreeSet<SourceId>,
+    /// Whether some arm is ⊥.
+    bot: bool,
 }
 
 /// The one allocation behind every ⊥ built by [`TaintSet::bottom`].
-static BOTTOM: LazyLock<Arc<BTreeSet<SourceId>>> = LazyLock::new(Arc::default);
+static BOTTOM: LazyLock<Arc<Inner>> = LazyLock::new(Arc::default);
 
 impl Default for TaintSet {
     fn default() -> Self {
         TaintSet::bottom()
+    }
+}
+
+impl std::hash::Hash for TaintSet {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // An unmerged set hashes exactly like the plain set.
+        self.inner.sources.hash(state);
+        if let Some(arms) = &self.inner.arms {
+            arms.hash(state);
+        }
     }
 }
 
@@ -171,97 +214,248 @@ impl TaintSet {
     /// set, never an allocation.
     pub fn bottom() -> Self {
         TaintSet {
-            sources: Arc::clone(&BOTTOM),
+            inner: Arc::clone(&BOTTOM),
         }
     }
 
     /// A singleton taint set for one source.
     pub fn source(id: SourceId) -> Self {
-        TaintSet {
-            sources: Arc::new(BTreeSet::from([id])),
-        }
+        TaintSet::plain(BTreeSet::from([id]))
     }
 
     /// Builds a taint set from an iterator of sources.
     pub fn from_sources<I: IntoIterator<Item = SourceId>>(iter: I) -> Self {
+        TaintSet::plain(iter.into_iter().collect())
+    }
+
+    fn plain(sources: BTreeSet<SourceId>) -> Self {
         TaintSet {
-            sources: Arc::new(iter.into_iter().collect()),
+            inner: Arc::new(Inner {
+                sources,
+                arms: None,
+            }),
         }
+    }
+
+    /// A set with the given sources and arm summary, unmerged when the
+    /// summary says nothing the sources do not.
+    fn with_arms(sources: BTreeSet<SourceId>, solo: BTreeSet<SourceId>, bot: bool) -> Self {
+        let plain_reading = bot == sources.is_empty()
+            && solo.len() == usize::from(sources.len() == 1)
+            && solo.iter().all(|s| sources.contains(s));
+        TaintSet {
+            inner: Arc::new(Inner {
+                sources,
+                arms: (!plain_reading).then(|| Box::new(Arms { solo, bot })),
+            }),
+        }
+    }
+
+    /// The taint of a value merged from several paths, one taint per arm:
+    /// the union of the arms' sources, remembering which sources are some
+    /// arm's whole taint and whether some arm is ⊥ (see the type docs).
+    /// Merging one arm, or arms that are all the same unmerged set, gives
+    /// that set.
+    pub fn merge<'a>(arms: impl IntoIterator<Item = &'a TaintSet>) -> TaintSet {
+        let mut arms = arms.into_iter();
+        let Some(first) = arms.next() else {
+            return TaintSet::bottom();
+        };
+        let mut sources = first.inner.sources.clone();
+        let mut solo: BTreeSet<SourceId> = first.solo_sources().collect();
+        let mut bot = first.has_bot_arm();
+        let mut same = true;
+        for arm in arms {
+            same &= arm == first;
+            sources.extend(arm.sources());
+            solo.extend(arm.solo_sources());
+            bot |= arm.has_bot_arm();
+        }
+        if same {
+            return first.clone();
+        }
+        TaintSet::with_arms(sources, solo, bot)
     }
 
     /// Set union — the join of the refinement lattice. When one operand
     /// already contains the other, the result shares its allocation.
+    ///
+    /// With a merged operand the result is merged too: its arms are the
+    /// joins of every pair of operand arms, so `bot` holds when both
+    /// operands have a ⊥ arm, and a source is solo when it is solo in
+    /// both, or solo in one while the other has a ⊥ arm.
     pub fn join(&self, other: &TaintSet) -> TaintSet {
+        if self.inner.arms.is_some() || other.inner.arms.is_some() {
+            return self.join_arms(other);
+        }
         if other.le(self) {
             self.clone()
         } else if self.le(other) {
             other.clone()
         } else {
-            TaintSet {
-                sources: Arc::new(self.sources.union(&other.sources).copied().collect()),
+            TaintSet::plain(
+                self.inner
+                    .sources
+                    .union(&other.inner.sources)
+                    .copied()
+                    .collect(),
+            )
+        }
+    }
+
+    fn join_arms(&self, other: &TaintSet) -> TaintSet {
+        let sources = self
+            .inner
+            .sources
+            .union(&other.inner.sources)
+            .copied()
+            .collect();
+        let (x_bot, y_bot) = (self.has_bot_arm(), other.has_bot_arm());
+        let x_solo: BTreeSet<SourceId> = self.solo_sources().collect();
+        let mut solo = BTreeSet::new();
+        for source in other.solo_sources() {
+            if x_bot || x_solo.contains(&source) {
+                solo.insert(source);
             }
         }
+        if y_bot {
+            solo.extend(x_solo);
+        }
+        TaintSet::with_arms(sources, solo, x_bot && y_bot)
     }
 
     /// In-place union; copies the set only if it is shared and grows.
     pub fn join_assign(&mut self, other: &TaintSet) {
+        if self.inner.arms.is_some() || other.inner.arms.is_some() {
+            *self = self.join_arms(other);
+            return;
+        }
         if other.le(self) {
             return;
         }
         if TaintSet::le(self, other) {
             *self = other.clone();
         } else {
-            Arc::make_mut(&mut self.sources).extend(other.sources.iter().copied());
+            Arc::make_mut(&mut self.inner)
+                .sources
+                .extend(other.inner.sources.iter().copied());
         }
     }
 
     /// Projects the provenance set onto the paper's three-level lattice.
     pub fn label(&self) -> Label {
-        match self.sources.len() {
+        match self.inner.sources.len() {
             0 => Label::Bot,
-            1 => Label::Src(*self.sources.iter().next().expect("len checked")),
+            1 => Label::Src(*self.inner.sources.iter().next().expect("len checked")),
             _ => Label::Top,
         }
     }
 
     /// Whether any source influenced the value.
     pub fn is_tainted(&self) -> bool {
-        !self.sources.is_empty()
+        !self.inner.sources.is_empty()
     }
 
-    /// Whether revealing a value with this taint violates nonreversibility
-    /// (exactly one source).
+    /// Whether revealing a value with this taint violates nonreversibility:
+    /// some arm has exactly one source (for an unmerged set, the set
+    /// itself).
     pub fn is_reversible(&self) -> bool {
-        self.sources.len() == 1
+        self.solo_sources().next().is_some()
     }
 
     /// Number of distinct sources.
     pub fn len(&self) -> usize {
-        self.sources.len()
+        self.inner.sources.len()
     }
 
     /// Whether the set is ⊥.
     pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
+        self.inner.sources.is_empty()
     }
 
     /// Iterates over the sources in ascending order.
     pub fn sources(&self) -> impl Iterator<Item = SourceId> + '_ {
-        self.sources.iter().copied()
+        self.inner.sources.iter().copied()
     }
 
-    /// The single source, if the taint is reversible.
+    /// The single source of the whole set, if it has exactly one.
     pub fn sole_source(&self) -> Option<SourceId> {
-        if self.sources.len() == 1 {
-            self.sources.iter().next().copied()
+        if self.inner.sources.len() == 1 {
+            self.inner.sources.iter().next().copied()
         } else {
             None
         }
     }
 
-    /// Subset test: `self ⊑ other`.
+    /// The sources some arm reveals on its own, ascending: the solo
+    /// sources of a merged set, or the [`TaintSet::sole_source`] of an
+    /// unmerged one. These are the nonreversibility violations.
+    pub fn solo_sources(&self) -> impl Iterator<Item = SourceId> + '_ {
+        let (merged, plain) = match &self.inner.arms {
+            Some(arms) => (Some(arms.solo.iter().copied()), None),
+            None => (None, self.sole_source()),
+        };
+        merged.into_iter().flatten().chain(plain)
+    }
+
+    /// Whether some arm is ⊥ (for an unmerged set: whether it is ⊥).
+    pub fn has_bot_arm(&self) -> bool {
+        self.inner
+            .arms
+            .as_ref()
+            .map_or(self.inner.sources.is_empty(), |arms| arms.bot)
+    }
+
+    /// Whether this set was built by a merge and keeps an arm summary.
+    pub fn is_merged(&self) -> bool {
+        self.inner.arms.is_some()
+    }
+
+    /// Rewrites every source id through `f`, arm summary included.
+    pub fn map_sources(&self, f: impl Fn(SourceId) -> SourceId) -> TaintSet {
+        let sources = self.inner.sources.iter().map(|&s| f(s)).collect();
+        match &self.inner.arms {
+            None => TaintSet::plain(sources),
+            Some(arms) => {
+                TaintSet::with_arms(sources, arms.solo.iter().map(|&s| f(s)).collect(), arms.bot)
+            }
+        }
+    }
+
+    /// Subset test on the sources: `self ⊑ other`.
     pub fn le(&self, other: &TaintSet) -> bool {
-        Arc::ptr_eq(&self.sources, &other.sources) || self.sources.is_subset(&other.sources)
+        Arc::ptr_eq(&self.inner, &other.inner) || self.inner.sources.is_subset(&other.inner.sources)
+    }
+}
+
+/// The JSON form is `{"sources": […]}`, plus `"solo"` and `"bot"` for a
+/// merged set.
+impl Serialize for TaintSet {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut fields = vec![("sources".to_string(), serde::to_value(&self.inner.sources)?)];
+        if let Some(arms) = &self.inner.arms {
+            fields.push(("solo".to_string(), serde::to_value(&arms.solo)?));
+            fields.push(("bot".to_string(), serde::to_value(&arms.bot)?));
+        }
+        serializer.serialize_value(Value::Object(fields))
+    }
+}
+
+impl<'de> Deserialize<'de> for TaintSet {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let mut obj = serde::expect_object(deserializer.take_value()?, "TaintSet")?;
+        let sources: BTreeSet<SourceId> =
+            serde::from_value(serde::take_field(&mut obj, "sources", "TaintSet")?)?;
+        let solo = serde::take_field_opt(&mut obj, "solo");
+        let bot = serde::take_field_opt(&mut obj, "bot");
+        Ok(match (solo, bot) {
+            (None, None) => TaintSet::plain(sources),
+            (solo, bot) => TaintSet::with_arms(
+                sources,
+                solo.map(serde::from_value).transpose()?.unwrap_or_default(),
+                bot.map(serde::from_value).transpose()?.unwrap_or_default(),
+            ),
+        })
     }
 }
 
@@ -272,7 +466,7 @@ impl fmt::Display for TaintSet {
             Label::Src(s) => write!(f, "{s}"),
             Label::Top => {
                 write!(f, "⊤{{")?;
-                for (i, s) in self.sources.iter().enumerate() {
+                for (i, s) in self.inner.sources.iter().enumerate() {
                     if i > 0 {
                         write!(f, ",")?;
                     }
@@ -292,7 +486,11 @@ impl FromIterator<SourceId> for TaintSet {
 
 impl Extend<SourceId> for TaintSet {
     fn extend<I: IntoIterator<Item = SourceId>>(&mut self, iter: I) {
-        Arc::make_mut(&mut self.sources).extend(iter);
+        if self.inner.arms.is_some() {
+            self.join_assign(&TaintSet::from_sources(iter));
+        } else {
+            Arc::make_mut(&mut self.inner).sources.extend(iter);
+        }
     }
 }
 
@@ -405,11 +603,11 @@ mod tests {
             a.join(&TaintSet::bottom()),
             a.join(&a),
         ] {
-            assert!(Arc::ptr_eq(&joined.sources, &a.sources));
+            assert!(Arc::ptr_eq(&joined.inner, &a.inner));
         }
         let mut acc = b.clone();
         acc.join_assign(&a);
-        assert!(Arc::ptr_eq(&acc.sources, &a.sources));
+        assert!(Arc::ptr_eq(&acc.inner, &a.inner));
         // A growing join copies a shared set, leaving the other owner intact.
         let mut grown = a.clone();
         grown.join_assign(&TaintSet::source(SourceId::new(4)));
@@ -434,12 +632,10 @@ mod tests {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let (a, b) = (TaintSet::bottom(), TaintSet::default());
-        assert!(Arc::ptr_eq(&a.sources, &b.sources));
+        assert!(Arc::ptr_eq(&a.inner, &b.inner));
         // Sharing changes no observable: equality, hashing and JSON are
         // those of a freshly built empty set.
-        let fresh = TaintSet {
-            sources: Arc::new(BTreeSet::new()),
-        };
+        let fresh = TaintSet::plain(BTreeSet::new());
         assert_eq!(a, fresh);
         let hash = |ts: &TaintSet| {
             let mut hasher = DefaultHasher::new();
@@ -468,6 +664,77 @@ mod tests {
         );
         let two = TaintSet::from_sources([SourceId::new(1), SourceId::new(2)]);
         assert_eq!(two.sole_source(), None);
+    }
+
+    fn set(ids: &[u32]) -> TaintSet {
+        TaintSet::from_sources(ids.iter().copied().map(SourceId::new))
+    }
+
+    fn solo(ts: &TaintSet) -> Vec<u32> {
+        ts.solo_sources().map(SourceId::index).collect()
+    }
+
+    #[test]
+    fn merge_keeps_each_arms_sole_source() {
+        // {A} and {B} union to ⊤, yet each arm reveals its own source.
+        let merged = TaintSet::merge([&set(&[1]), &set(&[2])]);
+        assert_eq!(merged.label(), Label::Top);
+        assert!(merged.is_merged());
+        assert_eq!(solo(&merged), [1, 2]);
+        assert!(merged.is_reversible());
+        assert!(!merged.has_bot_arm());
+        // ⊥|{A}: A is solo, and a later `+ B` still reveals B on the ⊥ arm.
+        let half = TaintSet::merge([&TaintSet::bottom(), &set(&[1])]);
+        assert_eq!(solo(&half), [1]);
+        assert!(half.has_bot_arm());
+        assert_eq!(solo(&half.join(&set(&[2]))), [2]);
+        assert_eq!(solo(&set(&[2]).join(&half)), [2]);
+    }
+
+    #[test]
+    fn merge_of_equal_or_plain_readings_is_unmerged() {
+        for ts in [TaintSet::bottom(), set(&[3]), set(&[1, 2])] {
+            let merged = TaintSet::merge([&ts, &ts]);
+            assert_eq!(merged, ts);
+            assert!(!merged.is_merged());
+        }
+        // {A} | {A,B}... arms {1} and {1}: same reading as the plain {1}.
+        let same = TaintSet::merge([&set(&[1]), &set(&[1])]);
+        assert!(!same.is_merged());
+        // ⊤ arms merge to a plain ⊤: no arm is solo or ⊥.
+        let top = TaintSet::merge([&set(&[1, 2]), &set(&[3, 4])]);
+        assert!(!top.is_merged());
+        assert_eq!(top, set(&[1, 2, 3, 4]));
+    }
+
+    #[test]
+    fn top_absorbs_every_alternative() {
+        let merged = TaintSet::merge([&TaintSet::bottom(), &set(&[1]), &set(&[2])]);
+        let joined = set(&[3, 4]).join(&merged);
+        assert!(!joined.is_merged());
+        assert_eq!(joined, set(&[1, 2, 3, 4]));
+        let mut acc = merged.clone();
+        acc.join_assign(&set(&[3, 4]));
+        assert_eq!(acc, joined);
+    }
+
+    #[test]
+    fn unmerged_sets_keep_their_json_and_hash() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let ts = set(&[2, 7]);
+        let mut plain = DefaultHasher::new();
+        ts.inner.sources.hash(&mut plain);
+        let mut hasher = DefaultHasher::new();
+        ts.hash(&mut hasher);
+        assert_eq!(hasher.finish(), plain.finish());
+        let merged = TaintSet::merge([&TaintSet::bottom(), &set(&[1]), &set(&[2])]);
+        let json = serde_json::to_string(&merged).unwrap();
+        assert_eq!(json, r#"{"sources":[1,2],"solo":[1,2],"bot":true}"#);
+        assert_eq!(serde_json::from_str::<TaintSet>(&json).unwrap(), merged);
+        let remapped = merged.map_sources(|s| SourceId::new(s.index() + 10));
+        assert_eq!(solo(&remapped), [11, 12]);
+        assert!(remapped.has_bot_arm());
     }
 
     #[test]

@@ -94,3 +94,55 @@ proptest! {
         prop_assert_eq!(taint::cond(&a, &b), joined);
     }
 }
+
+/// A merged taint's arms: 1–3 arbitrary plain sets over the small universe.
+fn arb_arms() -> impl Strategy<Value = Vec<TaintSet>> {
+    proptest::collection::vec(arb_taintset(), 1..4)
+}
+
+fn solo(ts: &TaintSet) -> std::collections::BTreeSet<SourceId> {
+    ts.solo_sources().collect()
+}
+
+proptest! {
+    /// The closed-form join of two merged taints over-approximates every
+    /// pair of arms: each pair's union is covered by the sources, a
+    /// single-source pair union has its source among the solo ones, and a
+    /// ⊥ pair union shows as a ⊥ arm.
+    #[test]
+    fn merged_join_covers_every_pair_of_arms(xs in arb_arms(), ys in arb_arms()) {
+        let x = TaintSet::merge(&xs);
+        let y = TaintSet::merge(&ys);
+        let joined = x.join(&y);
+        let mut assigned = x.clone();
+        assigned.join_assign(&y);
+        prop_assert_eq!(&assigned, &joined);
+        for a in &xs {
+            for b in &ys {
+                let pair = a.join(b);
+                prop_assert!(pair.le(&joined));
+                if let Some(source) = pair.sole_source() {
+                    prop_assert!(solo(&joined).contains(&source), "{a} ⊔ {b} lost {source}");
+                }
+                if pair.is_empty() {
+                    prop_assert!(joined.has_bot_arm());
+                }
+            }
+        }
+    }
+
+    /// A merge covers each of its arms the same way.
+    #[test]
+    fn merge_covers_every_arm(xs in arb_arms()) {
+        let merged = TaintSet::merge(&xs);
+        for arm in &xs {
+            prop_assert!(arm.le(&merged));
+            if let Some(source) = arm.sole_source() {
+                prop_assert!(solo(&merged).contains(&source));
+            }
+            if arm.is_empty() {
+                prop_assert!(merged.has_bot_arm());
+            }
+        }
+    }
+}

@@ -242,9 +242,9 @@ fn check_histogram_body(name: &str, histogram: &[(String, Value)]) -> Result<(),
     Ok(())
 }
 
-/// The ten per-site counters a profile row must carry, in the order
+/// The eleven per-site counters a profile row must carry, in the order
 /// `symexec::profile::SiteCounters` declares them.
-const PROFILE_COUNTERS: [&str; 10] = [
+const PROFILE_COUNTERS: [&str; 11] = [
     "steps",
     "forks",
     "infeasible",
@@ -255,6 +255,7 @@ const PROFILE_COUNTERS: [&str; 10] = [
     "tier1_refuted",
     "tier2_refuted",
     "tier2_unknown",
+    "merges",
 ];
 
 /// Validates a `privacyscope --profile-out` document. Returns

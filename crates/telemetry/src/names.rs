@@ -40,6 +40,8 @@ pub const ENGINE_TIER1_REFUTED: &str = "engine.tier_one_refuted";
 pub const ENGINE_TIER2_REFUTED: &str = "engine.tier_two_refuted";
 /// Tier-2 invocations that exhausted their deterministic budget.
 pub const ENGINE_TIER2_UNKNOWN: &str = "engine.tier_two_unknown";
+/// Inlined calls whose results merged into one state at the return.
+pub const ENGINE_MERGES: &str = "engine.merges";
 /// Path tasks executed by the worklist.
 pub const ENGINE_PATH_TASKS: &str = "engine.path_tasks";
 /// Checkpoint snapshots written.
@@ -126,6 +128,7 @@ pub const ALL_COUNTERS: &[&str] = &[
     ENGINE_CHECKPOINT_WRITES,
     ENGINE_FORKS,
     ENGINE_INFEASIBLE,
+    ENGINE_MERGES,
     ENGINE_PATH_TASKS,
     ENGINE_SECRET_BRANCHES,
     ENGINE_STEPS,

@@ -10,7 +10,9 @@
 //!   total, init-phase probes included;
 //! * every exploration field of `Report.stats` equals the profile total;
 //! * the branch-heavy module's feasibility tiers refuted something, so the
-//!   tier counters are exercised.
+//!   tier counters are exercised;
+//! * Kmeans merged paths at call returns, so the merge counter is
+//!   exercised.
 
 use std::path::PathBuf;
 
@@ -197,6 +199,9 @@ fn spans_metrics_and_stats_agree_with_the_profile() {
                     totals.tier1_refuted + totals.tier2_refuted > 0,
                     "{label}: the tiers refuted nothing"
                 );
+            }
+            if subject.name == "Kmeans" {
+                assert!(totals.merges > 0, "{label}: nothing merged");
             }
         }
     }

@@ -47,9 +47,10 @@ fn recommender_variants_match() {
 
 #[test]
 fn kmeans_reports_dropped_path_honestly() {
-    // Kmeans' path space outruns any small budget; the pre-flight must
-    // say so (PathNotKept) — or match — but never report drift.
-    let module = mlcorpus::kmeans::module();
+    // With the secret branch in the entry function, Kmeans' path space
+    // outruns any small budget; the pre-flight must say so (PathNotKept)
+    // — or match — but never report drift.
+    let module = mlcorpus::kmeans::entry_branching();
     let config = PreflightConfig {
         max_paths: 8,
         max_value_size: 128,
@@ -60,6 +61,24 @@ fn kmeans_reports_dropped_path_honestly() {
     assert!(
         matches!(agreement, Agreement::PathNotKept | Agreement::Match { .. }),
         "kmeans drifted: {agreement:?}"
+    );
+}
+
+#[test]
+fn merged_kmeans_matches_on_its_single_path() {
+    // Merged at `nearest_centroid`'s return, Kmeans runs as one path whose
+    // `ite` values must evaluate to what the simulator computes.
+    let module = mlcorpus::kmeans::module();
+    let config = PreflightConfig {
+        max_paths: 8,
+        max_value_size: 128,
+        ..PreflightConfig::default()
+    };
+    let agreement =
+        check_agreement(module.source, module.edl, module.entry, &config).expect("pre-flight runs");
+    assert!(
+        matches!(agreement, Agreement::Match { .. }),
+        "merged kmeans drifted: {agreement:?}"
     );
 }
 

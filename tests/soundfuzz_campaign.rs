@@ -84,6 +84,38 @@ fn wraparound_guarded_leaks_are_never_missed() {
 }
 
 #[test]
+fn callee_branch_leaks_are_never_missed() {
+    // Leaks behind helpers whose paths merge at the return (read and
+    // written through the merged index) and behind helpers that must not
+    // merge (a single-source or public branch): every one is reported,
+    // and nothing else is.
+    for seed in 0..12u64 {
+        let module = mlcorpus::synth::generate_callee_branch(seed);
+        let verdict = check_module(&module, &fast());
+        assert!(
+            verdict.degradations.is_empty(),
+            "seed {seed}: {:?}",
+            verdict.degradations
+        );
+        assert_eq!(
+            (
+                verdict.missed_leaks().count(),
+                verdict.false_alarms().count()
+            ),
+            (0, 0),
+            "seed {seed}: {}\n{:?}",
+            module.source,
+            verdict.disagreements
+        );
+        assert_eq!(
+            verdict.findings,
+            module.expectations.len(),
+            "seed {seed}: exactly the planted leaks"
+        );
+    }
+}
+
+#[test]
 fn blinded_implicit_check_is_caught_as_missed_leak() {
     // Seed 4's only planted leak is implicit; blinding the implicit check
     // is the oracle's self-test — it must come back as a concretely
