@@ -24,7 +24,7 @@ fn bench_frontend(c: &mut Criterion) {
     });
 }
 
-fn deep_expr(symbol: u32, depth: usize) -> SVal {
+fn deep_expr(symbol: u64, depth: usize) -> SVal {
     let mut expr = SVal::Sym(Symbol::new(symbol, "x"));
     for i in 0..depth {
         expr = SVal::binary(

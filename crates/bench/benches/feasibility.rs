@@ -29,7 +29,7 @@ use symexec::value::{SVal, Symbol};
 const BH_SEED: u64 = 3;
 const BH_CLUSTERS: usize = 2;
 
-fn sym(id: u32, hint: &str) -> SVal {
+fn sym(id: u64, hint: &str) -> SVal {
     SVal::Sym(Symbol::new(id, hint))
 }
 

@@ -48,11 +48,11 @@ fn populated_state(n: usize) -> ExecState {
         };
         let value = SVal::binary(
             BinOp::Add,
-            SVal::Sym(Symbol::new(i as u32, "x")),
+            SVal::Sym(Symbol::new(i as u64, "x")),
             SVal::Int(i as i64),
         );
         let taint = if i % 3 == 0 {
-            TaintSet::source(SourceId::new((i % 8) as u32))
+            TaintSet::source(SourceId::new((i % 8) as u64))
         } else {
             TaintSet::bottom()
         };

@@ -26,6 +26,9 @@ pub const DEFAULT_DECRYPT_FUNCTIONS: &[&str] = &[
     "sgx_unseal_data",
 ];
 
+/// A secret source as the findings maps key it: its name, then its id.
+type Secret = (String, SourceId);
+
 /// Analyzer tuning and ablation switches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzerOptions {
@@ -302,18 +305,17 @@ impl Analyzer {
         });
         let policy_span = telemetry.phase("policy", analyze_id);
 
-        let source_name = |id: SourceId| -> String {
-            exploration
-                .secret_sources
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| id.to_string())
+        // Secrets are keyed by name, then id: the report order is readable
+        // and does not depend on the ids' digest values.
+        let secret = |id: SourceId| -> Secret {
+            let name = exploration.secret_sources.get(&id);
+            (name.cloned().unwrap_or_else(|| id.to_string()), id)
         };
 
-        // (channel, source) → explicit finding
-        let mut explicit: BTreeMap<(String, SourceId), Finding> = BTreeMap::new();
-        // (source, channel) → value → example path condition
-        let mut implicit_obs: BTreeMap<(SourceId, String), BTreeMap<String, String>> =
+        // (channel, secret) → explicit finding
+        let mut explicit: BTreeMap<(String, Secret), Finding> = BTreeMap::new();
+        // (secret, channel) → value → example path condition
+        let mut implicit_obs: BTreeMap<(Secret, String), BTreeMap<String, String>> =
             BTreeMap::new();
 
         // Algorithm 1 runs at declassification time: the engine's global
@@ -337,8 +339,7 @@ impl Analyzer {
                 &event.pi_taint,
                 &|| event.pi.clone(),
                 line,
-                &source_name,
-                &exploration.source_symbols,
+                &secret,
                 &mut explicit,
                 &mut implicit_obs,
             );
@@ -374,8 +375,7 @@ impl Analyzer {
                         &path.state.pi_taint,
                         &final_pi,
                         None,
-                        &source_name,
-                        &exploration.source_symbols,
+                        &secret,
                         &mut explicit,
                         &mut implicit_obs,
                     );
@@ -385,12 +385,12 @@ impl Analyzer {
 
         // Timing extension (§VIII-A): per-path simulated cost, compared
         // across paths whose π depends on a single secret.
-        let mut timing_obs: BTreeMap<SourceId, BTreeMap<usize, String>> = BTreeMap::new();
+        let mut timing_obs: BTreeMap<Secret, BTreeMap<usize, String>> = BTreeMap::new();
         if self.options.check_timing {
             for path in &exploration.paths {
                 for source in path.state.pi_taint.solo_sources() {
                     timing_obs
-                        .entry(source)
+                        .entry(secret(source))
                         .or_default()
                         .entry(path.state.steps)
                         .or_insert_with(|| path.state.path.to_string());
@@ -399,14 +399,14 @@ impl Analyzer {
         }
 
         let mut findings: Vec<Finding> = explicit.into_values().collect();
-        for ((source, channel), observations) in implicit_obs {
+        for (((name, _), channel), observations) in implicit_obs {
             if observations.len() < 2 {
                 continue;
             }
             findings.push(Finding {
                 kind: FindingKind::Implicit,
                 channel,
-                secret: source_name(source),
+                secret: name,
                 value: None,
                 recovery: None,
                 observations: observations
@@ -420,14 +420,14 @@ impl Analyzer {
             });
         }
 
-        for (source, costs) in timing_obs {
+        for ((name, _), costs) in timing_obs {
             if costs.len() < 2 {
                 continue;
             }
             findings.push(Finding {
                 kind: FindingKind::Timing,
                 channel: "execution time".into(),
-                secret: source_name(source),
+                secret: name,
                 value: None,
                 recovery: None,
                 observations: costs
@@ -567,10 +567,9 @@ impl Analyzer {
         pi_taint: &taint::TaintSet,
         pi_render: &dyn Fn() -> String,
         line: Option<usize>,
-        source_name: &dyn Fn(SourceId) -> String,
-        source_symbols: &BTreeMap<SourceId, u32>,
-        explicit: &mut BTreeMap<(String, SourceId), Finding>,
-        implicit_obs: &mut BTreeMap<(SourceId, String), BTreeMap<String, String>>,
+        secret: &dyn Fn(SourceId) -> Secret,
+        explicit: &mut BTreeMap<(String, Secret), Finding>,
+        implicit_obs: &mut BTreeMap<(Secret, String), BTreeMap<String, String>>,
     ) {
         // Algorithm 1: explicit check first; only when it passes, consult
         // the path constraint. Which taints count as violations depends on
@@ -584,17 +583,17 @@ impl Analyzer {
         if !explicit_sources.is_empty() {
             if self.options.check_explicit {
                 for source in explicit_sources {
-                    let recovery = source_symbols
-                        .get(&source)
-                        .and_then(|sym| recovery_formula(value, *sym));
+                    let secret = secret(source);
+                    let name = secret.0.clone();
                     explicit
-                        .entry((channel.to_string(), source))
+                        .entry((channel.to_string(), secret))
                         .or_insert_with(|| Finding {
                             kind: FindingKind::Explicit,
                             channel: channel.to_string(),
-                            secret: source_name(source),
+                            secret: name,
                             value: Some(value.to_string()),
-                            recovery,
+                            // A source's id is the id of its symbol.
+                            recovery: recovery_formula(value, source.index()),
                             observations: Vec::new(),
                             line,
                         });
@@ -611,7 +610,7 @@ impl Analyzer {
         };
         for source in pi_sources {
             implicit_obs
-                .entry((source, channel.to_string()))
+                .entry((secret(source), channel.to_string()))
                 .or_default()
                 .entry(value.to_string())
                 .or_insert_with(pi_render);

@@ -44,7 +44,7 @@ pub fn analyze(source: &str, edl_text: &str, function: &str) -> Result<Report, E
         .filter(|f| f.body.is_some())
         .ok_or_else(|| Error::UnknownTarget(function.to_string()))?;
 
-    let mut next_source = 1u32;
+    let mut next_source = 1u64;
     let mut taints: BTreeMap<String, TaintSet> = BTreeMap::new();
     let mut source_names: BTreeMap<SourceId, String> = BTreeMap::new();
     let mut out_params: BTreeSet<String> = BTreeSet::new();
@@ -141,7 +141,7 @@ impl<'u> Pass<'u> {
         // decrypt-style calls make the result secret
         for (callee, _) in &calls {
             if crate::analyzer::DEFAULT_DECRYPT_FUNCTIONS.contains(&callee.as_str()) {
-                let id = SourceId::new(900 + self.source_names.len() as u32);
+                let id = SourceId::new(900 + self.source_names.len() as u64);
                 self.source_names
                     .entry(id)
                     .or_insert_with(|| format!("{callee}#out"));

@@ -17,7 +17,7 @@ use symexec::value::SVal;
 /// the computation is not a chain of invertible steps (the attacker would
 /// need more than arithmetic — e.g. `s * s`, `s & mask`, uninterpreted
 /// calls).
-pub fn recovery_formula(value: &SVal, secret_id: u32) -> Option<String> {
+pub fn recovery_formula(value: &SVal, secret_id: u64) -> Option<String> {
     // Peel invertible operations off the outside, accumulating the inverse
     // applied to "observed".
     let mut current = value;
@@ -78,7 +78,7 @@ pub fn recovery_formula(value: &SVal, secret_id: u32) -> Option<String> {
     }
 }
 
-fn contains(value: &SVal, secret_id: u32) -> bool {
+fn contains(value: &SVal, secret_id: u64) -> bool {
     let mut ids = std::collections::BTreeSet::new();
     value.symbols(&mut ids);
     ids.contains(&secret_id)

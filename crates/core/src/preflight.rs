@@ -205,7 +205,7 @@ fn bindings(proto: &Prototype) -> Vec<ParamBinding> {
         .collect()
 }
 
-fn collect_symbols(value: &SVal, out: &mut BTreeMap<u32, String>) {
+fn collect_symbols(value: &SVal, out: &mut BTreeMap<u64, String>) {
     match value {
         SVal::Sym(sym) => {
             out.insert(sym.id, sym.hint.to_string());

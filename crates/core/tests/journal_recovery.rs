@@ -225,16 +225,35 @@ fn corrupt_interior_record_is_skipped_with_typed_error() {
 /// garbage-collected, and the job still finishing correctly.
 #[test]
 fn stale_checkpoint_restarts_from_scratch_and_gcs_the_file() {
-    let dir = spool("stale");
-    let spec = corpus_spec("Recommender", 12);
-    let ckpt = dir.join("job-1.ckpt");
     // A syntactically valid snapshot header whose fingerprint is not the
     // journaled one: `peek_fingerprint` reads it fine, recovery refuses it.
-    std::fs::write(
-        &ckpt,
-        "privacyscope-checkpoint v1 fingerprint=00000000deadbeef checksum=0000000000000000 len=0\n",
-    )
-    .expect("write stale checkpoint");
+    assert_stale_spool_restarts(
+        "stale",
+        &format!(
+            "privacyscope-checkpoint v{} fingerprint=00000000deadbeef checksum=0000000000000000 len=0\n",
+            symexec::checkpoint::FORMAT_VERSION
+        ),
+    );
+}
+
+/// A checkpoint spooled by a build with an older file format (v1 numbered
+/// symbols from counters) is stale the same way: `peek_fingerprint`
+/// refuses its version, and the job restarts from scratch.
+#[test]
+fn v1_checkpoint_restarts_from_scratch_and_gcs_the_file() {
+    assert_stale_spool_restarts(
+        "stale-v1",
+        "privacyscope-checkpoint v1 fingerprint=0000000000001234 checksum=0000000000000000 len=0\n",
+    );
+}
+
+/// Spools `header` as job 1's checkpoint under a journaled fingerprint of
+/// 0x1234 and checks that recovery requeues the job from scratch.
+fn assert_stale_spool_restarts(tag: &str, header: &str) {
+    let dir = spool(tag);
+    let spec = corpus_spec("Recommender", 12);
+    let ckpt = dir.join("job-1.ckpt");
+    std::fs::write(&ckpt, header).expect("write stale checkpoint");
     {
         let mut journal = Journal::open(&dir).expect("open journal");
         journal

@@ -702,6 +702,66 @@ pub fn generate_wraparound(seed: u64) -> SynthModule {
     }
 }
 
+/// The module [`generate`] builds for `seed`, with a *late read* at the
+/// top of its entry: a public branch chooses `late_r`, and only then is a
+/// secret byte, read for the first time, compared to guard
+/// `ocall_sink(late_r)`. [`hoist_secret_read`] moves that read above the
+/// branch; the two programs are equivalent, so the analyzer must report
+/// the same findings for both (the metamorphic campaign in
+/// `tests/soundfuzz_campaign.rs`).
+///
+/// The block is itself an implicit flow in the paper's sense — one secret
+/// guards two different observations — and its secret branch puts that
+/// secret into π ahead of the code [`generate`] emits, where it can mask
+/// an injected implicit leak. So the expectations, kept from
+/// [`generate`], describe only that code: compare the twins with each
+/// other, not with the expectations.
+#[must_use]
+pub fn generate_late_read(seed: u64) -> SynthModule {
+    let mut module = generate(seed);
+    let mut rng = SplitMix64(seed ^ 0x2545_f491_4f6c_dd1d);
+    let which = if rng.below(2) == 0 { "pub0" } else { "pub1" };
+    let t = rng.below(100) as i64;
+    let a = rng.small();
+    let b = a + rng.small();
+    let k = rng.below(SECRET_LEN as u64);
+    let g = 40 + rng.below(60) as i64;
+    let header = format!("int {ENTRY}(char *secret, int pub0, int pub1, int *out) {{\n");
+    let block = format!(
+        "    int late_r = 0;\n    if ({which} > {t}) {{ late_r = {a}; }} else {{ late_r = {b}; }}\n    if (secret[{k}] > {g}) {{ ocall_sink(late_r); }}\n"
+    );
+    module.source = module
+        .source
+        .replacen(&header, &format!("{header}{block}"), 1);
+    module
+}
+
+/// Hoists the late read of a [`generate_late_read`] module above its
+/// public branch: `int late_s = secret[k];` moves before the branch and
+/// the guard tests `late_s`. Any other module comes back unchanged.
+#[must_use]
+pub fn hoist_secret_read(module: &SynthModule) -> SynthModule {
+    let mut twin = module.clone();
+    let Some(guard) = module
+        .source
+        .lines()
+        .find(|line| line.starts_with("    if (secret[") && line.contains("ocall_sink(late_r)"))
+    else {
+        return twin;
+    };
+    let read = &guard["    if (".len()..guard.find(" >").unwrap_or(guard.len())];
+    let hoisted_guard = guard.replacen(read, "late_s", 1);
+    twin.source = module
+        .source
+        .replacen(
+            "    int late_r = 0;\n",
+            &format!("    int late_s = {read};\n    int late_r = 0;\n"),
+            1,
+        )
+        .replacen(guard, &hoisted_guard, 1);
+    twin
+}
+
 /// Emits one contradiction cluster: three nested guard shapes over the
 /// public scalars, each of which forks syntactically but has at least one
 /// concretely unsatisfiable side, and each of which only touches the dead
@@ -765,6 +825,33 @@ mod tests {
                 .validate()
                 .unwrap_or_else(|e| panic!("seed {seed} generated invalid module: {e}"));
         }
+    }
+
+    #[test]
+    fn hoisting_moves_only_the_late_read() {
+        for seed in 0..32u64 {
+            let late = generate_late_read(seed);
+            let hoisted = hoist_secret_read(&late);
+            late.validate().expect("late-read module parses");
+            hoisted.validate().expect("hoisted twin parses");
+            assert_eq!(late.expectations, generate(seed).expectations);
+            let moved: Vec<(&str, &str)> = late
+                .source
+                .lines()
+                .zip(hoisted.source.lines().filter(|l| !l.contains("int late_s")))
+                .filter(|(a, b)| a != b)
+                .collect();
+            assert_eq!(moved.len(), 1, "seed {seed}: only the guard changes");
+            assert!(moved[0].1.starts_with("    if (late_s > "));
+            let read = hoisted
+                .source
+                .lines()
+                .position(|l| l.starts_with("    int late_s = secret["));
+            let branch = hoisted.source.lines().position(|l| l.contains("late_r = "));
+            assert!(read < branch, "seed {seed}: the read precedes the branch");
+        }
+        let plain = generate(3);
+        assert_eq!(hoist_secret_read(&plain), plain);
     }
 
     #[test]

@@ -421,7 +421,7 @@ impl Analyzer {
             Exp::GetSecret => {
                 st.next_secret += 1;
                 self.max_secrets = self.max_secrets.max(st.next_secret);
-                let source = SourceId::new(st.next_secret);
+                let source = SourceId::new(st.next_secret.into());
                 (
                     SymExp::Sym {
                         index: st.next_secret,

@@ -1,6 +1,6 @@
 //! Crash-safe checkpointing of an exploration at wave boundaries.
 //!
-//! The worklist engine only mutates its global state (id counters, stats,
+//! The worklist engine only mutates its global state (secret sources, stats,
 //! ledger, event log) at deterministic *wave boundaries* — between two
 //! top-level statements every surviving path state is fully merged and the
 //! exploration is a pure function of the frontier. A [`Snapshot`] captures
@@ -13,7 +13,7 @@
 //! A checkpoint file is one header line followed by the raw JSON payload:
 //!
 //! ```text
-//! privacyscope-checkpoint v1 fingerprint=<16 hex> checksum=<16 hex> len=<bytes>
+//! privacyscope-checkpoint v2 fingerprint=<16 hex> checksum=<16 hex> len=<bytes>
 //! {"wave": 3, "entries": [...], ...}
 //! ```
 //!
@@ -36,7 +36,7 @@
 //! trusted after magic, version, length, checksum, and fingerprint all
 //! pass).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -44,13 +44,13 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::degrade::Ledger;
-use crate::engine::{EngineConfig, Flow, ParamBinding, Stats};
+use crate::engine::{EngineConfig, Flow, ParamBinding, SourceTable, Stats};
 use crate::profile::Profile;
 use crate::state::{DeclassifyEvent, ExecState};
 use crate::value::Region;
 
 /// The checkpoint file-format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &str = "privacyscope-checkpoint";
 
@@ -156,14 +156,9 @@ pub(crate) struct Frontier {
     pub wave: usize,
     /// Live path states with their control flow, in canonical order.
     pub entries: Vec<(ExecState, Flow)>,
-    /// Global symbol-allocator high-water mark.
-    pub next_symbol: u32,
-    /// Global source-allocator high-water mark.
-    pub next_source: u32,
-    /// Source id → human-readable name.
-    pub source_names: BTreeMap<u32, String>,
-    /// Source id → backing symbol id.
-    pub source_symbols: BTreeMap<u32, u32>,
+    /// Secret sources found so far: source id → the key of its symbol
+    /// and its human-readable name.
+    pub sources: SourceTable,
     /// Counters accumulated so far. Written for the file format; on
     /// resume the path-level fields come from here and the exploration
     /// counters from `profile`, which must agree with them.
@@ -519,6 +514,7 @@ pub(crate) fn probe_key(
 mod tests {
     use super::*;
     use crate::profile::Counter;
+    use crate::value::SymbolKey;
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -526,10 +522,13 @@ mod tests {
             frontier: Frontier {
                 wave: 2,
                 entries: vec![(ExecState::new(), Flow::Normal)],
-                next_symbol: 5,
-                next_source: 3,
-                source_names: BTreeMap::from([(1, "s".to_string())]),
-                source_symbols: BTreeMap::from([(1, 0)]),
+                sources: SourceTable::from([(
+                    1,
+                    (
+                        SymbolKey::RegionValue(Region::Global { name: "s".into() }),
+                        "s".to_string(),
+                    ),
+                )]),
                 stats: Stats {
                     forks: 4,
                     ..Stats::default()

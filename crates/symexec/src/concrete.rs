@@ -60,7 +60,7 @@ impl CVal {
 }
 
 /// Maps symbol ids to concrete numeric values.
-pub type CAssignment = BTreeMap<u32, CVal>;
+pub type CAssignment = BTreeMap<u64, CVal>;
 
 fn cfold(op: BinOp, a: CVal, b: CVal) -> Option<CVal> {
     // Float contamination first, exactly as `sgx_sim::interp::binop`.
@@ -181,7 +181,7 @@ mod tests {
         SVal::Sym(Symbol::new(1, "x"))
     }
 
-    fn cassign<I: IntoIterator<Item = (u32, CVal)>>(pairs: I) -> CAssignment {
+    fn cassign<I: IntoIterator<Item = (u64, CVal)>>(pairs: I) -> CAssignment {
         pairs.into_iter().collect()
     }
 

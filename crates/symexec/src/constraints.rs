@@ -140,14 +140,14 @@ struct SliceKey {
     cond: SVal,
     truth: bool,
     assumptions: Vec<Assumption>,
-    facts: Vec<(u32, Fact)>,
+    facts: Vec<(u64, Fact)>,
 }
 
 thread_local! {
     /// The slice walk's scratch: the symbols reached so far (sorted) and a
     /// membership flag per π index. Reused, so the walk allocates nothing
     /// once it has grown to the longest π seen.
-    static WALK: RefCell<(Vec<u32>, Vec<bool>)> = RefCell::default();
+    static WALK: RefCell<(Vec<u64>, Vec<bool>)> = RefCell::default();
 }
 
 impl SliceKey {
@@ -157,7 +157,7 @@ impl SliceKey {
             symbols.clear();
             members.clear();
             members.resize(path.len(), false);
-            let add = |symbols: &mut Vec<u32>, sym: u32| {
+            let add = |symbols: &mut Vec<u64>, sym: u64| {
                 if let Err(at) = symbols.binary_search(&sym) {
                     symbols.insert(at, sym);
                 }
@@ -242,8 +242,8 @@ impl Range {
 /// Tracks per-symbol ranges and disequalities; cloned on every fork.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ConstraintManager {
-    ranges: BTreeMap<u32, Range>,
-    diseqs: BTreeMap<u32, BTreeSet<i64>>,
+    ranges: BTreeMap<u64, Range>,
+    diseqs: BTreeMap<u64, BTreeSet<i64>>,
 }
 
 impl ConstraintManager {
@@ -323,7 +323,7 @@ impl ConstraintManager {
     /// `k − offset mod 2⁶⁴`. An order comparison narrows only when the
     /// symbol's current range shifted by `offset` stays inside i64 — then
     /// no value of the symbol wraps — and is left unrecorded otherwise.
-    fn apply_cmp(&mut self, sym: u32, op: BinOp, offset: i128, k: i64) -> Feasibility {
+    fn apply_cmp(&mut self, sym: u64, op: BinOp, offset: i128, k: i64) -> Feasibility {
         let target = i128::from(k) - offset;
         // `as` keeps the low 64 bits: the wrapped shift.
         let wrapped = target as i64;
@@ -342,7 +342,7 @@ impl ConstraintManager {
         }
     }
 
-    fn narrow(&mut self, sym: u32, lo: i128, hi: i128) -> Feasibility {
+    fn narrow(&mut self, sym: u64, lo: i128, hi: i128) -> Feasibility {
         let range = self.ranges.entry(sym).or_insert_with(Range::full);
         range.lo = range.lo.max(lo);
         range.hi = range.hi.min(hi);
@@ -352,21 +352,21 @@ impl ConstraintManager {
         self.check_sym(sym)
     }
 
-    fn add_eq(&mut self, sym: u32, v: i64) -> Feasibility {
+    fn add_eq(&mut self, sym: u64, v: i64) -> Feasibility {
         if self.diseqs.get(&sym).is_some_and(|set| set.contains(&v)) {
             return Feasibility::Infeasible;
         }
         self.narrow(sym, v as i128, v as i128)
     }
 
-    fn add_diseq(&mut self, sym: u32, v: i64) -> Feasibility {
+    fn add_diseq(&mut self, sym: u64, v: i64) -> Feasibility {
         self.diseqs.entry(sym).or_default().insert(v);
         self.check_sym(sym)
     }
 
     /// Re-checks a symbol after an update: a range collapsed onto its
     /// disequalities is contradictory.
-    fn check_sym(&mut self, sym: u32) -> Feasibility {
+    fn check_sym(&mut self, sym: u64) -> Feasibility {
         let Some(range) = self.ranges.get(&sym) else {
             return Feasibility::Feasible;
         };
@@ -391,34 +391,13 @@ impl ConstraintManager {
     }
 
     /// The currently known value of a symbol, if its range is a singleton.
-    pub fn known_value(&self, sym: u32) -> Option<i64> {
+    pub fn known_value(&self, sym: u64) -> Option<i64> {
         let range = self.ranges.get(&sym)?;
         if range.lo == range.hi {
             i64::try_from(range.lo).ok()
         } else {
             None
         }
-    }
-
-    /// Rewrites every constrained symbol id through `f`.
-    ///
-    /// Used by the worklist engine's deterministic merge to translate
-    /// task-local symbol ids into the global numbering. `f` must be
-    /// injective over the recorded ids or constraints would collide.
-    pub(crate) fn remap_symbols<F: Fn(u32) -> u32>(&mut self, f: &F) {
-        self.ranges = std::mem::take(&mut self.ranges)
-            .into_iter()
-            .map(|(sym, range)| (f(sym), range))
-            .collect();
-        self.diseqs = std::mem::take(&mut self.diseqs)
-            .into_iter()
-            .map(|(sym, set)| (f(sym), set))
-            .collect();
-    }
-
-    /// The ids of every symbol the manager holds a fact about.
-    pub(crate) fn symbol_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ranges.keys().chain(self.diseqs.keys()).copied()
     }
 }
 
@@ -614,7 +593,7 @@ pub(crate) fn const_of(sval: &SVal) -> Option<i64> {
 /// Deliberately *not* handling multiplication: `2·s == 19` must stay
 /// unconstrained rather than be refuted by divisibility — the paper's
 /// engine explores that branch (Table III) and so do we.
-fn linear_sym(sval: &SVal) -> Option<(u32, i128)> {
+fn linear_sym(sval: &SVal) -> Option<(u64, i128)> {
     match sval {
         SVal::Sym(sym) => Some((sym.id, 0)),
         SVal::Binary { op, lhs, rhs } => match op {
@@ -645,7 +624,7 @@ mod tests {
     use super::*;
     use crate::value::Symbol;
 
-    fn s(id: u32) -> SVal {
+    fn s(id: u64) -> SVal {
         SVal::Sym(Symbol::new(id, format!("s{id}")))
     }
 
@@ -790,23 +769,6 @@ mod tests {
         assert_eq!(cm.assume(&SVal::Int(1), true), Feasibility::Feasible);
         assert_eq!(cm.assume(&SVal::Int(0), true), Feasibility::Infeasible);
         assert_eq!(cm.assume(&SVal::Int(0), false), Feasibility::Feasible);
-    }
-
-    #[test]
-    fn remap_symbols_translates_constraint_keys() {
-        let mut cm = ConstraintManager::new();
-        cm.assume(&cmp(BinOp::Ge, s(7), SVal::Int(3)), true);
-        cm.assume(&cmp(BinOp::Ne, s(8), SVal::Int(0)), true);
-        cm.remap_symbols(&|id| id + 100);
-        assert_eq!(cm.known_value(7), None);
-        assert_eq!(
-            cm.assume(&cmp(BinOp::Lt, s(107), SVal::Int(3)), true),
-            Feasibility::Infeasible
-        );
-        assert_eq!(
-            cm.assume(&cmp(BinOp::Eq, s(108), SVal::Int(0)), true),
-            Feasibility::Infeasible
-        );
     }
 
     #[test]

@@ -538,7 +538,7 @@ fn wrap_rem(a: i128, k: i128) -> i128 {
 
 /// Matches `a·x + b` over one symbol with `a != 0`; coefficients are
 /// bounded so backward refinement stays in comfortably-exact i128 range.
-pub(crate) fn affine_of(v: &SVal) -> Option<(i128, u32, i128)> {
+pub(crate) fn affine_of(v: &SVal) -> Option<(i128, u64, i128)> {
     const A_CAP: i128 = 1 << 32;
     const B_CAP: i128 = 1 << 62;
     let (a, s, b) = affine_rec(v)?;
@@ -548,7 +548,7 @@ pub(crate) fn affine_of(v: &SVal) -> Option<(i128, u32, i128)> {
     Some((a, s, b))
 }
 
-fn affine_rec(v: &SVal) -> Option<(i128, u32, i128)> {
+fn affine_rec(v: &SVal) -> Option<(i128, u64, i128)> {
     match v {
         SVal::Sym(s) => Some((1, s.id, 0)),
         SVal::Unary { op: UnOp::Neg, arg } => {
@@ -642,7 +642,7 @@ fn div_ceil(a: i128, b: i128) -> i128 {
 /// branch share structure with the sibling (O(log n) per insert).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AbstractDomain {
-    facts: OrdMap<u32, Fact>,
+    facts: OrdMap<u64, Fact>,
 }
 
 impl AbstractDomain {
@@ -652,12 +652,12 @@ impl AbstractDomain {
     }
 
     /// The recorded fact for a symbol (⊤ when untracked).
-    pub fn fact_of(&self, sym: u32) -> Fact {
+    pub fn fact_of(&self, sym: u64) -> Fact {
         self.recorded(sym).unwrap_or_else(Fact::top)
     }
 
     /// The fact recorded for a symbol, if any.
-    pub(crate) fn recorded(&self, sym: u32) -> Option<Fact> {
+    pub(crate) fn recorded(&self, sym: u64) -> Option<Fact> {
         self.facts.get(&sym).copied()
     }
 
@@ -868,7 +868,7 @@ impl AbstractDomain {
     }
 
     /// Refinement for `x % k op c` with `k > 0`.
-    fn refine_rem(&mut self, sym: u32, k: i128, op: BinOp, c: i128) -> Feasibility {
+    fn refine_rem(&mut self, sym: u64, k: i128, op: BinOp, c: i128) -> Feasibility {
         let fact = self.fact_of(sym);
         match op {
             BinOp::Eq => {
@@ -907,7 +907,7 @@ impl AbstractDomain {
     /// Meets `refinement` into the fact for `sym`. Bottom ⇒ infeasible.
     /// Past the widening freeze the narrowing is dropped (but the bottom
     /// check still runs, keeping refutation power).
-    fn meet_fact(&mut self, sym: u32, refinement: Fact) -> Feasibility {
+    fn meet_fact(&mut self, sym: u64, refinement: Fact) -> Feasibility {
         let current = self.fact_of(sym);
         match current.meet(&refinement) {
             None => Feasibility::Infeasible,
@@ -922,19 +922,6 @@ impl AbstractDomain {
                 Feasibility::Feasible
             }
         }
-    }
-
-    /// The ids of every symbol the domain holds a fact about.
-    pub(crate) fn symbol_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.facts.keys().copied()
-    }
-
-    /// Rewrites symbol ids (worklist merge canonicalization).
-    pub fn remap_symbols(&mut self, f: impl Fn(u32) -> u32) {
-        if self.facts.is_empty() {
-            return;
-        }
-        self.facts = self.facts.iter().map(|(k, v)| (f(*k), *v)).collect();
     }
 }
 
@@ -952,7 +939,7 @@ mod tests {
     use super::*;
     use crate::value::Symbol;
 
-    fn sym(id: u32) -> SVal {
+    fn sym(id: u64) -> SVal {
         SVal::Sym(Symbol::new(id, ""))
     }
 
@@ -1119,15 +1106,6 @@ mod tests {
             dom.assume(&bin(BinOp::Gt, sym(0), int(2_000_000)), true),
             Feasibility::Infeasible
         );
-    }
-
-    #[test]
-    fn remap_symbols_moves_facts() {
-        let mut dom = AbstractDomain::new();
-        dom.assume(&bin(BinOp::Eq, sym(7), int(42)), true);
-        dom.remap_symbols(|id| id + 100);
-        assert_eq!(dom.fact_of(107).as_const(), Some(42));
-        assert!(dom.fact_of(7).is_top());
     }
 
     #[test]

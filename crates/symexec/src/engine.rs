@@ -10,10 +10,12 @@
 //! Exploration is organized as a deterministic *worklist*: the entry body
 //! is executed one top-level statement per wave, with every live path state
 //! handed to an independent task that may run on a worker thread
-//! ([`EngineConfig::workers`]). Tasks mint ids from a private namespace and
-//! are merged back in canonical order, so the resulting [`Exploration`] is
+//! ([`EngineConfig::workers`]). Symbol and source ids are digests of what
+//! they denote, never of which task made them, so appending the tasks'
+//! results in canonical order makes the resulting [`Exploration`]
 //! byte-identical to a sequential run — see the `worklist` module.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -39,22 +41,20 @@ use crate::profile::{Counter, Profile, SiteCounters};
 use crate::simplify::{fold_binary, fold_ite, fold_unary, simplify};
 use crate::state::{Channel, DeclassifyEvent, ExecState, Frame};
 use crate::trace::TraceStep;
-use crate::value::{Region, SVal, Symbol};
-use crate::worklist::{
-    assert_no_local_ids, release_worker_arenas, run_tasks, IdRemap, TaskBase, LOCAL_ID_BASE,
-};
+use crate::value::{Region, SVal, Symbol, SymbolKey};
+use crate::worklist::{release_worker_arenas, run_tasks};
 
 /// How an entry-function parameter is bound at the start of exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParamBinding {
     /// An unconstrained, non-secret scalar (a *low* input).
     Scalar,
-    /// A secret scalar: reads taint with a fresh source (a *high* input).
+    /// A secret scalar: its value is a secret source (a *high* input).
     SecretScalar,
     /// A pointer to an unknown, non-secret block.
     Pointer,
-    /// A pointer to secret data (an `[in]` ECALL buffer): each element read
-    /// mints a fresh taint source, matching `get_secret` per element.
+    /// A pointer to secret data (an `[in]` ECALL buffer): each element is
+    /// its own taint source, matching `get_secret` per element.
     SecretPointer,
     /// A pointer to an observable output buffer (an `[out]` ECALL buffer).
     OutPointer,
@@ -321,11 +321,10 @@ pub struct Exploration {
     /// including ones on paths later dropped by budgets (Alg. 1 checks at
     /// declassify time).
     pub events: Vec<DeclassifyEvent>,
-    /// Human-readable description of every secret source minted.
+    /// Human-readable description of every secret source found. A
+    /// source's id is the id of the symbol holding the secret (used for
+    /// recovery-formula synthesis).
     pub secret_sources: BTreeMap<SourceId, String>,
-    /// The symbolic-variable id backing each secret source (for recovery-
-    /// formula synthesis).
-    pub source_symbols: BTreeMap<SourceId, u32>,
     /// Path of the last resumable snapshot written during this run (on a
     /// supervisor stop or a periodic boundary), `None` when checkpointing
     /// was disabled or nothing was written. Operators can feed it back via
@@ -446,11 +445,9 @@ impl<'u> Engine<'u> {
             names: &self.names,
             cache: &cache,
             supervisor: &supervisor,
-            next_symbol: 0,
-            next_source: 1,
             base_forks: 0,
-            source_names: BTreeMap::new(),
-            source_symbols: BTreeMap::new(),
+            sources: SourceTable::new(),
+            collision: None,
             stats: Stats::default(),
             exhausted: false,
             interrupted: false,
@@ -469,10 +466,7 @@ impl<'u> Engine<'u> {
                 let Frontier {
                     wave,
                     entries,
-                    next_symbol,
-                    next_source,
-                    source_names,
-                    source_symbols,
+                    sources,
                     stats,
                     exhausted,
                     ledger,
@@ -481,10 +475,7 @@ impl<'u> Engine<'u> {
                     probe_seen,
                     profile,
                 } = snapshot.frontier;
-                explorer.next_symbol = next_symbol;
-                explorer.next_source = next_source;
-                explorer.source_names = source_names;
-                explorer.source_symbols = source_symbols;
+                explorer.sources = sources;
                 // The exploration counters resume from `profile`, which
                 // `Snapshot::load` checked against `stats`.
                 explorer.stats.absorb(&stats);
@@ -501,6 +492,9 @@ impl<'u> Engine<'u> {
                 explorer.init_globals(&mut state);
                 let mut out_bases = Vec::new();
                 explorer.bind_params(&mut state, func, bindings, &mut out_bases)?;
+                if let Some(error) = explorer.collision.take() {
+                    return Err(error);
+                }
                 // Globals/parameter binding may itself evaluate (and probe)
                 // before wave 0; account those probes first so the counters
                 // line up with a purely sequential run. A resumed run has
@@ -529,7 +523,7 @@ impl<'u> Engine<'u> {
             start_entries,
             body,
             sink,
-        );
+        )?;
 
         let mut paths = Vec::new();
         for (mut st, flow) in finished {
@@ -582,14 +576,9 @@ impl<'u> Engine<'u> {
             out_bases,
             events: explorer.event_log,
             secret_sources: explorer
-                .source_names
-                .iter()
-                .map(|(id, name)| (SourceId::new(*id), name.clone()))
-                .collect(),
-            source_symbols: explorer
-                .source_symbols
-                .iter()
-                .map(|(id, sym)| (SourceId::new(*id), *sym))
+                .sources
+                .into_iter()
+                .map(|(id, (_, name))| (SourceId::new(id), name))
                 .collect(),
             checkpoint: checkpoint_written,
             profile: explorer.profile,
@@ -598,10 +587,14 @@ impl<'u> Engine<'u> {
 
     /// Explores the entry body as a sequence of *waves*: one wave per
     /// top-level statement, in which every live path state becomes an
-    /// independent task fanned out over the worker pool. Results are merged
-    /// back in task order with their fresh ids renumbered onto the global
-    /// counters, so the outcome is byte-identical to a sequential run (see
-    /// the `worklist` module docs for the argument).
+    /// independent task fanned out over the worker pool. Results are
+    /// appended in task order, so the outcome is byte-identical to a
+    /// sequential run (see the `worklist` module docs for the argument).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::SourceCollision`] when two secret sources' keys have
+    /// the same digest.
     #[allow(clippy::too_many_arguments)]
     fn drive_worklist(
         &self,
@@ -612,7 +605,7 @@ impl<'u> Engine<'u> {
         start_entries: StateFlows,
         body: &[Stmt],
         mut sink: CheckpointSink<'_>,
-    ) -> StateFlows {
+    ) -> Result<StateFlows, EngineError> {
         let workers = self.config.effective_workers();
         let tele = self.config.telemetry.clone();
         let mut entries = start_entries;
@@ -640,7 +633,7 @@ impl<'u> Engine<'u> {
                 sink.write(explorer, &entries, wave);
                 entries.retain(|(_, flow)| *flow != Flow::Normal);
                 cut_exploration(explorer, kind, wave, live);
-                return entries;
+                return Ok(entries);
             }
             // Non-Normal entries (already returned / broken) pass through
             // positionally; Normal entries become tasks.
@@ -705,7 +698,7 @@ impl<'u> Engine<'u> {
                     tele.emit(span);
                 }
                 cut_exploration(explorer, kind, wave, dropped);
-                return entries;
+                return Ok(entries);
             }
             let mut results = results.into_iter();
             for slot in layout {
@@ -713,7 +706,7 @@ impl<'u> Engine<'u> {
                     Some(entry) => entries.push(entry),
                     None => {
                         if let Some(task) = results.next() {
-                            entries.extend(merge_task(explorer, task));
+                            entries.extend(merge_task(explorer, task)?);
                         }
                     }
                 }
@@ -742,11 +735,10 @@ impl<'u> Engine<'u> {
                 });
             }
         }
-        entries
+        Ok(entries)
     }
 
-    /// Executes one statement in one path state with task-local id
-    /// allocation (symbols and sources minted from [`LOCAL_ID_BASE`]).
+    /// Executes one statement in one path state.
     ///
     /// The whole task runs under `catch_unwind`: a panic anywhere inside a
     /// path becomes a [`Degradation::PathPanicked`] entry (the task's
@@ -777,11 +769,9 @@ impl<'u> Engine<'u> {
                 names: &self.names,
                 cache,
                 supervisor,
-                next_symbol: LOCAL_ID_BASE,
-                next_source: LOCAL_ID_BASE,
                 base_forks,
-                source_names: BTreeMap::new(),
-                source_symbols: BTreeMap::new(),
+                sources: SourceTable::new(),
+                collision: None,
                 stats: Stats::default(),
                 exhausted: false,
                 interrupted: false,
@@ -791,7 +781,6 @@ impl<'u> Engine<'u> {
                 probe_seen: BTreeSet::new(),
                 profile: Profile::new(),
             };
-            let base = TaskBase::of(&state);
             let flows = task.exec(state, stmt);
             if let Some(span) = span.as_mut() {
                 let totals = task.profile.totals();
@@ -802,11 +791,8 @@ impl<'u> Engine<'u> {
             }
             TaskResult {
                 flows,
-                base,
-                fresh_symbols: task.next_symbol - LOCAL_ID_BASE,
-                fresh_sources: task.next_source - LOCAL_ID_BASE,
-                source_names: task.source_names,
-                source_symbols: task.source_symbols,
+                sources: task.sources,
+                collision: task.collision,
                 stats: task.stats,
                 exhausted: task.exhausted,
                 interrupted: task.interrupted,
@@ -924,10 +910,7 @@ impl CheckpointSink<'_> {
             frontier: Frontier {
                 wave,
                 entries: entries.clone(),
-                next_symbol: explorer.next_symbol,
-                next_source: explorer.next_source,
-                source_names: explorer.source_names.clone(),
-                source_symbols: explorer.source_symbols.clone(),
+                sources: explorer.sources.clone(),
                 stats: explorer.stats.with_totals(&explorer.profile.totals()),
                 exhausted: explorer.exhausted,
                 ledger: explorer.ledger.clone(),
@@ -957,15 +940,13 @@ impl CheckpointSink<'_> {
     }
 }
 
-/// Everything one statement-task produced, with ids still task-local.
+/// Everything one statement-task produced.
 struct TaskResult {
     flows: Flows,
-    /// The task's input state, which bounds what the merge must remap.
-    base: TaskBase,
-    fresh_symbols: u32,
-    fresh_sources: u32,
-    source_names: BTreeMap<u32, String>,
-    source_symbols: BTreeMap<u32, u32>,
+    /// The secret sources the task's paths hold.
+    sources: SourceTable,
+    /// The first digest collision among them, if any.
+    collision: Option<EngineError>,
     stats: Stats,
     exhausted: bool,
     /// The supervisor fired mid-task; this wave's results must be discarded.
@@ -997,11 +978,8 @@ impl TaskResult {
         };
         TaskResult {
             flows: Outcomes::none(),
-            base: TaskBase::default(),
-            fresh_symbols: 0,
-            fresh_sources: 0,
-            source_names: BTreeMap::new(),
-            source_symbols: BTreeMap::new(),
+            sources: SourceTable::new(),
+            collision: None,
             stats,
             exhausted: true,
             interrupted: false,
@@ -1015,14 +993,14 @@ impl TaskResult {
     }
 }
 
-/// Folds a task's results into the global explorer, translating task-local
-/// symbol/source ids onto the global counters. Called in canonical task
-/// order, this reproduces the exact numbering of a sequential exploration.
-fn merge_task(explorer: &mut Explorer<'_, '_>, mut task: TaskResult) -> Flows {
-    debug_assert!(
-        explorer.next_symbol < LOCAL_ID_BASE && explorer.next_source < LOCAL_ID_BASE,
-        "global id counters must stay below the task-local namespace"
-    );
+/// Folds a task's results into the global explorer. Called in canonical
+/// task order; ids need no translation, so this only appends.
+///
+/// # Errors
+///
+/// [`EngineError::SourceCollision`] when one of the task's sources has the
+/// id of a different source already known.
+fn merge_task(explorer: &mut Explorer<'_, '_>, mut task: TaskResult) -> Result<Flows, EngineError> {
     // Emit the task's buffered telemetry from the merging thread, in
     // canonical task order; timings go to the sinks only.
     let telemetry = &explorer.config.telemetry;
@@ -1033,52 +1011,64 @@ fn merge_task(explorer: &mut Explorer<'_, '_>, mut task: TaskResult) -> Flows {
             telemetry.emit(span);
         }
     }
+    if let Some(error) = task.collision {
+        return Err(error);
+    }
+    for (id, (key, name)) in task.sources {
+        add_source(&mut explorer.sources, id, key, name)?;
+    }
     let probes = std::mem::take(&mut task.probes);
     explorer.absorb_probes(probes);
-    let remap = IdRemap {
-        symbol_base: explorer.next_symbol,
-        source_base: explorer.next_source,
-    };
-    explorer.next_symbol += task.fresh_symbols;
-    explorer.next_source += task.fresh_sources;
-    for (id, name) in task.source_names {
-        explorer
-            .source_names
-            .insert(remap.source(SourceId::new(id)).index(), name);
-    }
-    for (id, sym) in task.source_symbols {
-        explorer
-            .source_symbols
-            .insert(remap.source(SourceId::new(id)).index(), remap.symbol(sym));
-    }
     explorer.stats.absorb(&task.stats);
     explorer.profile.absorb(&task.profile);
     explorer.exhausted |= task.exhausted;
     explorer.ledger.absorb(task.ledger);
-    // A task that minted no ids has nothing to translate.
-    let minted = task.fresh_symbols > 0 || task.fresh_sources > 0;
-    for mut event in task.events {
-        if minted {
-            remap.remap_event(&mut event);
+    explorer.event_log.extend(task.events);
+    Ok(task.flows)
+}
+
+/// Secret sources by id, each with the key of the symbol holding the
+/// secret and its human-readable name.
+pub(crate) type SourceTable = BTreeMap<u64, (SymbolKey, String)>;
+
+/// Adds a source to `table`. One id under two different keys is a digest
+/// collision, which would silently merge two secrets into one source: it
+/// is an error, never an alias.
+fn add_source(
+    table: &mut SourceTable,
+    id: u64,
+    key: SymbolKey,
+    name: String,
+) -> Result<(), EngineError> {
+    match table.entry(id) {
+        Entry::Vacant(slot) => {
+            slot.insert((key, name));
+            Ok(())
         }
-        explorer.event_log.push(event);
+        Entry::Occupied(slot) if slot.get().0 == key => Ok(()),
+        Entry::Occupied(slot) => Err(EngineError::SourceCollision {
+            id,
+            first: slot.get().0.to_string(),
+            second: key.to_string(),
+        }),
     }
-    let mut flows = task.flows;
-    if minted {
-        for (st, flow) in flows.iter_mut() {
-            remap.remap_state(st, &task.base);
-            if let Flow::Return(Some((value, taint))) = flow {
-                value.remap_symbols(&|id| remap.symbol(id));
-                *taint = remap.taint(taint);
-            }
-        }
+}
+
+/// The symbol holding the initial contents of `region`, with its key.
+fn region_value(region: &Region) -> (SymbolKey, Symbol) {
+    let key = SymbolKey::RegionValue(region.clone());
+    let sym = Symbol::of(&key, region_hint(region));
+    (key, sym)
+}
+
+/// The key of the `slot`-th value created by the `visit`-th visit of this
+/// path to `site`.
+fn conjured(site: usize, visit: u32, slot: u64) -> SymbolKey {
+    SymbolKey::Conjured {
+        site: site as u32,
+        visit,
+        slot,
     }
-    if cfg!(debug_assertions) {
-        for (st, _) in flows.iter() {
-            assert_no_local_ids(st);
-        }
-    }
-    flows
 }
 
 /// Control flow out of a statement.
@@ -1162,15 +1152,15 @@ struct Explorer<'u, 'c> {
     cache: &'c FeasibilityCache,
     /// Deadline/cancellation oracle, polled at step granularity.
     supervisor: &'c Supervisor,
-    next_symbol: u32,
-    next_source: u32,
     /// Fork count accumulated before this task's wave started; the fork
     /// backstop compares `base_forks` plus this explorer's profile fork
     /// total, so every task of a wave sees the same, scheduling-invariant
     /// number.
     base_forks: u64,
-    source_names: BTreeMap<u32, String>,
-    source_symbols: BTreeMap<u32, u32>,
+    /// The secret sources this explorer's paths hold.
+    sources: SourceTable,
+    /// The first digest collision among `sources`, reported at merge.
+    collision: Option<EngineError>,
     /// Path-level counters only; the exploration counters live in
     /// `profile`.
     stats: Stats,
@@ -1252,28 +1242,31 @@ impl<'u, 'c> Explorer<'u, 'c> {
         }
     }
 
-    fn fresh_symbol(&mut self, hint: impl Into<Arc<str>>) -> Symbol {
-        let sym = Symbol::new(self.next_symbol, hint);
-        self.next_symbol += 1;
-        sym
+    /// Records that `sym`, minted from `key`, holds a secret, and returns
+    /// the taint of its source, which shares the symbol's id.
+    fn secret_source(&mut self, key: SymbolKey, sym: &Symbol) -> TaintSet {
+        if let Err(error) = add_source(&mut self.sources, sym.id, key, sym.hint.to_string()) {
+            self.collision.get_or_insert(error);
+        }
+        TaintSet::source(SourceId::new(sym.id))
     }
 
-    fn fresh_source(&mut self, name: impl Into<String>) -> SourceId {
-        let id = self.next_source;
-        self.next_source += 1;
-        self.source_names.insert(id, name.into());
-        SourceId::new(id)
-    }
-
-    /// Replaces an oversized value with a fresh summary symbol; the taint
-    /// (tracked separately) is preserved by the caller. The symbol's hint
-    /// is rendered only then.
-    fn summarize(&mut self, value: SVal, hint: impl FnOnce() -> String) -> SVal {
+    /// Replaces an oversized value with a summary symbol conjured at `at`;
+    /// the taint (tracked separately) is preserved by the caller. The
+    /// symbol's hint is rendered only then.
+    fn summarize(
+        &mut self,
+        state: &mut ExecState,
+        at: usize,
+        value: SVal,
+        hint: impl FnOnce() -> String,
+    ) -> SVal {
         if value.size_within(self.config.max_value_size).is_some() {
             value
         } else {
             self.ledger.record(Degradation::ValueWidened { count: 1 });
-            SVal::Sym(self.fresh_symbol(format!("summary({})", hint())))
+            let key = conjured(at, state.visit(at), 0);
+            SVal::Sym(Symbol::of(&key, format!("summary({})", hint())))
         }
     }
 
@@ -1383,20 +1376,19 @@ impl<'u, 'c> Explorer<'u, 'c> {
                     state.write(region, SVal::Int(*v), TaintSet::bottom());
                 }
                 ParamBinding::Scalar => {
-                    let sym = self.fresh_symbol(param.name.as_str());
+                    let (_, sym) = region_value(&region);
                     state.write(region, SVal::Sym(sym), TaintSet::bottom());
                 }
                 ParamBinding::SecretScalar => {
-                    let sym = self.fresh_symbol(param.name.as_str());
-                    let source = self.fresh_source(&param.name);
-                    self.source_symbols.insert(source.index(), sym.id);
-                    state.write(region, SVal::Sym(sym), TaintSet::source(source));
+                    let (key, sym) = region_value(&region);
+                    let taint = self.secret_source(key, &sym);
+                    state.write(region, SVal::Sym(sym), taint);
                 }
                 ParamBinding::Pointer
                 | ParamBinding::SecretPointer
                 | ParamBinding::OutPointer
                 | ParamBinding::InOutPointer => {
-                    let sym = self.fresh_symbol(param.name.as_str());
+                    let (_, sym) = region_value(&region);
                     let base = Region::Sym { symbol: sym };
                     if matches!(
                         binding,
@@ -1419,9 +1411,10 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     // ---- memory -----------------------------------------------------------
 
-    /// Reads a region, lazily materializing a fresh symbol for
-    /// never-written memory. Reads under a secret base mint a fresh taint
-    /// source per distinct region — the `get_secret` rule, per element.
+    /// Reads a region; never-written memory reads as its region-value
+    /// symbol, the same on every path. A region under a secret base is a
+    /// taint source of its own, keyed like its symbol — the `get_secret`
+    /// rule, per element.
     ///
     /// A read through an `ite` element index reads each arm:
     /// `a[ite(c, i, j)]` is `ite(c, a[i], a[j])`, tainted by both arms.
@@ -1437,12 +1430,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 TaintSet::merge([&then_taint, &else_taint]),
             );
         }
-        let hint = region_hint(region);
-        let sym = self.fresh_symbol(hint.clone());
+        let (key, sym) = region_value(region);
         let taint = if state.is_secret_region(region) {
-            let source = self.fresh_source(hint);
-            self.source_symbols.insert(source.index(), sym.id);
-            TaintSet::source(source)
+            self.secret_source(key, &sym)
         } else {
             TaintSet::bottom()
         };
@@ -1453,22 +1443,42 @@ impl<'u, 'c> Explorer<'u, 'c> {
         (value, taint)
     }
 
-    /// Writes `value` to `region`. A write through an `ite` element index
-    /// expands over the arms, each keeping its old value where the other
-    /// arm is taken: `a[ite(c, i, j)] = v` writes `a[i] = ite(c, v, a[i])`
-    /// and `a[j] = ite(c, a[j], v)`.
-    fn write(&mut self, state: &mut ExecState, region: Region, value: SVal, taint: TaintSet) {
+    /// Writes `value` to `region` for the statement at `at`. A write
+    /// through an `ite` element index expands over the arms, each keeping
+    /// its old value where the other arm is taken: `a[ite(c, i, j)] = v`
+    /// writes `a[i] = ite(c, v, a[i])` and `a[j] = ite(c, a[j], v)`.
+    fn write(
+        &mut self,
+        state: &mut ExecState,
+        at: usize,
+        region: Region,
+        value: SVal,
+        taint: TaintSet,
+    ) {
         let Some((cond, then, els)) = split_ite_region(&region) else {
             state.write(region, value, taint);
             return;
         };
         let (old, old_taint) = self.read(state, &then);
         let merged = fold_ite(cond.clone(), value.clone(), old);
-        let merged = self.summarize(merged, || region_hint(&then));
-        self.write(state, then, merged, TaintSet::merge([&taint, &old_taint]));
+        let merged = self.summarize(state, at, merged, || region_hint(&then));
+        self.write(
+            state,
+            at,
+            then,
+            merged,
+            TaintSet::merge([&taint, &old_taint]),
+        );
         let (old, old_taint) = self.read(state, &els);
-        let merged = self.summarize(fold_ite(cond, old, value), || region_hint(&els));
-        self.write(state, els, merged, TaintSet::merge([&old_taint, &taint]));
+        let merged = fold_ite(cond, old, value);
+        let merged = self.summarize(state, at, merged, || region_hint(&els));
+        self.write(
+            state,
+            at,
+            els,
+            merged,
+            TaintSet::merge([&old_taint, &taint]),
+        );
     }
 
     /// Resolves an identifier to its region (locals, then globals).
@@ -1648,7 +1658,13 @@ impl<'u, 'c> Explorer<'u, 'c> {
                             } else {
                                 simplify(&SVal::binary(BinOp::Add, old.clone(), SVal::Int(delta)))
                             };
-                            self.write(&mut st, region, new.clone(), taint.clone());
+                            self.write(
+                                &mut st,
+                                expr.span.start,
+                                region,
+                                new.clone(),
+                                taint.clone(),
+                            );
                             let value = if is_post { old } else { new };
                             (st, value, taint)
                         }
@@ -1735,8 +1751,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
                         (value, taint::binop(&ot, &rt))
                     }
                 };
-                let value = self.summarize(value, || region_hint(&region));
-                self.write(&mut st2, region, value.clone(), taint.clone());
+                let at = lhs.span.start;
+                let value = self.summarize(&mut st2, at, value, || region_hint(&region));
+                self.write(&mut st2, at, region, value.clone(), taint.clone());
                 out.push((st2, value, taint));
             }
         }
@@ -1863,12 +1880,14 @@ impl<'u, 'c> Explorer<'u, 'c> {
                     st.events.push(event);
                 }
             }
-            // Sources: decrypt-like. The result is fresh secret data; the
-            // first pointer argument receives fresh secret plaintext (one
-            // source per element, like `get_secret`), and its whole block
-            // is marked secret so out-of-bound-of-the-model reads stay
-            // tainted.
+            // Sources: decrypt-like. The result (slot 0) is secret data
+            // conjured by this call; the first pointer argument receives
+            // secret plaintext (slot i + 1 for element i, one source per
+            // element, like `get_secret`), and its whole block is marked
+            // secret so out-of-bound-of-the-model reads stay tainted.
             if self.config.source_functions.contains(callee) {
+                let at = expr.span.start;
+                let visit = st.visit(at);
                 if let Some(region) = values.first().and_then(|(v, _)| self.pointee_region(v)) {
                     let len = values
                         .get(2)
@@ -1877,19 +1896,17 @@ impl<'u, 'c> Explorer<'u, 'c> {
                         .clamp(0, 64);
                     for i in 0..len {
                         let elem = element(&region, i);
-                        let hint = region_hint(&elem);
-                        let source = self.fresh_source(hint.clone());
-                        let sym = self.fresh_symbol(hint);
-                        self.source_symbols.insert(source.index(), sym.id);
-                        st.write(elem, SVal::Sym(sym), TaintSet::source(source));
+                        let key = conjured(at, visit, i as u64 + 1);
+                        let sym = Symbol::of(&key, region_hint(&elem));
+                        let taint = self.secret_source(key, &sym);
+                        st.write(elem, SVal::Sym(sym), taint);
                     }
                     st.secret_bases.insert(region);
                 }
-                let hint = format!("{callee}#out");
-                let source = self.fresh_source(hint.clone());
-                let sym = self.fresh_symbol(hint);
-                self.source_symbols.insert(source.index(), sym.id);
-                out.push((st, SVal::Sym(sym), TaintSet::source(source)));
+                let key = conjured(at, visit, 0);
+                let sym = Symbol::of(&key, format!("{callee}#out"));
+                let taint = self.secret_source(key, &sym);
+                out.push((st, SVal::Sym(sym), taint));
                 continue;
             }
 
@@ -1910,7 +1927,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         let unit = self.unit;
         if let Some(func) = unit.function(callee).filter(|f| f.body.is_some()) {
             if state.frames.len() <= self.config.inline_depth {
-                let results = self.inline_call(state, func, values);
+                let results = self.inline_call(state, expr.span.start, func, values);
                 return self.merge_returns(results, func, expr.span.start);
             }
         }
@@ -1920,6 +1937,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
     fn inline_call(
         &mut self,
         mut state: ExecState,
+        at: usize,
         func: &Function,
         values: &[(SVal, TaintSet)],
     ) -> EvalResults {
@@ -1941,7 +1959,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 name: name.clone(),
             };
             state.frame_mut().declare(name, region.clone());
-            let value = self.summarize(value.clone(), || param.name.clone());
+            let value = self.summarize(&mut state, at, value.clone(), || param.name.clone());
             state.write(region, value, taint.clone());
         }
         self.exec_block(state, body).map(|(mut st, flow)| {
@@ -1957,8 +1975,8 @@ impl<'u, 'c> Explorer<'u, 'c> {
     /// an `ite` over the arms' π suffixes, or hands them back unchanged
     /// when they may not merge (see [`mergeable`]). The merged state keeps
     /// the arms' common π prefix, the first arm's trace and environment,
-    /// and the most steps any arm took; its value's taint remembers each
-    /// arm ([`TaintSet::merge`]).
+    /// and the most steps and site visits any arm took; its value's taint
+    /// remembers each arm ([`TaintSet::merge`]).
     fn merge_returns(&mut self, results: EvalResults, func: &Function, at: usize) -> EvalResults {
         if !self.config.merge_returns
             || results.len() < 2
@@ -1979,7 +1997,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         let steps = arms.iter().map(|(st, _, _)| st.steps).max().unwrap_or(0);
         let taint = TaintSet::merge(arms.iter().map(|(_, _, t)| t));
         let (mut state, mut value, _) = arms.pop().expect("at least two arms");
-        for (st, arm_value, _) in arms.into_iter().rev() {
+        for (mut st, arm_value, _) in arms.into_iter().rev() {
             let cond = st.path.assumptions()[prefix..]
                 .iter()
                 .map(|a| {
@@ -1992,12 +2010,19 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 .reduce(|all, next| fold_binary(BinOp::LogAnd, all, next))
                 .unwrap_or(SVal::Int(1));
             value = fold_ite(cond, arm_value, value);
+            // The merged path holds every symbol any arm conjured, so its
+            // next visit to a site must come after all of theirs.
+            for (site, visits) in state.visits.iter() {
+                if st.visits.get(site).is_none_or(|own| own < visits) {
+                    st.visits.insert(*site, *visits);
+                }
+            }
             state = st;
         }
         state.path.truncate(prefix);
         state.steps = steps;
         self.profile.bump(at, Counter::Merges, 1);
-        let value = self.summarize(value, || format!("{}()", func.name));
+        let value = self.summarize(&mut state, at, value, || format!("{}()", func.name));
         Outcomes::one((state, value, taint))
     }
 
@@ -2021,7 +2046,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
                             let from = element(&src_r, i);
                             let to = element(&dst_r, i);
                             let (v, t) = self.read(&mut state, &from);
-                            self.write(&mut state, to, v, t);
+                            self.write(&mut state, expr.span.start, to, v, t);
                         }
                         let first = values[0].clone();
                         return (state, first.0, TaintSet::bottom());
@@ -2036,7 +2061,8 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 {
                     if let Some(dst_r) = self.pointee_region(dst) {
                         for i in 0..n.clamp(0, 64) {
-                            self.write(&mut state, element(&dst_r, i), byte.clone(), bt.clone());
+                            let to = element(&dst_r, i);
+                            self.write(&mut state, expr.span.start, to, byte.clone(), bt.clone());
                         }
                         let first = values[0].clone();
                         return (state, first.0, TaintSet::bottom());
@@ -2045,24 +2071,29 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 (state, SVal::Unknown, join_all(values))
             }
             "sgx_read_rand" => {
-                // Fills the buffer with fresh, non-secret symbols.
+                // Fills the buffer with conjured, non-secret symbols.
                 let n = values.get(1).and_then(|(v, _)| v.as_int()).unwrap_or(8);
                 if let Some(region) = values.first().and_then(|(v, _)| self.pointee_region(v)) {
+                    let visit = state.visit(expr.span.start);
                     for i in 0..n.clamp(0, 64) {
-                        let sym = self.fresh_symbol(format!("rand[{i}]"));
+                        let key = conjured(expr.span.start, visit, i as u64);
+                        let sym = Symbol::of(&key, format!("rand[{i}]"));
                         state.write(element(&region, i), SVal::Sym(sym), TaintSet::bottom());
                     }
                 }
                 (state, SVal::Int(0), TaintSet::bottom())
             }
             "rand" => {
-                let sym = self.fresh_symbol("rand()");
-                (state, SVal::Sym(sym), TaintSet::bottom())
+                let key = conjured(expr.span.start, state.visit(expr.span.start), 0);
+                (
+                    state,
+                    SVal::Sym(Symbol::of(&key, "rand()")),
+                    TaintSet::bottom(),
+                )
             }
             _ => {
                 // Uninterpreted pure call: sqrt(x), unknown prototypes, or
                 // too-deep recursion. Taint flows from every argument.
-                let _ = expr;
                 (
                     state,
                     SVal::Call {
@@ -2182,8 +2213,10 @@ impl<'u, 'c> Explorer<'u, 'c> {
             StmtKind::Return(value) => match value {
                 None => Outcomes::one((state, Flow::Return(None))),
                 Some(expr) => self.eval(state, expr).map(|(st, v, t)| {
-                    let st = self.snapshot(st, stmt.span);
-                    let v = self.summarize(simplify(&v), || "return".to_string());
+                    let mut st = self.snapshot(st, stmt.span);
+                    let v = self.summarize(&mut st, stmt.span.start, simplify(&v), || {
+                        "return".to_string()
+                    });
                     (st, Flow::Return(Some((v, t))))
                 }),
             },
@@ -2201,7 +2234,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
     ) -> Outcomes<ExecState> {
         match init {
             Init::Expr(expr) => self.eval(state, expr).map(|(mut st, v, t)| {
-                let v = self.summarize(v, || region_hint(region));
+                let v = self.summarize(&mut st, expr.span.start, v, || region_hint(region));
                 st.write(region.clone(), v, t);
                 st
             }),
@@ -2365,8 +2398,8 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 if over_budget {
                     // Widen: havoc everything the loop wrote, then exit.
                     let mut widened = body_state;
-                    self.widen(&mut widened, write_mark);
                     let at = cond.map_or(body.span.start, |c| c.span.start);
+                    self.widen(&mut widened, write_mark, at);
                     self.profile.bump(at, Counter::Widenings, 1);
                     out.push((widened, Flow::Normal));
                     continue;
@@ -2398,15 +2431,17 @@ impl<'u, 'c> Explorer<'u, 'c> {
         out
     }
 
-    /// Havoc-widening: every region written since `mark` is rebound to a
-    /// fresh symbol that keeps the region's (joined) taint, so bounded
-    /// unrolling stays sound for taint while guaranteeing termination.
-    fn widen(&mut self, state: &mut ExecState, mark: usize) {
+    /// Havoc-widening at loop `at`: every region written since `mark` is
+    /// rebound to a symbol conjured for it (slot i for the i-th region)
+    /// that keeps the region's (joined) taint, so bounded unrolling stays
+    /// sound for taint while guaranteeing termination.
+    fn widen(&mut self, state: &mut ExecState, mark: usize, at: usize) {
         self.ledger.record(Degradation::LoopWidened { count: 1 });
         let written: BTreeSet<Region> = state.write_log.iter_from(mark).cloned().collect();
-        for region in written {
-            let hint = format!("widened({})", region_hint(&region));
-            let sym = self.fresh_symbol(hint);
+        let visit = state.visit(at);
+        for (slot, region) in written.into_iter().enumerate() {
+            let key = conjured(at, visit, slot as u64);
+            let sym = Symbol::of(&key, format!("widened({})", region_hint(&region)));
             let taint = state.taint_of(&region);
             state.store.bind(region, SVal::Sym(sym), taint);
         }
@@ -2635,6 +2670,39 @@ mod tests {
         assert_eq!(ex.secret_sources.len(), 2);
         let names: Vec<&str> = ex.secret_sources.values().map(|s| s.as_str()).collect();
         assert!(names.contains(&"s[0]") && names.contains(&"s[1]"));
+    }
+
+    #[test]
+    fn a_secret_read_after_a_fork_is_one_source_on_both_paths() {
+        let ex = explore(
+            "int f(char *s, int p) { int r = 0; if (p > 0) r = 1; return s[0] + r; }",
+            "f",
+            &[ParamBinding::SecretPointer, ParamBinding::Scalar],
+        );
+        assert_eq!(ex.paths.len(), 2);
+        assert_eq!(ex.secret_sources.len(), 1);
+        let taints: BTreeSet<_> = ex
+            .paths
+            .iter()
+            .map(|p| p.return_value.as_ref().unwrap().1.clone())
+            .collect();
+        assert_eq!(taints.len(), 1, "both paths hold the one source");
+    }
+
+    #[test]
+    fn one_id_under_two_keys_is_a_collision() {
+        let mut table = SourceTable::new();
+        let key = |name: &str| SymbolKey::RegionValue(Region::Global { name: name.into() });
+        assert_eq!(add_source(&mut table, 7, key("a"), "a".into()), Ok(()));
+        // The same key again is the same source.
+        assert_eq!(add_source(&mut table, 7, key("a"), "a".into()), Ok(()));
+        let error = add_source(&mut table, 7, key("b"), "b".into()).unwrap_err();
+        assert!(
+            matches!(&error, EngineError::SourceCollision { id: 7, first, second }
+                if first == "value of ::a" && second == "value of ::b"),
+            "{error:?}"
+        );
+        assert_eq!(table.len(), 1, "the first key keeps the id");
     }
 
     #[test]
@@ -2982,7 +3050,8 @@ mod tests {
     #[test]
     fn workers_produce_identical_explorations() {
         // Branches, a widened loop, an inlined call, a sink and a source
-        // function all mint ids; the parallel run must be byte-identical.
+        // function all create symbols; the parallel run must be
+        // byte-identical.
         let src = "int ipp_decrypt(char *dst, char *src, int n);\n\
                    void send(int v);\n\
                    int helper(int x) { if (x > 3) return x + 1; return x; }\n\

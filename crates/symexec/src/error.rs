@@ -41,6 +41,17 @@ pub enum EngineError {
     /// written for a different analysis). The run never starts — a bad
     /// snapshot must not produce a silently wrong result.
     Checkpoint(CheckpointError),
+    /// Two different secret sources have the same id: their symbol keys
+    /// share a 64-bit digest. The run stops rather than let one source
+    /// stand for two secrets.
+    SourceCollision {
+        /// The shared id.
+        id: u64,
+        /// The key already recorded under `id`.
+        first: String,
+        /// The key that arrived second.
+        second: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -69,6 +80,10 @@ impl fmt::Display for EngineError {
                 write!(f, "exploration exceeded the path budget of {budget}")
             }
             EngineError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            EngineError::SourceCollision { id, first, second } => write!(
+                f,
+                "secret sources `{first}` and `{second}` share the id {id:016x}"
+            ),
         }
     }
 }

@@ -464,7 +464,7 @@ mod tests {
     use super::*;
     use minic::ast::BinOp;
 
-    fn expr(id: u32) -> SVal {
+    fn expr(id: u64) -> SVal {
         SVal::binary(
             BinOp::Add,
             SVal::Sym(crate::value::Symbol::new(id, "x")),
@@ -542,7 +542,7 @@ mod tests {
         let mut table: Interner<SVal> = Interner::new();
         let kept = table.intern(SVal::Int(7));
         let mut peak = 0;
-        for id in 0..20 * MIN_SWEEP as u32 {
+        for id in 0..20 * MIN_SWEEP as u64 {
             drop(table.intern(SVal::Sym(crate::value::Symbol::new(id, "t"))));
             peak = peak.max(table.entries());
         }

@@ -17,7 +17,7 @@
 //!
 //! On top of the state, [`engine::Engine`] abstractly interprets a Mini-C
 //! function: it forks at branches, bounds loops with havoc-widening, inlines
-//! direct calls, lazily materializes fresh symbols for uninitialized memory,
+//! direct calls, reads uninitialized memory as its region-value symbol,
 //! and — crucially for PrivacyScope — introduces *taint* at secret sources
 //! and propagates it per the policy of the `taint` crate, tracking the taint
 //! of π across forks.

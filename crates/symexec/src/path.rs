@@ -44,13 +44,6 @@ impl PathCondition {
         self.assumptions.push(Assumption { cond, taken });
     }
 
-    /// Rewrites the symbol ids of the assumptions from index `start` on.
-    pub(crate) fn remap_symbols_from<F: Fn(u32) -> u32>(&mut self, start: usize, f: &F) {
-        for assumption in self.assumptions.iter_mut().skip(start) {
-            assumption.cond.remap_symbols(f);
-        }
-    }
-
     /// Keeps the first `len` assumptions (the common prefix of merged
     /// paths).
     pub fn truncate(&mut self, len: usize) {

@@ -387,8 +387,8 @@ mod tests {
     }
 
     /// `((x + 0) * y) - (z + 1)`: one rewritten subtree, the rest normal.
-    fn mixed(base: u32) -> SVal {
-        let sym = |i: u32| SVal::Sym(Symbol::new(base + i, format!("s{i}")));
+    fn mixed(base: u64) -> SVal {
+        let sym = |i: u64| SVal::Sym(Symbol::new(base + i, format!("s{i}")));
         SVal::binary(
             BinOp::Sub,
             SVal::binary(

@@ -351,11 +351,12 @@ impl Search<'_> {
     /// atoms (plus interval bounds via a virtual zero node) and runs
     /// Bellman–Ford; a negative cycle refutes the assignment.
     fn difference_logic_consistent(&self, dom: &AbstractDomain) -> bool {
-        const ZERO: u32 = u32::MAX;
+        // Nodes are symbol ids; `None` is the zero node.
+        const ZERO: Option<u64> = None;
         // Edge (from, to, w) encodes `to − from ≤ w`.
-        let mut edges: Vec<(u32, u32, i128)> = Vec::new();
-        let mut nodes: Vec<u32> = vec![ZERO];
-        let touch = |nodes: &mut Vec<u32>, s: u32| {
+        let mut edges: Vec<(Option<u64>, Option<u64>, i128)> = Vec::new();
+        let mut nodes: Vec<Option<u64>> = vec![ZERO];
+        let touch = |nodes: &mut Vec<Option<u64>>, s: Option<u64>| {
             if !nodes.contains(&s) {
                 nodes.push(s);
             }
@@ -378,6 +379,7 @@ impl Search<'_> {
             {
                 continue;
             }
+            let (x, y) = (Some(x), Some(y));
             touch(&mut nodes, x);
             touch(&mut nodes, y);
             // (x + bx) op (y + by)  ⇒  x − y ⋈ by − bx.
@@ -398,19 +400,19 @@ impl Search<'_> {
             return true;
         }
         // Interval bounds from the refined domain, through the zero node.
-        for &s in nodes.iter().skip(1) {
+        for &s in nodes.iter().flatten() {
             let f = dom.fact_of(s);
             if f.interval.hi < i128::from(i64::MAX) {
-                edges.push((ZERO, s, f.interval.hi));
+                edges.push((ZERO, Some(s), f.interval.hi));
             }
             if f.interval.lo > i128::from(i64::MIN) {
-                edges.push((s, ZERO, -f.interval.lo));
+                edges.push((Some(s), ZERO, -f.interval.lo));
             }
         }
         // Bellman–Ford from an implicit super-source (all distances 0):
         // |V| rounds of relaxation; any relaxation in round |V| means a
         // negative cycle.
-        let index_of = |s: u32| nodes.iter().position(|&n| n == s).unwrap_or(0);
+        let index_of = |s: Option<u64>| nodes.iter().position(|&n| n == s).unwrap_or(0);
         let mut dist = vec![0i128; nodes.len()];
         for round in 0..=nodes.len() {
             let mut changed = false;
@@ -438,7 +440,7 @@ mod tests {
     use crate::path::PathCondition;
     use crate::value::Symbol;
 
-    fn sym(id: u32) -> SVal {
+    fn sym(id: u64) -> SVal {
         SVal::Sym(Symbol::new(id, ""))
     }
 

@@ -81,15 +81,6 @@ impl Environment {
         self.bindings.iter()
     }
 
-    /// Rewrites the bindings not shared with `base` through `f` (see
-    /// [`OrdMap::update_unshared`]).
-    pub(crate) fn update_unshared<F>(&mut self, base: &Environment, f: F)
-    where
-        F: FnMut(&ExprId, &Region) -> Option<(ExprId, Region)>,
-    {
-        self.bindings.update_unshared(&base.bindings, f);
-    }
-
     /// Diagnostic: (shared-with-`other`, total) map-node counts.
     pub fn sharing(&self, other: &Environment) -> (usize, usize) {
         (
@@ -245,25 +236,6 @@ impl Store {
         }
         out.into_iter()
             .map(|(region, (value, taint))| (region, value, taint))
-    }
-
-    /// Rewrites the bindings not shared with `base` through `f` (see
-    /// [`OrdMap::update_unshared`]).
-    ///
-    /// Leaves `has_orphans` as it is: `f` renames symbols consistently in
-    /// every key, so each child keeps its parent (or its missing parent)
-    /// and no orphan is created or repaired.
-    pub(crate) fn update_unshared<F>(&mut self, base: &Store, f: F)
-    where
-        F: FnMut(&Region, &(SVal, TaintSet)) -> Option<(Region, (SVal, TaintSet))>,
-    {
-        self.bindings.update_unshared(&base.bindings, f);
-    }
-
-    /// The sticky orphan hint (see the field docs).
-    #[cfg(test)]
-    pub(crate) fn has_orphans(&self) -> bool {
-        self.has_orphans
     }
 
     /// Diagnostic: (shared-with-`other`, total) map-node counts.
@@ -463,16 +435,6 @@ impl Frame {
         }
     }
 
-    /// Every declared region, outermost scope first.
-    pub fn regions(&self) -> impl Iterator<Item = &Region> {
-        self.bindings.iter().map(|(_, region)| region)
-    }
-
-    /// Every declared region, mutably.
-    pub fn regions_mut(&mut self) -> impl Iterator<Item = &mut Region> {
-        self.bindings.iter_mut().map(|(_, region)| region)
-    }
-
     /// The declarations of each scope, outermost first.
     fn scopes(&self) -> impl Iterator<Item = &[(Arc<str>, Region)]> {
         let starts = std::iter::once(0).chain(self.marks.iter().copied());
@@ -562,6 +524,10 @@ pub struct ExecState {
     pub next_frame: u32,
     /// Next shadow-rename counter for re-declared locals on this path.
     pub next_shadow: u32,
+    /// How many times this path has created symbols at each site (source
+    /// byte offset): the `visit` of a conjured [`crate::value::SymbolKey`].
+    /// Like `next_frame`, it depends only on the path's own history.
+    pub visits: OrdMap<u32, u32>,
     /// Base regions holding secret data on this path (entry parameters
     /// marked secret, plus regions written by configured source functions).
     pub secret_bases: BTreeSet<Region>,
@@ -589,6 +555,7 @@ impl Serialize for ExecState {
             ("trace", serde::to_value(&self.trace)?),
             ("next_frame", serde::to_value(&self.next_frame)?),
             ("next_shadow", serde::to_value(&self.next_shadow)?),
+            ("visits", serde::to_value(&self.visits)?),
             ("secret_bases", serde::to_value(&self.secret_bases)?),
             ("domain", serde::to_value(&self.domain)?),
         ];
@@ -623,6 +590,7 @@ impl<'de> Deserialize<'de> for ExecState {
             trace: serde::from_value(field("trace")?)?,
             next_frame: serde::from_value(field("next_frame")?)?,
             next_shadow: serde::from_value(field("next_shadow")?)?,
+            visits: serde::from_value(field("visits")?)?,
             secret_bases: serde::from_value(field("secret_bases")?)?,
             // Absent from checkpoints written before the domain existed.
             domain: serde::take_field_opt(&mut obj, "domain")
@@ -665,6 +633,14 @@ impl ExecState {
     pub fn write(&mut self, region: Region, value: SVal, taint: TaintSet) {
         self.write_log.push(region.clone());
         self.store.bind(region, value, taint);
+    }
+
+    /// Counts one more visit to `site`, returning how many came before.
+    pub(crate) fn visit(&mut self, site: usize) -> u32 {
+        let site = site as u32;
+        let visit = self.visits.get(&site).copied().unwrap_or(0);
+        self.visits.insert(site, visit + 1);
+        visit
     }
 
     /// The taint of a region (⊥ if never set).
@@ -782,6 +758,7 @@ mod tests {
                 "trace",
                 "next_frame",
                 "next_shadow",
+                "visits",
                 "secret_bases",
                 "domain"
             ]
@@ -850,11 +827,11 @@ mod tests {
             };
             let value = SVal::binary(
                 minic::ast::BinOp::Add,
-                SVal::Sym(Symbol::new(i as u32, "x")),
+                SVal::Sym(Symbol::new(i as u64, "x")),
                 SVal::Int(i),
             );
             let taint = if i % 3 == 0 {
-                TaintSet::source(SourceId::new((i % 8) as u32))
+                TaintSet::source(SourceId::new((i % 8) as u64))
             } else {
                 TaintSet::bottom()
             };

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use minic::ast::{BinOp, UnOp};
 use serde::{Deserialize, Serialize};
 
-use crate::intern::{Intern, HC};
+use crate::intern::{Intern, ShallowHasher, HC};
 
 /// A total-ordered `f64` wrapper so symbolic values can key `BTreeMap`s.
 ///
@@ -52,25 +52,77 @@ impl fmt::Display for OrderedF64 {
     }
 }
 
-/// A fresh symbolic variable (the `αᵢ` of §VI-B).
+/// A symbolic variable (the `αᵢ` of §VI-B).
 ///
-/// Symbols are identified by `id`; `hint` is a human-readable name used in
-/// traces and reports (e.g. `secrets[0]`). Two symbols with the same id are
-/// the same symbol — the engine never reuses ids within one exploration.
+/// A symbol's `id` is the digest of its [`SymbolKey`]: what the symbol
+/// denotes, never when or by which task it was made, so every path that
+/// reads the same secret holds the same symbol. `hint` is a human-readable
+/// name used in traces and reports (e.g. `secrets[0]`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Symbol {
-    /// Unique id within one exploration.
-    pub id: u32,
+    /// The digest of the symbol's key ([`SymbolKey::id`]).
+    pub id: u64,
     /// Display name, e.g. the expression the symbol materialized from.
     pub hint: Arc<str>,
 }
 
 impl Symbol {
-    /// Creates a symbol.
-    pub fn new(id: u32, hint: impl Into<Arc<str>>) -> Self {
+    /// Creates a symbol with a given id.
+    pub fn new(id: u64, hint: impl Into<Arc<str>>) -> Self {
         Symbol {
             id,
             hint: hint.into(),
+        }
+    }
+
+    /// The symbol that `key` names.
+    pub fn of(key: &SymbolKey, hint: impl Into<Arc<str>>) -> Self {
+        Symbol::new(key.id(), hint)
+    }
+}
+
+/// What a symbol denotes, after Clang SA's `SymbolRegionValue` and
+/// `SymbolConjured`. A symbol's id is the digest of its key.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SymbolKey {
+    /// The initial contents of a region no statement has written.
+    RegionValue(Region),
+    /// A value that the statement at a site creates: a modeled call's
+    /// result, a decrypted element, a summary or a widened value.
+    Conjured {
+        /// The source byte offset of the creating statement.
+        site: u32,
+        /// How many times this path created values at `site` before.
+        visit: u32,
+        /// Which of the values created by this one visit.
+        slot: u64,
+    },
+}
+
+impl SymbolKey {
+    /// The stable 64-bit digest of the key: an FNV-1a hash over the
+    /// region's cached hash, or over the site, visit and slot.
+    pub fn id(&self) -> u64 {
+        let mut h = ShallowHasher::new();
+        match self {
+            SymbolKey::RegionValue(region) => h.tag(0).u64(region.shallow_hash()),
+            SymbolKey::Conjured { site, visit, slot } => h
+                .tag(1)
+                .bytes(&site.to_le_bytes())
+                .bytes(&visit.to_le_bytes())
+                .u64(*slot),
+        };
+        h.finish()
+    }
+}
+
+impl fmt::Display for SymbolKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SymbolKey::RegionValue(region) => write!(f, "value of {region}"),
+            SymbolKey::Conjured { site, visit, slot } => {
+                write!(f, "value {slot} of visit {visit} to byte {site}")
+            }
         }
     }
 }
@@ -157,49 +209,6 @@ impl Region {
         match self {
             Region::Element { base, .. } | Region::Field { base, .. } => Some(base),
             _ => None,
-        }
-    }
-
-    /// Rewrites every symbol id in the region through `f`.
-    ///
-    /// Nodes are hash-consed DAGs, so the rewrite rebuilds only the spine
-    /// that actually changes; untouched subtrees keep their shared
-    /// allocation.
-    pub fn remap_symbols<F: Fn(u32) -> u32>(&mut self, f: &F) {
-        if let Some(remapped) = self.remapped(f) {
-            *self = remapped;
-        }
-    }
-
-    /// Returns the rewritten region, or `None` when nothing changed (the
-    /// caller keeps its existing shared node).
-    pub(crate) fn remapped<F: Fn(u32) -> u32>(&self, f: &F) -> Option<Region> {
-        match self {
-            Region::Element { base, index } => {
-                let b = base.remapped(f);
-                let i = index.remapped(f);
-                if b.is_none() && i.is_none() {
-                    return None;
-                }
-                Some(Region::Element {
-                    base: b.map(HC::new).unwrap_or_else(|| base.clone()),
-                    index: i.map(HC::new).unwrap_or_else(|| index.clone()),
-                })
-            }
-            Region::Field { base, field } => base.remapped(f).map(|b| Region::Field {
-                base: HC::new(b),
-                field: field.clone(),
-            }),
-            Region::Sym { symbol } => {
-                let id = f(symbol.id);
-                (id != symbol.id).then(|| Region::Sym {
-                    symbol: Symbol {
-                        id,
-                        hint: symbol.hint.clone(),
-                    },
-                })
-            }
-            Region::Var { .. } | Region::Global { .. } | Region::Str { .. } => None,
         }
     }
 
@@ -358,85 +367,8 @@ impl SVal {
         (size < u32::MAX && size as usize <= limit).then_some(size as usize)
     }
 
-    /// Rewrites every symbol id in the expression through `f`.
-    ///
-    /// Used by the worklist engine's deterministic merge to translate
-    /// task-local symbol ids into the global numbering. Nodes are
-    /// hash-consed DAGs, so only the changed spine is rebuilt; untouched
-    /// subtrees keep their shared allocation.
-    pub fn remap_symbols<F: Fn(u32) -> u32>(&mut self, f: &F) {
-        if let Some(remapped) = self.remapped(f) {
-            *self = remapped;
-        }
-    }
-
-    /// Returns the rewritten value, or `None` when nothing changed (the
-    /// caller keeps its existing shared node).
-    pub(crate) fn remapped<F: Fn(u32) -> u32>(&self, f: &F) -> Option<SVal> {
-        match self {
-            SVal::Sym(sym) => {
-                let id = f(sym.id);
-                (id != sym.id).then(|| {
-                    SVal::Sym(Symbol {
-                        id,
-                        hint: sym.hint.clone(),
-                    })
-                })
-            }
-            SVal::Loc(region) => region.remapped(f).map(SVal::Loc),
-            SVal::Binary { op, lhs, rhs } => {
-                let l = lhs.remapped(f);
-                let r = rhs.remapped(f);
-                if l.is_none() && r.is_none() {
-                    return None;
-                }
-                Some(SVal::Binary {
-                    op: *op,
-                    lhs: l.map(HC::new).unwrap_or_else(|| lhs.clone()),
-                    rhs: r.map(HC::new).unwrap_or_else(|| rhs.clone()),
-                })
-            }
-            SVal::Unary { op, arg } => arg.remapped(f).map(|a| SVal::Unary {
-                op: *op,
-                arg: HC::new(a),
-            }),
-            SVal::Call { func, args } => {
-                let mut changed = false;
-                let args = args
-                    .iter()
-                    .map(|arg| match arg.remapped(f) {
-                        Some(new) => {
-                            changed = true;
-                            new
-                        }
-                        None => arg.clone(),
-                    })
-                    .collect();
-                changed.then(|| SVal::Call {
-                    func: func.clone(),
-                    args,
-                })
-            }
-            SVal::Ite { cond, then, els } => {
-                let (c, t, e) = (cond.remapped(f), then.remapped(f), els.remapped(f));
-                if c.is_none() && t.is_none() && e.is_none() {
-                    return None;
-                }
-                let keep = |new: Option<SVal>, old: &HC<SVal>| {
-                    new.map(HC::new).unwrap_or_else(|| old.clone())
-                };
-                Some(SVal::Ite {
-                    cond: keep(c, cond),
-                    then: keep(t, then),
-                    els: keep(e, els),
-                })
-            }
-            SVal::Int(_) | SVal::Float(_) | SVal::Unknown => None,
-        }
-    }
-
     /// Collects the ids of all symbols occurring in the expression.
-    pub fn symbols(&self, out: &mut std::collections::BTreeSet<u32>) {
+    pub fn symbols(&self, out: &mut std::collections::BTreeSet<u64>) {
         self.any_symbol(&mut |id| {
             out.insert(id);
             false
@@ -446,7 +378,7 @@ impl SVal {
     /// Whether `pred` holds for some symbol occurring in the expression,
     /// visiting symbols in tree order and stopping at the first match.
     /// Allocates nothing.
-    pub fn any_symbol(&self, pred: &mut impl FnMut(u32) -> bool) -> bool {
+    pub fn any_symbol(&self, pred: &mut impl FnMut(u64) -> bool) -> bool {
         match self {
             SVal::Sym(sym) => pred(sym.id),
             SVal::Loc(region) => region_any_symbol(region, pred),
@@ -461,7 +393,7 @@ impl SVal {
     }
 }
 
-fn region_any_symbol(region: &Region, pred: &mut impl FnMut(u32) -> bool) -> bool {
+fn region_any_symbol(region: &Region, pred: &mut impl FnMut(u64) -> bool) -> bool {
     match region {
         Region::Element { base, index } => region_any_symbol(base, pred) || index.any_symbol(pred),
         Region::Field { base, .. } => region_any_symbol(base, pred),
@@ -511,7 +443,7 @@ impl From<Symbol> for SVal {
 mod tests {
     use super::*;
 
-    fn sym(id: u32, hint: &str) -> Symbol {
+    fn sym(id: u64, hint: &str) -> Symbol {
         Symbol::new(id, hint)
     }
 
@@ -604,23 +536,29 @@ mod tests {
     }
 
     #[test]
-    fn remap_preserves_sharing_when_identity() {
-        let mut v = SVal::binary(BinOp::Add, SVal::Sym(sym(7, "x")), SVal::Int(2));
-        let before = match &v {
-            SVal::Binary { lhs, .. } => lhs.clone(),
-            _ => unreachable!("binary"),
+    fn ids_are_digests_of_keys() {
+        let secret = |index| {
+            let base = Region::Sym {
+                symbol: sym(1, "s"),
+            };
+            SymbolKey::RegionValue(Region::element(base, SVal::Int(index)))
         };
-        v.remap_symbols(&|id| id); // identity: no rebuild
-        let after = match &v {
-            SVal::Binary { lhs, .. } => lhs.clone(),
-            _ => unreachable!("binary"),
+        assert_eq!(secret(0).id(), secret(0).id());
+        assert_ne!(secret(0).id(), secret(1).id());
+        let conjured = |visit, slot| SymbolKey::Conjured {
+            site: 40,
+            visit,
+            slot,
         };
-        assert!(HC::ptr_eq(&before, &after));
-
-        v.remap_symbols(&|id| id + 100);
-        let mut ids = std::collections::BTreeSet::new();
-        v.symbols(&mut ids);
-        assert_eq!(ids.into_iter().collect::<Vec<_>>(), vec![107]);
+        let ids: std::collections::BTreeSet<u64> = [(0, 0), (0, 1), (1, 0), (1, 1)]
+            .into_iter()
+            .map(|(visit, slot)| conjured(visit, slot).id())
+            .collect();
+        assert_eq!(ids.len(), 4);
+        assert_eq!(
+            Symbol::of(&conjured(2, 3), "rand()").id,
+            conjured(2, 3).id()
+        );
     }
 
     #[test]

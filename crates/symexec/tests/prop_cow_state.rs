@@ -62,12 +62,12 @@ enum Op {
     Write {
         region: usize,
         value: i64,
-        source: u32,
+        source: u64,
     },
     /// Remove a store binding, value and taint.
     Unbind { region: usize },
     /// Join extra taint into a bound region's taint.
-    Join { region: usize, source: u32 },
+    Join { region: usize, source: u64 },
     /// Bind an lvalue expression to a region.
     BindEnv { expr: u32, region: usize },
     /// Mark a region as a secret base.
@@ -84,7 +84,7 @@ struct Model {
     secrets: BTreeSet<Region>,
 }
 
-fn taint_of(source: u32) -> TaintSet {
+fn taint_of(source: u64) -> TaintSet {
     if source == 0 {
         TaintSet::bottom()
     } else {
@@ -218,13 +218,13 @@ fn check(state: &ExecState, model: &Model, regions: &[Region]) -> Result<(), Tes
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0usize..16, -100i64..100, 0u32..4).prop_map(|(region, value, source)| Op::Write {
+        (0usize..16, -100i64..100, 0u64..4).prop_map(|(region, value, source)| Op::Write {
             region,
             value,
             source
         }),
         (0usize..16).prop_map(|region| Op::Unbind { region }),
-        (0usize..16, 0u32..4).prop_map(|(region, source)| Op::Join { region, source }),
+        (0usize..16, 0u64..4).prop_map(|(region, source)| Op::Join { region, source }),
         (0u32..8, 0usize..16).prop_map(|(expr, region)| Op::BindEnv { expr, region }),
         (0usize..16).prop_map(|region| Op::MarkSecret { region }),
     ]

@@ -38,7 +38,7 @@ const UNOPS: &[UnOp] = &[UnOp::Neg, UnOp::Plus, UnOp::Not, UnOp::BitNot];
 fn arb_sval() -> impl Strategy<Value = SVal> {
     let leaf = prop_oneof![
         (-50i64..50).prop_map(SVal::Int),
-        (0u32..3).prop_map(|id| SVal::Sym(Symbol::new(id, format!("s{id}")))),
+        (0u64..3).prop_map(|id| SVal::Sym(Symbol::new(id, format!("s{id}")))),
     ];
     leaf.prop_recursive(4, 64, 3, |inner| {
         prop_oneof![
@@ -57,7 +57,7 @@ fn arb_sval() -> impl Strategy<Value = SVal> {
 
 /// Assigns `values[i]` to symbol `i`.
 fn ints<const N: usize>(values: [i64; N]) -> CAssignment {
-    (0u32..).zip(values.map(CVal::Int)).collect()
+    (0u64..).zip(values.map(CVal::Int)).collect()
 }
 
 /// The reference simplifier: re-simplifies and re-folds every node of the

@@ -8,9 +8,10 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
 /// Identifier of a taint source (the `tᵢ` of the paper's lattice).
 ///
-/// Each call to a secret source (`get_secret(secret)` in PRIML, an `[in]`
-/// ECALL parameter element, or a registered decrypt function in C) mints a
-/// distinct `SourceId`.
+/// Each secret source (`get_secret(secret)` in PRIML, an `[in]` ECALL
+/// parameter element, or a registered decrypt function in C) has a
+/// distinct `SourceId`. The symbolic engine uses the 64-bit id of the
+/// symbol that holds the secret, so one secret keeps one id on every path.
 ///
 /// # Examples
 ///
@@ -23,16 +24,16 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
-pub struct SourceId(u32);
+pub struct SourceId(u64);
 
 impl SourceId {
     /// Creates a source identifier with the given index.
-    pub fn new(index: u32) -> Self {
+    pub fn new(index: u64) -> Self {
         SourceId(index)
     }
 
     /// Returns the numeric index of this source.
-    pub fn index(self) -> u32 {
+    pub fn index(self) -> u64 {
         self.0
     }
 }
@@ -43,8 +44,8 @@ impl fmt::Display for SourceId {
     }
 }
 
-impl From<u32> for SourceId {
-    fn from(index: u32) -> Self {
+impl From<u64> for SourceId {
+    fn from(index: u64) -> Self {
         SourceId(index)
     }
 }
@@ -411,17 +412,6 @@ impl TaintSet {
         self.inner.arms.is_some()
     }
 
-    /// Rewrites every source id through `f`, arm summary included.
-    pub fn map_sources(&self, f: impl Fn(SourceId) -> SourceId) -> TaintSet {
-        let sources = self.inner.sources.iter().map(|&s| f(s)).collect();
-        match &self.inner.arms {
-            None => TaintSet::plain(sources),
-            Some(arms) => {
-                TaintSet::with_arms(sources, arms.solo.iter().map(|&s| f(s)).collect(), arms.bot)
-            }
-        }
-    }
-
     /// Subset test on the sources: `self ⊑ other`.
     pub fn le(&self, other: &TaintSet) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner) || self.inner.sources.is_subset(&other.inner.sources)
@@ -504,7 +494,7 @@ impl From<SourceId> for TaintSet {
 mod tests {
     use super::*;
 
-    fn t(i: u32) -> Label {
+    fn t(i: u64) -> Label {
         Label::Src(SourceId::new(i))
     }
 
@@ -666,11 +656,11 @@ mod tests {
         assert_eq!(two.sole_source(), None);
     }
 
-    fn set(ids: &[u32]) -> TaintSet {
+    fn set(ids: &[u64]) -> TaintSet {
         TaintSet::from_sources(ids.iter().copied().map(SourceId::new))
     }
 
-    fn solo(ts: &TaintSet) -> Vec<u32> {
+    fn solo(ts: &TaintSet) -> Vec<u64> {
         ts.solo_sources().map(SourceId::index).collect()
     }
 
@@ -732,9 +722,6 @@ mod tests {
         let json = serde_json::to_string(&merged).unwrap();
         assert_eq!(json, r#"{"sources":[1,2],"solo":[1,2],"bot":true}"#);
         assert_eq!(serde_json::from_str::<TaintSet>(&json).unwrap(), merged);
-        let remapped = merged.map_sources(|s| SourceId::new(s.index() + 10));
-        assert_eq!(solo(&remapped), [11, 12]);
-        assert!(remapped.has_bot_arm());
     }
 
     #[test]

@@ -140,7 +140,7 @@ mod tests {
     use super::*;
     use crate::lattice::SourceId;
 
-    fn src(i: u32) -> TaintSet {
+    fn src(i: u64) -> TaintSet {
         TaintSet::source(SourceId::new(i))
     }
 

@@ -54,7 +54,7 @@ mod tests {
     use super::*;
     use crate::lattice::Label;
 
-    fn src(i: u32) -> TaintSet {
+    fn src(i: u64) -> TaintSet {
         TaintSet::source(SourceId::new(i))
     }
 

@@ -10,13 +10,13 @@ use taint::{Label, SourceId, TaintSet};
 fn arb_label() -> impl Strategy<Value = Label> {
     prop_oneof![
         Just(Label::Bot),
-        (0u32..6).prop_map(|i| Label::Src(SourceId::new(i))),
+        (0u64..6).prop_map(|i| Label::Src(SourceId::new(i))),
         Just(Label::Top),
     ]
 }
 
 fn arb_taintset() -> impl Strategy<Value = TaintSet> {
-    proptest::collection::btree_set(0u32..6, 0..5)
+    proptest::collection::btree_set(0u64..6, 0..5)
         .prop_map(|s| TaintSet::from_sources(s.into_iter().map(SourceId::new)))
 }
 

@@ -215,54 +215,6 @@ impl<K: Ord, V> OrdMap<K, V> {
 }
 
 impl<K: Ord + Clone, V: Clone> OrdMap<K, V> {
-    /// Rewrites through `f` the entries that `self` does not share with
-    /// `base`, in O(u · log n) for u unshared tree nodes.
-    ///
-    /// The walk skips every subtree whose root is the *same allocation* as
-    /// `base`'s node for that key: a node reachable from both maps is never
-    /// mutated, so such a subtree holds exactly what `base` holds there. `f` sees each
-    /// remaining entry and returns `Some((key, value))` to replace it —
-    /// possibly under a new key — or `None` to keep it. All replaced keys
-    /// are removed before any replacement is inserted, so `f` may move an
-    /// entry onto a key it moves away from, but not onto a key it keeps.
-    pub fn update_unshared<F>(&mut self, base: &Self, mut f: F)
-    where
-        F: FnMut(&K, &V) -> Option<(K, V)>,
-    {
-        fn walk<K: Ord + Clone, V, F: FnMut(&K, &V) -> Option<(K, V)>>(
-            link: &Link<K, V>,
-            base: &OrdMap<K, V>,
-            f: &mut F,
-            out: &mut Vec<(K, K, V)>,
-        ) {
-            let Some(node) = link else { return };
-            if base
-                .node_of(&node.key)
-                .is_some_and(|theirs| Arc::ptr_eq(theirs, node))
-            {
-                return;
-            }
-            walk(&node.left, base, f, out);
-            if let Some((key, value)) = f(&node.key, &node.value) {
-                out.push((node.key.clone(), key, value));
-            }
-            walk(&node.right, base, f, out);
-        }
-        if self.same_root(base) {
-            return;
-        }
-        let mut changes = Vec::new();
-        walk(&self.root, base, &mut f, &mut changes);
-        for (old, new, _) in &changes {
-            if old != new {
-                self.remove(old);
-            }
-        }
-        for (_, key, value) in changes {
-            self.insert(key, value);
-        }
-    }
-
     /// Binds `key` to `value`, returning the previous binding if any.
     ///
     /// Updates in place every node on the search path that this map owns
@@ -1022,59 +974,6 @@ mod tests {
         v.push(130);
         assert_eq!(v.shared_len(&w), 128);
         assert_eq!(v.frozen_len(), 128);
-    }
-
-    #[test]
-    fn update_unshared_visits_only_what_diverged() {
-        let base: OrdMap<u32, u32> = (0..200).map(|i| (i * 2, i)).collect();
-        let mut derived = base.clone();
-        derived.insert(7, 1000);
-        derived.insert(100, 1001);
-        let mut seen = Vec::new();
-        derived.update_unshared(&base, |k, v| {
-            seen.push(*k);
-            (*v >= 1000).then(|| (k + 10_000, v + 1))
-        });
-        // Only the two copied spines are walked, never the whole map.
-        assert!(seen.contains(&7) && seen.contains(&100));
-        assert!(seen.len() <= 2 * 20, "walked {} entries", seen.len());
-        assert_eq!(derived.get(&7), None);
-        assert_eq!(derived.get(&10_007), Some(&1001));
-        assert_eq!(derived.get(&10_100), Some(&1002));
-        assert_eq!(derived.get(&100), None);
-        assert_eq!(derived.len(), 201);
-        // Everything else is still the base's allocation.
-        assert!(derived.shared_node_count(&base) >= 100);
-
-        let mut same = base.clone();
-        same.update_unshared(&base, |_, _| panic!("a shared map has nothing to visit"));
-        assert!(same.same_root(&base));
-    }
-
-    #[test]
-    fn update_unshared_matches_a_full_rebuild() {
-        let mut rng = Rng(7);
-        let base: OrdMap<u64, u64> = (0..300).map(|_| (rng.next() % 1000, 0)).collect();
-        for _ in 0..20 {
-            let mut derived = base.clone();
-            for _ in 0..(rng.next() % 40) {
-                let k = rng.next() % 1000;
-                if rng.next().is_multiple_of(5) {
-                    derived.remove(&k);
-                } else {
-                    derived.insert(k, 1 + rng.next() % 3);
-                }
-            }
-            // Move marked entries to fresh keys above the base's range.
-            let rekey = |k: &u64, v: &u64| (*v == 2).then_some((k + 5000, 9));
-            let want: BTreeMap<u64, u64> = derived
-                .iter()
-                .map(|(k, v)| rekey(k, v).unwrap_or((*k, *v)))
-                .collect();
-            derived.update_unshared(&base, rekey);
-            let got: BTreeMap<u64, u64> = derived.iter().map(|(k, v)| (*k, *v)).collect();
-            assert_eq!(got, want);
-        }
     }
 
     #[test]

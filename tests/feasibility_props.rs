@@ -51,9 +51,9 @@ impl SplitMix64 {
 
 const MODES: [FeasibilityMode; 2] = [FeasibilityMode::Syntactic, FeasibilityMode::Full];
 
-const SYMBOLS: u32 = 6;
+const SYMBOLS: u64 = 6;
 
-fn sym(id: u32) -> SVal {
+fn sym(id: u64) -> SVal {
     SVal::Sym(Symbol::new(id, format!("s{id}")))
 }
 
@@ -97,8 +97,8 @@ fn near_edge(v: i64) -> bool {
 /// conjunction of every emitted guard is satisfiable by construction,
 /// wraparound included.
 fn true_atom(rng: &mut SplitMix64, assignment: &CAssignment) -> SVal {
-    let x = rng.below(u64::from(SYMBOLS)) as u32;
-    let y = rng.below(u64::from(SYMBOLS)) as u32;
+    let x = rng.below(SYMBOLS);
+    let y = rng.below(SYMBOLS);
     let c = rng.below(2 * NEAR_EDGE) as i64 - NEAR_EDGE as i64;
     let lhs = match rng.below(6) {
         // Affine guard on one symbol: (x * m + c) <op> k.
@@ -212,7 +212,7 @@ fn satisfiable_prefixes_are_never_refuted_by_any_tier() {
 /// Probes `cond` under the full pipeline after assuming `guards` on
 /// the path (syntactically, in the domain and in π), and checks that the
 /// witness satisfies every guard and the condition concretely.
-fn probe_with_witness(guards: &[SVal], cond: &SVal, witness: &[(u32, i64)]) -> ProbeOutcome {
+fn probe_with_witness(guards: &[SVal], cond: &SVal, witness: &[(u64, i64)]) -> ProbeOutcome {
     let assignment: CAssignment = witness.iter().map(|&(id, v)| (id, CVal::Int(v))).collect();
     for guard in guards.iter().chain([cond]) {
         assert_eq!(

@@ -128,7 +128,7 @@ proptest! {
             if !fact.depends {
                 continue;
             }
-            let source = SourceId::new(i as u32 + 1);
+            let source = SourceId::new(i as u64 + 1);
             let flagged_explicit = outcome.violations.iter().any(|v| {
                 matches!(v, Violation::Explicit { source: s, .. } if *s == source)
             });
@@ -153,7 +153,7 @@ proptest! {
         let outcome = analyze(&program);
         for (i, fact) in facts.iter().enumerate() {
             if fact.reversible() {
-                let source = SourceId::new(i as u32 + 1);
+                let source = SourceId::new(i as u64 + 1);
                 prop_assert!(
                     outcome.violations.iter().any(|v| matches!(
                         v,

@@ -3,9 +3,12 @@
 //! leak with a small shrunk reproducer), and crash isolation (injected
 //! panics and stalls degrade the verdict instead of aborting the run).
 
+use mlcorpus::synth::{generate_late_read, hoist_secret_read, SynthModule};
 use privacyscope::oracle::{
-    check_module, run_campaign, DisagreementClass, Evidence, HarnessDegradation, OracleConfig,
+    check_module, concrete_dependence, finding_keys, invoke_analyzer, run_campaign, Disagreement,
+    DisagreementClass, Evidence, HarnessDegradation, OracleConfig,
 };
+use privacyscope::shrink::shrink;
 use privacyscope::FeasibilityMode;
 
 /// A campaign-test budget: small enough for CI, big enough to explore the
@@ -111,6 +114,76 @@ fn callee_branch_leaks_are_never_missed() {
             verdict.findings,
             module.expectations.len(),
             "seed {seed}: exactly the planted leaks"
+        );
+    }
+}
+
+#[test]
+fn hoisting_a_secret_read_keeps_the_findings() {
+    // The metamorphic read-order campaign: a secret read after an
+    // independent public branch and the same read hoisted above it are
+    // one program, so both must get the same finding keys. The late read
+    // guards an OCALL of a value the branch chose, so a source minted per
+    // path instead of per secret shows up as a missed implicit finding.
+    // A disagreement is minimized before the test fails: as a missed leak
+    // of the twin that lacks the key, kept concretely confirmed so the
+    // shrinker cannot delete the flow itself.
+    let keys = |module: &SynthModule| {
+        let report = invoke_analyzer(&module.source, &module.edl, module.entry, &fast())
+            .unwrap_or_else(|e| panic!("{}: {e:?}", module.name));
+        assert!(!report.is_degraded(), "{}: {report:?}", module.name);
+        finding_keys(&report)
+    };
+    for seed in 0..32u64 {
+        let late = generate_late_read(seed);
+        let hoisted = hoist_secret_read(&late);
+        let (late_keys, hoisted_keys) = (keys(&late), keys(&hoisted));
+        if late_keys != hoisted_keys {
+            let (module, (explicit, channel, secret)) =
+                match hoisted_keys.difference(&late_keys).next() {
+                    Some(key) => (&late, key.clone()),
+                    None => (
+                        &hoisted,
+                        late_keys
+                            .difference(&hoisted_keys)
+                            .next()
+                            .cloned()
+                            .expect("the key sets differ"),
+                    ),
+                };
+            let evidence = match concrete_dependence(
+                &module.source,
+                &module.edl,
+                module.entry,
+                &channel,
+                &secret,
+                &fast(),
+                seed,
+            ) {
+                Ok(true) => Evidence::Confirmed,
+                Ok(false) => Evidence::Refuted,
+                Err(reason) => Evidence::Unavailable(reason),
+            };
+            let target = Disagreement {
+                class: DisagreementClass::MissedLeak,
+                explicit,
+                channel,
+                secret,
+                expectation_id: None,
+                evidence,
+            };
+            let shrunk = shrink(module, &target, &fast());
+            panic!(
+                "seed {seed}: late read {late_keys:?}, hoisted {hoisted_keys:?}; \
+                 {target:?} reproduces in {} LoC:\n{}",
+                shrunk.loc, shrunk.source
+            );
+        }
+        assert!(
+            late_keys
+                .iter()
+                .any(|(explicit, channel, _)| !explicit && channel == "argument 0 of `ocall_sink`"),
+            "seed {seed}: the late read's implicit flow is reported: {late_keys:?}"
         );
     }
 }
