@@ -250,42 +250,11 @@ impl Analyzer {
         // The engine's wave spans nest under this phase span; the span
         // also feeds the `--timings` table as the "explore" row.
         let explore_span = telemetry.phase("explore", analyze_id);
-        let mut engine_config = EngineConfig {
+        let engine_config = EngineConfig {
             telemetry: telemetry.clone(),
             telemetry_parent: explore_span.id(),
-            loop_bound: self.options.loop_bound,
-            max_paths: self.options.max_paths,
-            inline_depth: self.options.inline_depth,
-            record_trace: self.options.record_trace,
-            workers: self.options.workers,
-            merge_returns: self.merges_returns(),
-            feasibility: self.options.feasibility,
-            deadline: self.options.deadline_ms.map(Duration::from_millis),
-            cancel: self.options.cancel.clone(),
-            yield_hook: self.options.yield_hook.clone(),
-            inject_panic_on_call: self.options.inject_panic_on_call.clone(),
-            checkpoint: self.options.checkpoint.clone(),
-            checkpoint_every: self.options.checkpoint_every,
-            ..EngineConfig::default()
+            ..self.engine_config(false)
         };
-        for sink in self
-            .edl
-            .ocall_names()
-            .into_iter()
-            .chain(self.config.sinks.iter().cloned())
-            .chain(self.options.sinks.iter().cloned())
-        {
-            engine_config.sink_functions.insert(sink);
-        }
-        for source in DEFAULT_DECRYPT_FUNCTIONS
-            .iter()
-            .map(|s| s.to_string())
-            .chain(self.config.decrypt_functions.iter().cloned())
-            .chain(self.options.decrypt_functions.iter().cloned())
-        {
-            engine_config.source_functions.insert(source);
-        }
-
         let engine = Engine::new(&self.unit, engine_config).with_source(self.source.clone());
         let exploration = match &self.options.resume {
             Some(path) => {
@@ -493,21 +462,45 @@ impl Analyzer {
             .ecall(function)
             .ok_or_else(|| Error::UnknownTarget(function.to_string()))?;
         let bindings = self.bindings(proto);
-        let engine_config = EngineConfig {
+        let engine =
+            Engine::new(&self.unit, self.engine_config(true)).with_source(self.source.clone());
+        let exploration = engine.run(function, &bindings)?;
+        Ok(symexec::trace::render_table(&exploration.traces()))
+    }
+
+    /// The engine configuration of an analysis, or with `trace` of its
+    /// trace table: the same exploration, with every state recorded and
+    /// no checkpoint written.
+    fn engine_config(&self, trace: bool) -> EngineConfig {
+        let sinks = self
+            .edl
+            .ocall_names()
+            .into_iter()
+            .chain(self.config.sinks.iter().cloned())
+            .chain(self.options.sinks.iter().cloned());
+        let sources = DEFAULT_DECRYPT_FUNCTIONS
+            .iter()
+            .map(|s| s.to_string())
+            .chain(self.config.decrypt_functions.iter().cloned())
+            .chain(self.options.decrypt_functions.iter().cloned());
+        EngineConfig {
             loop_bound: self.options.loop_bound,
             max_paths: self.options.max_paths,
             inline_depth: self.options.inline_depth,
-            record_trace: true,
+            sink_functions: sinks.collect(),
+            source_functions: sources.collect(),
+            record_trace: trace || self.options.record_trace,
             workers: self.options.workers,
             merge_returns: self.merges_returns(),
             feasibility: self.options.feasibility,
             deadline: self.options.deadline_ms.map(Duration::from_millis),
             cancel: self.options.cancel.clone(),
+            yield_hook: self.options.yield_hook.clone(),
+            inject_panic_on_call: self.options.inject_panic_on_call.clone(),
+            checkpoint: self.options.checkpoint.clone().filter(|_| !trace),
+            checkpoint_every: self.options.checkpoint_every,
             ..EngineConfig::default()
-        };
-        let engine = Engine::new(&self.unit, engine_config).with_source(self.source.clone());
-        let exploration = engine.run(function, &bindings)?;
-        Ok(symexec::trace::render_table(&exploration.traces()))
+        }
     }
 
     /// Whether the engine may merge paths at side-effect-free call
@@ -807,6 +800,32 @@ enclave { trusted {
         let table = analyzer.trace_table("enclave_process_data").unwrap();
         assert!(table.contains("secrets[0]"), "{table}");
         assert!(table.contains("SymRegion"), "{table}");
+    }
+
+    #[test]
+    fn trace_table_explores_what_the_report_analyzes() {
+        // The trace runs with the report's sinks and decrypt sources, so
+        // the decrypt's row binds the plaintext it writes.
+        let source = r#"
+void ipp_aes_decrypt(long *dst, long *src, long n);
+void f(long *secret, long *out) {
+    long buf[2];
+    ipp_aes_decrypt(buf, secret, 2);
+    out[0] = buf[0] + buf[1];
+}
+"#;
+        let edl_text = r#"
+enclave { trusted { public void f([in] long *secret, [out] long *out); }; };
+"#;
+        let analyzer =
+            Analyzer::from_sources(source, edl_text, AnalyzerOptions::default()).unwrap();
+        let table = analyzer.trace_table("f").unwrap();
+        let row = table
+            .lines()
+            .find(|line| line.contains("| ipp_aes_decrypt(buf, secret, 2); |"))
+            .expect("a row for the decrypt");
+        assert!(row.contains("buf[0] ↦ $buf[0]"), "{row}");
+        assert!(row.contains("buf[1] ↦ $buf[1]"), "{row}");
     }
 
     #[test]

@@ -762,6 +762,46 @@ pub fn hoist_secret_read(module: &SynthModule) -> SynthModule {
     twin
 }
 
+/// The twin of a module with callee helpers (see
+/// [`generate_callee_branch`]) in which each helper's `if (c) { return a; }
+/// return b;` reads `return c ? a : b;`. The two programs are equivalent,
+/// so the analyzer must report the same findings for both (the metamorphic
+/// campaign in `tests/soundfuzz_campaign.rs`). Any other module comes back
+/// unchanged.
+#[must_use]
+pub fn ternary_twin(module: &SynthModule) -> SynthModule {
+    let lines: Vec<&str> = CALLEE_HELPERS.lines().collect();
+    let mut helpers = String::new();
+    let mut rest = &lines[..];
+    while let Some((line, tail)) = rest.split_first() {
+        let select = match rest {
+            [head, then, "    }", els, ..] => head
+                .strip_prefix("    if (")
+                .and_then(|cond| cond.strip_suffix(") {"))
+                .zip(
+                    then.strip_prefix("        return ")
+                        .and_then(|a| a.strip_suffix(';')),
+                )
+                .zip(els.strip_prefix("    return ")),
+            _ => None,
+        };
+        match select {
+            Some(((cond, then), els)) => {
+                helpers.push_str(&format!("    return {cond} ? {then} : {els}\n"));
+                rest = &rest[4..];
+            }
+            None => {
+                helpers.push_str(line);
+                helpers.push('\n');
+                rest = tail;
+            }
+        }
+    }
+    let mut twin = module.clone();
+    twin.source = module.source.replacen(CALLEE_HELPERS, &helpers, 1);
+    twin
+}
+
 /// Emits one contradiction cluster: three nested guard shapes over the
 /// public scalars, each of which forks syntactically but has at least one
 /// concretely unsatisfiable side, and each of which only touches the dead
@@ -954,6 +994,24 @@ mod tests {
             }
         }
         assert_eq!(sites.len(), 5, "{sites:?}");
+    }
+
+    #[test]
+    fn ternary_twin_rewrites_each_callee_helper() {
+        let module = generate_callee_branch(0);
+        let twin = ternary_twin(&module);
+        twin.validate().expect("ternary twin parses");
+        for select in [
+            "    return a + b > t ? 1 : 0;\n",
+            "    return v * v > t ? hi : lo;\n",
+            "    return p * p > t ? hi : lo;\n",
+        ] {
+            assert!(twin.source.contains(select), "{select}");
+        }
+        assert!(!twin.source.contains("        return "));
+        assert_eq!(twin.expectations, module.expectations);
+        let plain = generate(3);
+        assert_eq!(ternary_twin(&plain), plain);
     }
 
     #[test]

@@ -444,11 +444,12 @@ pub(crate) fn fingerprint(
         config.max_value_size,
     );
     // The feasibility pipeline decides which branch sides survive, and
-    // call-return merging which states the frontier holds, so their tags
-    // and settings always join the fingerprint: a snapshot never resumes
-    // under another mode, or under a pipeline with other rules.
+    // the join of call returns and ternaries which states the frontier
+    // holds, so their tags and settings always join the fingerprint: a
+    // snapshot never resumes under another mode, or under a pipeline with
+    // other rules (a ternary that did not fork, say).
     let text = format!(
-        "{text}|feasibility=wrap-faithful-slice/{}|merge=call-return/{}",
+        "{text}|feasibility=wrap-faithful-slice/{}|merge=call-return+ternary/{}",
         config.feasibility.as_str(),
         config.merge_returns
     );

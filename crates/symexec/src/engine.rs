@@ -102,8 +102,8 @@ pub struct EngineConfig {
     /// only *speculative* probes go through it, and feasibility is a pure
     /// function of the probed constraints.
     pub feasibility_cache: usize,
-    /// Merge the results of a side-effect-free inlined call into one state
-    /// whose return value is an `ite` over the arms (see DESIGN.md
+    /// Merge the arms of a side-effect-free inlined call, or of a ternary,
+    /// into one state whose value is an `ite` over the arms (see DESIGN.md
     /// "Call-return merging"). Merging keeps every finding of a
     /// nonreversibility check, which flags single-source observations
     /// only; the analyzer derives this from its property and turns it off
@@ -1620,27 +1620,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 then_e,
                 else_e,
             } => {
-                let mut out = Outcomes::none();
-                for (st, cv, ct) in self.eval(state, cond) {
-                    let cv = simplify(&cv);
-                    if let Some(c) = cv.as_int() {
-                        let chosen = if c != 0 { then_e } else { else_e };
-                        for (st2, v, t) in self.eval(st, chosen) {
-                            out.push((st2, v, taint::binop(&ct, &t)));
-                        }
-                    } else {
-                        // Evaluate both arms without forking; the result is
-                        // an `ite` selection tainted by everything.
-                        for (st2, tv, tt) in self.eval(st, then_e) {
-                            for (st3, ev, et) in self.eval(st2, else_e) {
-                                let value = simplify(&SVal::ite(cv.clone(), tv.clone(), ev));
-                                let taint = taint::binop(&ct, &taint::binop(&tt, &et));
-                                out.push((st3, value, taint));
-                            }
-                        }
-                    }
-                }
-                out
+                let arms = self.branch(state, cond, |this, side, taken| {
+                    this.eval(side, if taken { then_e } else { else_e })
+                });
+                let pointer = expr.ty.as_ref().is_some_and(|ty| ty.decay().is_pointer());
+                self.join(arms, pointer, expr.span.start, || "?:".to_string())
             }
             ExprKind::Call { callee, args } => self.eval_call(state, expr, callee, args),
             ExprKind::Cast { expr: inner, ty } => self
@@ -1928,7 +1912,8 @@ impl<'u, 'c> Explorer<'u, 'c> {
         if let Some(func) = unit.function(callee).filter(|f| f.body.is_some()) {
             if state.frames.len() <= self.config.inline_depth {
                 let results = self.inline_call(state, expr.span.start, func, values);
-                return self.merge_returns(results, func, expr.span.start);
+                let pointer = func.ret.decay().is_pointer();
+                return self.join(results, pointer, expr.span.start, || format!("{callee}()"));
             }
         }
         Outcomes::one(self.model_builtin(state, expr, callee, values))
@@ -1971,18 +1956,22 @@ impl<'u, 'c> Explorer<'u, 'c> {
         })
     }
 
-    /// Merges the results of an inlined call into one state whose value is
-    /// an `ite` over the arms' π suffixes, or hands them back unchanged
-    /// when they may not merge (see [`mergeable`]). The merged state keeps
-    /// the arms' common π prefix, the first arm's trace and environment,
-    /// and the most steps and site visits any arm took; its value's taint
-    /// remembers each arm ([`TaintSet::merge`]).
-    fn merge_returns(&mut self, results: EvalResults, func: &Function, at: usize) -> EvalResults {
-        if !self.config.merge_returns
-            || results.len() < 2
-            || func.ret.decay().is_pointer()
-            || !mergeable(&results)
-        {
+    /// Joins the arms of an inlined call or a ternary at site `at` into one
+    /// state whose value is an `ite` over the arms' π suffixes, or hands
+    /// them back unchanged when they may not merge (a `pointer` value, or
+    /// see [`mergeable`]). The merged state keeps the arms' common π
+    /// prefix, the first arm's trace and environment, and the most steps
+    /// and site visits any arm took; its value's taint remembers each arm
+    /// ([`TaintSet::merge`]), and `hint` names its summary if it grows too
+    /// large.
+    fn join(
+        &mut self,
+        results: EvalResults,
+        pointer: bool,
+        at: usize,
+        hint: impl FnOnce() -> String,
+    ) -> EvalResults {
+        if !self.config.merge_returns || results.len() < 2 || pointer || !mergeable(&results) {
             return results;
         }
         let mut arms: Vec<(ExecState, SVal, TaintSet)> = results.into_iter().collect();
@@ -2022,7 +2011,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         state.path.truncate(prefix);
         state.steps = steps;
         self.profile.bump(at, Counter::Merges, 1);
-        let value = self.summarize(&mut state, at, value, || format!("{}()", func.name));
+        let value = self.summarize(&mut state, at, value, hint);
         Outcomes::one((state, value, taint))
     }
 
@@ -2168,22 +2157,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 cond,
                 then_s,
                 else_s,
-            } => {
-                let mut out = Outcomes::none();
-                for (st, cv, ct) in self.eval(state, cond) {
-                    let cv = simplify(&cv);
-                    for (branch, taken) in self.fork(st, &cv, &ct, cond.span) {
-                        if taken {
-                            out.append(self.exec(branch, then_s));
-                        } else if let Some(else_s) = else_s {
-                            out.append(self.exec(branch, else_s));
-                        } else {
-                            out.push((branch, Flow::Normal));
-                        }
-                    }
-                }
-                out
-            }
+            } => self.branch(state, cond, |this, side, taken| match (taken, else_s) {
+                (true, _) => this.exec(side, then_s),
+                (false, Some(else_s)) => this.exec(side, else_s),
+                (false, None) => Outcomes::one((side, Flow::Normal)),
+            }),
             StmtKind::While { cond, body } => self.exec_loop(state, Some(cond), body, None, false),
             StmtKind::DoWhile { body, cond } => self.exec_loop(state, Some(cond), body, None, true),
             StmtKind::For {
@@ -2271,6 +2249,23 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 states
             }
         }
+    }
+
+    /// Evaluates the condition of an `if` or a ternary, forks on each of
+    /// its values, and runs `arm` on every feasible side in order.
+    fn branch<T>(
+        &mut self,
+        state: ExecState,
+        cond: &Expr,
+        mut arm: impl FnMut(&mut Self, ExecState, bool) -> Outcomes<T>,
+    ) -> Outcomes<T> {
+        let mut out = Outcomes::none();
+        for (st, cv, ct) in self.eval(state, cond) {
+            for (side, taken) in self.fork(st, &simplify(&cv), &ct, cond.span) {
+                out.append(arm(self, side, taken));
+            }
+        }
+        out
     }
 
     /// Decides a branch on `cond`: probes both sides, then commits each
@@ -2472,13 +2467,14 @@ fn join_all(values: &[(SVal, TaintSet)]) -> TaintSet {
     out
 }
 
-/// Whether the results of an inlined call may merge: every arm agrees with
-/// the first on everything but π, the step count, the trace and the
-/// environment; no value is a pointer; and the shared π-taint is a plain ⊤.
-/// ⊤ absorbs every later join, so no observation on the merged path can
-/// reach `hm` or the timing check, which compare values across paths whose
-/// π depends on a single secret. A ⊥ or single-source π must stay forked:
-/// one `ite` observation would stand in for two distinct values.
+/// Whether the arms of a call return or a ternary may join: every arm
+/// agrees with the first on everything but π, the step count, the trace
+/// and the environment; no value is a pointer; and the shared π-taint is a
+/// plain ⊤. ⊤ absorbs every later join, so no observation on the merged
+/// path can reach `hm` or the timing check, which compare values across
+/// paths whose π depends on a single secret. A ⊥ or single-source π must
+/// stay forked: one `ite` observation would stand in for two distinct
+/// values.
 fn mergeable(results: &EvalResults) -> bool {
     let mut arms = results.iter();
     let Some((first, first_value, _)) = arms.next() else {
@@ -2973,13 +2969,29 @@ mod tests {
     }
 
     #[test]
-    fn ternary_on_secret_taints_result() {
+    fn ternary_on_secret_forks_like_if() {
+        // Like an `if`, a secret condition forks and taints π, not the
+        // selected value; a single-source π keeps the two paths apart.
         let ex = explore(
             "int f(int h) { int r = h > 0 ? 1 : 0; return r; }",
             "f",
             &[ParamBinding::SecretScalar],
         );
-        assert!(ex.paths[0].return_value.as_ref().unwrap().1.is_tainted());
+        let returns: Vec<_> = ex
+            .paths
+            .iter()
+            .map(|p| {
+                assert!(p.state.pi_taint.is_tainted());
+                p.return_value.clone().expect("returns")
+            })
+            .collect();
+        assert_eq!(
+            returns,
+            [
+                (SVal::Int(1), TaintSet::bottom()),
+                (SVal::Int(0), TaintSet::bottom())
+            ]
+        );
     }
 
     #[test]

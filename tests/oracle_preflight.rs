@@ -106,12 +106,15 @@ fn synthetic_modules_match_with_nothing_abstracted() {
 
 #[test]
 fn ternary_selection_drift_stays_fixed() {
-    // Regression: the engine models a symbolic-condition ternary as an
-    // uninterpreted `ite(cond, then, else)` call. The concrete evaluator
-    // originally had no `ite` case, so a fully-mapped value came back
-    // unevaluable and this module reported drift
+    // Regression: the engine once evaluated a symbolic-condition ternary
+    // without forking, to an `ite(cond, then, else)` value. The concrete
+    // evaluator originally had no `ite` case, so a fully-mapped value came
+    // back unevaluable and this module reported drift
     // (`out[0]: engine <none> vs sim 0.0`). `ceval` now selects the taken
-    // arm lazily, exactly as the simulator executes it.
+    // arm lazily, exactly as the simulator executes it. The ternary now
+    // forks like an `if`, so here each path holds one arm; `ite` values
+    // still reach `ceval` where arms join (a call return or a ternary
+    // under a ⊤ π-taint).
     let source =
         "int f(double *xs, int p, double *out) { out[0] = p > 2 ? xs[0] : xs[1]; return 0; }";
     let edl = r#"

@@ -3,13 +3,16 @@
 //! leak with a small shrunk reproducer), and crash isolation (injected
 //! panics and stalls degrade the verdict instead of aborting the run).
 
-use mlcorpus::synth::{generate_late_read, hoist_secret_read, SynthModule};
+use mlcorpus::synth::{
+    generate_callee_branch, generate_late_read, hoist_secret_read, ternary_twin, SynthModule,
+};
 use privacyscope::oracle::{
     check_module, concrete_dependence, finding_keys, invoke_analyzer, run_campaign, Disagreement,
     DisagreementClass, Evidence, HarnessDegradation, OracleConfig,
 };
 use privacyscope::shrink::shrink;
 use privacyscope::FeasibilityMode;
+use std::collections::BTreeSet;
 
 /// A campaign-test budget: small enough for CI, big enough to explore the
 /// generator's leaky seeds exhaustively — the branch-heavy
@@ -118,73 +121,93 @@ fn callee_branch_leaks_are_never_missed() {
     }
 }
 
-#[test]
-fn hoisting_a_secret_read_keeps_the_findings() {
-    // The metamorphic read-order campaign: a secret read after an
-    // independent public branch and the same read hoisted above it are
-    // one program, so both must get the same finding keys. The late read
-    // guards an OCALL of a value the branch chose, so a source minted per
-    // path instead of per secret shows up as a missed implicit finding.
-    // A disagreement is minimized before the test fails: as a missed leak
-    // of the twin that lacks the key, kept concretely confirmed so the
-    // shrinker cannot delete the flow itself.
+/// Analyzes `module` and its equivalent `twin` and requires equal finding
+/// keys, returning them. A disagreement is minimized before the test
+/// fails: as a missed leak of whichever of the two lacks a key, kept
+/// concretely confirmed so the shrinker cannot delete the flow itself.
+fn assert_twins_agree(
+    seed: u64,
+    module: &SynthModule,
+    twin: &SynthModule,
+) -> BTreeSet<(bool, String, String)> {
     let keys = |module: &SynthModule| {
         let report = invoke_analyzer(&module.source, &module.edl, module.entry, &fast())
             .unwrap_or_else(|e| panic!("{}: {e:?}", module.name));
         assert!(!report.is_degraded(), "{}: {report:?}", module.name);
         finding_keys(&report)
     };
+    let (module_keys, twin_keys) = (keys(module), keys(twin));
+    if module_keys == twin_keys {
+        return module_keys;
+    }
+    let (missing, (explicit, channel, secret)) = match twin_keys.difference(&module_keys).next() {
+        Some(key) => (module, key.clone()),
+        None => (
+            twin,
+            module_keys
+                .difference(&twin_keys)
+                .next()
+                .cloned()
+                .expect("the key sets differ"),
+        ),
+    };
+    let evidence = match concrete_dependence(
+        &missing.source,
+        &missing.edl,
+        missing.entry,
+        &channel,
+        &secret,
+        &fast(),
+        seed,
+    ) {
+        Ok(true) => Evidence::Confirmed,
+        Ok(false) => Evidence::Refuted,
+        Err(reason) => Evidence::Unavailable(reason),
+    };
+    let target = Disagreement {
+        class: DisagreementClass::MissedLeak,
+        explicit,
+        channel,
+        secret,
+        expectation_id: None,
+        evidence,
+    };
+    let shrunk = shrink(missing, &target, &fast());
+    panic!(
+        "seed {seed}: module {module_keys:?}, twin {twin_keys:?}; \
+         {target:?} reproduces in {} LoC:\n{}",
+        shrunk.loc, shrunk.source
+    );
+}
+
+#[test]
+fn hoisting_a_secret_read_keeps_the_findings() {
+    // The metamorphic read-order campaign: a secret read after an
+    // independent public branch and the same read hoisted above it are
+    // one program. The late read guards an OCALL of a value the branch
+    // chose, so a source minted per path instead of per secret shows up
+    // as a missed implicit finding.
     for seed in 0..32u64 {
         let late = generate_late_read(seed);
-        let hoisted = hoist_secret_read(&late);
-        let (late_keys, hoisted_keys) = (keys(&late), keys(&hoisted));
-        if late_keys != hoisted_keys {
-            let (module, (explicit, channel, secret)) =
-                match hoisted_keys.difference(&late_keys).next() {
-                    Some(key) => (&late, key.clone()),
-                    None => (
-                        &hoisted,
-                        late_keys
-                            .difference(&hoisted_keys)
-                            .next()
-                            .cloned()
-                            .expect("the key sets differ"),
-                    ),
-                };
-            let evidence = match concrete_dependence(
-                &module.source,
-                &module.edl,
-                module.entry,
-                &channel,
-                &secret,
-                &fast(),
-                seed,
-            ) {
-                Ok(true) => Evidence::Confirmed,
-                Ok(false) => Evidence::Refuted,
-                Err(reason) => Evidence::Unavailable(reason),
-            };
-            let target = Disagreement {
-                class: DisagreementClass::MissedLeak,
-                explicit,
-                channel,
-                secret,
-                expectation_id: None,
-                evidence,
-            };
-            let shrunk = shrink(module, &target, &fast());
-            panic!(
-                "seed {seed}: late read {late_keys:?}, hoisted {hoisted_keys:?}; \
-                 {target:?} reproduces in {} LoC:\n{}",
-                shrunk.loc, shrunk.source
-            );
-        }
+        let keys = assert_twins_agree(seed, &late, &hoist_secret_read(&late));
         assert!(
-            late_keys
-                .iter()
+            keys.iter()
                 .any(|(explicit, channel, _)| !explicit && channel == "argument 0 of `ocall_sink`"),
-            "seed {seed}: the late read's implicit flow is reported: {late_keys:?}"
+            "seed {seed}: the late read's implicit flow is reported: {keys:?}"
         );
+    }
+}
+
+#[test]
+fn a_ternary_keeps_the_findings_of_its_if() {
+    // The metamorphic selection campaign: each callee helper's
+    // `if (c) { return a; } return b;` and `return c ? a : b;` are one
+    // program. A ternary that joins its arms' taints instead of forking
+    // reads a secret selection as explicit, and a two-secret selection
+    // as ⊤, so it shows up as a changed or missed finding.
+    for seed in 0..32u64 {
+        let module = generate_callee_branch(seed);
+        assert_twins_agree(seed, &module, &ternary_twin(&module));
     }
 }
 
