@@ -130,7 +130,7 @@ impl<'u> Pass<'u> {
         let mut taint = TaintSet::bottom();
         let mut calls = Vec::new();
         expr.walk(&mut |e| match &e.kind {
-            ExprKind::Ident(name) => {
+            ExprKind::Ident { name, .. } => {
                 taint.join_assign(&self.taint_of(name));
             }
             ExprKind::Call { callee, args } => {
@@ -154,7 +154,7 @@ impl<'u> Pass<'u> {
     /// The base variable an lvalue writes through (`out[i]` → `out`).
     fn lvalue_base(expr: &Expr) -> Option<&str> {
         match &expr.kind {
-            ExprKind::Ident(name) => Some(name),
+            ExprKind::Ident { name, .. } => Some(name),
             ExprKind::Index { base, .. }
             | ExprKind::Member { base, .. }
             | ExprKind::Deref(base)

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -136,6 +137,8 @@ pub struct Param {
     pub name: String,
     /// Declared type (arrays decay to pointers, as in C).
     pub ty: Type,
+    /// The variable it declares, filled in by [`crate::sema::check`].
+    pub var: Option<Var>,
     /// Source location.
     pub span: Span,
 }
@@ -149,8 +152,23 @@ pub struct VarDecl {
     pub ty: Type,
     /// Optional initializer.
     pub init: Option<Init>,
+    /// The variable it declares, filled in by [`crate::sema::check`].
+    pub var: Option<Var>,
     /// Source location.
     pub span: Span,
+}
+
+/// The variable a declaration introduces and its uses denote, as
+/// [`crate::sema::check`] resolves them. A local is named uniquely within
+/// its function: by its declared name, or `name~k` for the function's k-th
+/// declaration (in source order) that shadows one of its enclosing scopes.
+/// The names are shared, so copying one bumps a reference count.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Var {
+    /// A parameter or local of the enclosing function.
+    Local(Arc<str>),
+    /// A global variable.
+    Global(Arc<str>),
 }
 
 /// A variable initializer.
@@ -247,7 +265,12 @@ pub enum ExprKind {
     /// String literal.
     StrLit(String),
     /// Variable reference.
-    Ident(String),
+    Ident {
+        /// The name as written.
+        name: String,
+        /// The variable it denotes, filled in by [`crate::sema::check`].
+        var: Option<Var>,
+    },
     /// A unary operator application (`-`, `+`, `!`, `~`).
     Unary {
         /// The operator.
@@ -336,7 +359,7 @@ impl Expr {
     pub fn is_lvalue(&self) -> bool {
         matches!(
             self.kind,
-            ExprKind::Ident(_)
+            ExprKind::Ident { .. }
                 | ExprKind::Deref(_)
                 | ExprKind::Index { .. }
                 | ExprKind::Member { .. }
@@ -351,7 +374,7 @@ impl Expr {
             | ExprKind::FloatLit(_)
             | ExprKind::CharLit(_)
             | ExprKind::StrLit(_)
-            | ExprKind::Ident(_)
+            | ExprKind::Ident { .. }
             | ExprKind::SizeofType(_) => {}
             ExprKind::Unary { expr, .. }
             | ExprKind::Deref(expr)
@@ -540,9 +563,16 @@ mod tests {
 
     #[test]
     fn lvalue_classification() {
-        assert!(expr(ExprKind::Ident("x".into())).is_lvalue());
+        assert!(expr(ExprKind::Ident {
+            name: "x".into(),
+            var: None
+        })
+        .is_lvalue());
         assert!(!expr(ExprKind::IntLit(3)).is_lvalue());
-        let deref = expr(ExprKind::Deref(Box::new(expr(ExprKind::Ident("p".into())))));
+        let deref = expr(ExprKind::Deref(Box::new(expr(ExprKind::Ident {
+            name: "p".into(),
+            var: None,
+        }))));
         assert!(deref.is_lvalue());
     }
 
@@ -553,7 +583,10 @@ mod tests {
             lhs: Box::new(expr(ExprKind::IntLit(1))),
             rhs: Box::new(expr(ExprKind::Unary {
                 op: UnOp::Neg,
-                expr: Box::new(expr(ExprKind::Ident("x".into()))),
+                expr: Box::new(expr(ExprKind::Ident {
+                    name: "x".into(),
+                    var: None,
+                })),
             })),
         });
         let mut count = 0;

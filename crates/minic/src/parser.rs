@@ -288,6 +288,7 @@ impl<'src> Parser<'src> {
             name,
             ty,
             init,
+            var: None,
             span: start.to(name_span),
         }));
         while self.eat_punct(Punct::Comma) {
@@ -297,6 +298,7 @@ impl<'src> Parser<'src> {
                 name,
                 ty,
                 init,
+                var: None,
                 span,
             }));
         }
@@ -351,6 +353,7 @@ impl<'src> Parser<'src> {
                         name: pname,
                         // Array parameters decay to pointers, as in C.
                         ty: pty.decay(),
+                        var: None,
                         span: pspan,
                     });
                     if !self.eat_punct(Punct::Comma) {
@@ -548,6 +551,7 @@ impl<'src> Parser<'src> {
                     name,
                     ty,
                     init,
+                    var: None,
                     span,
                 }),
                 span,
@@ -916,7 +920,7 @@ impl<'src> Parser<'src> {
                 }
                 TokenKind::Punct(Punct::LParen) => {
                     // Direct calls only: the callee must be an identifier.
-                    let ExprKind::Ident(callee) = &expr.kind else {
+                    let ExprKind::Ident { name: callee, .. } = &expr.kind else {
                         return Err(Error::parse(
                             "only direct calls to named functions are supported",
                             self.span(),
@@ -949,7 +953,7 @@ impl<'src> Parser<'src> {
             TokenKind::FloatLit(v) => Ok(self.mk(ExprKind::FloatLit(v), span)),
             TokenKind::CharLit(v) => Ok(self.mk(ExprKind::CharLit(v), span)),
             TokenKind::StrLit(s) => Ok(self.mk(ExprKind::StrLit(s), span)),
-            TokenKind::Ident(name) => Ok(self.mk(ExprKind::Ident(name), span)),
+            TokenKind::Ident(name) => Ok(self.mk(ExprKind::Ident { name, var: None }, span)),
             TokenKind::Punct(Punct::LParen) => {
                 let expr = self.expression()?;
                 self.expect_punct(Punct::RParen)?;

@@ -216,7 +216,7 @@ pub fn expr(e: &Expr) -> String {
         }
         ExprKind::CharLit(v) => v.to_string(),
         ExprKind::StrLit(s) => format!("{s:?}"),
-        ExprKind::Ident(name) => name.clone(),
+        ExprKind::Ident { name, .. } => name.clone(),
         ExprKind::Unary { op, expr: inner } => format!("({op}{})", expr(inner)),
         ExprKind::Deref(inner) => format!("(*{})", expr(inner)),
         ExprKind::AddrOf(inner) => format!("(&{})", expr(inner)),

@@ -1,12 +1,15 @@
 //! Symbol resolution and light type checking.
 //!
-//! [`check`] decorates every expression with its type, verifies that
-//! identifiers resolve, that calls target known functions (declared in the
-//! unit or in the [libc/libm/SGX builtin table](builtin_return_type)), and
-//! enforces the basic shape rules of C (lvalues for assignment, pointers for
-//! dereference, structs for member access, loops for `break`).
+//! [`check`] decorates every expression with its type, resolves every
+//! identifier to the [`Var`] it denotes (and names each declaration's), so
+//! no later pass searches a scope, verifies that calls target known
+//! functions (declared in the unit or in the [libc/libm/SGX builtin
+//! table](builtin_return_type)), and enforces the basic shape rules of C
+//! (lvalues for assignment, pointers for dereference, structs for member
+//! access, loops for `break`).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::error::Error;
@@ -103,6 +106,7 @@ pub fn check(unit: &mut TranslationUnit) -> Result<(), Error> {
                 }
             }
             Item::Global(decl) => {
+                decl.var = Some(Var::Global(decl.name.as_str().into()));
                 if let Some(init) = &mut decl.init {
                     let mut scope = Scope::new(&ctx, &Type::Void);
                     if let Err(err) = check_init(init, &decl.ty, &mut scope) {
@@ -248,7 +252,11 @@ struct UnitContext<'a> {
 
 struct Scope<'a> {
     ctx: &'a UnitContext<'a>,
-    locals: Vec<BTreeMap<String, Type>>,
+    /// The open scopes of the function, outermost (its parameters) first:
+    /// each declared name's type and variable name.
+    locals: Vec<BTreeMap<String, (Type, Arc<str>)>>,
+    /// How many declarations so far shadow one of an enclosing scope.
+    shadows: usize,
     ret: &'a Type,
     loop_depth: usize,
 }
@@ -258,6 +266,7 @@ impl<'a> Scope<'a> {
         Scope {
             ctx,
             locals: vec![BTreeMap::new()],
+            shadows: 0,
             ret,
             loop_depth: 0,
         }
@@ -271,24 +280,39 @@ impl<'a> Scope<'a> {
         self.locals.pop();
     }
 
-    fn declare(&mut self, name: &str, ty: Type, span: Span) -> Result<(), Error> {
-        let top = self.locals.last_mut().expect("scope stack never empty");
-        if top.insert(name.to_string(), ty).is_some() {
+    /// Declares `name` in the innermost scope and returns its variable,
+    /// renamed `name~k` when it shadows the k-th time in this function.
+    fn declare(&mut self, name: &str, ty: Type, span: Span) -> Result<Var, Error> {
+        let (top, outer) = self
+            .locals
+            .split_last_mut()
+            .expect("scope stack never empty");
+        if top.contains_key(name) {
             return Err(Error::sema(
                 format!("`{name}` is already declared in this scope"),
                 span,
             ));
         }
-        Ok(())
+        let var: Arc<str> = if outer.iter().any(|scope| scope.contains_key(name)) {
+            self.shadows += 1;
+            format!("{name}~{}", self.shadows).into()
+        } else {
+            name.into()
+        };
+        top.insert(name.to_string(), (ty, var.clone()));
+        Ok(Var::Local(var))
     }
 
-    fn lookup(&self, name: &str) -> Option<&Type> {
-        for frame in self.locals.iter().rev() {
-            if let Some(ty) = frame.get(name) {
-                return Some(ty);
+    /// The type and variable `name` denotes here: the innermost local
+    /// declaring it, else the global.
+    fn lookup(&self, name: &str) -> Option<(Type, Var)> {
+        for scope in self.locals.iter().rev() {
+            if let Some((ty, var)) = scope.get(name) {
+                return Some((ty.clone(), Var::Local(var.clone())));
             }
         }
-        self.ctx.globals.get(name)
+        let ty = self.ctx.globals.get(name)?;
+        Some((ty.clone(), Var::Global(name.into())))
     }
 }
 
@@ -297,8 +321,8 @@ fn check_function(f: &mut Function, ctx: &UnitContext<'_>) -> Result<(), Error> 
         return Ok(());
     };
     let mut scope = Scope::new(ctx, &f.ret);
-    for p in &f.params {
-        scope.declare(&p.name, p.ty.clone(), p.span)?;
+    for p in &mut f.params {
+        p.var = Some(scope.declare(&p.name, p.ty.clone(), p.span)?);
     }
     for stmt in body {
         check_stmt(stmt, &mut scope)?;
@@ -313,10 +337,13 @@ fn check_stmt(stmt: &mut Stmt, scope: &mut Scope<'_>) -> Result<(), Error> {
             if matches!(decl.ty, Type::Void) {
                 return Err(Error::sema("cannot declare a void variable", decl.span));
             }
-            if let Some(init) = &mut decl.init {
-                check_init(init, &decl.ty, scope)?;
+            // As in C, a local is in scope from its declarator on, its own
+            // initializer included.
+            decl.var = Some(scope.declare(&decl.name, decl.ty.clone(), decl.span)?);
+            match &mut decl.init {
+                Some(init) => check_init(init, &decl.ty, scope),
+                None => Ok(()),
             }
-            scope.declare(&decl.name, decl.ty.clone(), decl.span)
         }
         StmtKind::Expr(None) => Ok(()),
         StmtKind::Expr(Some(expr)) => check_expr(expr, scope).map(drop),
@@ -498,10 +525,13 @@ fn infer_expr(expr: &mut Expr, scope: &mut Scope<'_>) -> Result<Type, Error> {
         ExprKind::FloatLit(_) => Ok(Type::Double),
         ExprKind::CharLit(_) => Ok(Type::Int),
         ExprKind::StrLit(_) => Ok(Type::Ptr(Box::new(Type::Char))),
-        ExprKind::Ident(name) => scope
-            .lookup(name)
-            .cloned()
-            .ok_or_else(|| Error::sema(format!("unknown variable `{name}`"), span)),
+        ExprKind::Ident { name, var } => {
+            let (ty, resolved) = scope
+                .lookup(name)
+                .ok_or_else(|| Error::sema(format!("unknown variable `{name}`"), span))?;
+            *var = Some(resolved);
+            Ok(ty)
+        }
         ExprKind::Unary { op, expr: inner } => {
             let ty = check_expr(inner, scope)?.decay();
             match op {
@@ -865,6 +895,71 @@ mod tests {
     #[test]
     fn shadowing_in_inner_scope_allowed() {
         assert!(parse("void f() { int x = 1; { int x = 2; } }").is_ok());
+    }
+
+    #[test]
+    fn shadowing_declarations_are_numbered_in_source_order() {
+        let unit = parse(
+            "int g; void f(int x) { int y = x; { int x = 1; int y = x; { int x = 2; } } \
+             { int x = x; } int g = y; }",
+        )
+        .unwrap();
+        let f = unit.function("f").unwrap();
+        let local = |name: &str| Some(Var::Local(name.into()));
+        assert_eq!(f.params[0].var, local("x"));
+        let mut decls = Vec::new();
+        let mut uses = Vec::new();
+        fn walk<'a>(stmts: &'a [Stmt], decls: &mut Vec<&'a VarDecl>, uses: &mut Vec<&'a Expr>) {
+            for stmt in stmts {
+                match &stmt.kind {
+                    StmtKind::Decl(decl) => {
+                        decls.push(decl);
+                        if let Some(Init::Expr(init)) = &decl.init {
+                            uses.push(init);
+                        }
+                    }
+                    StmtKind::Block(inner) => walk(inner, decls, uses),
+                    _ => {}
+                }
+            }
+        }
+        walk(f.body.as_ref().unwrap(), &mut decls, &mut uses);
+        let vars: Vec<_> = decls.iter().map(|d| d.var.clone()).collect();
+        assert_eq!(
+            vars,
+            [
+                local("y"),
+                local("x~1"),
+                local("y~2"),
+                local("x~3"),
+                local("x~4"),
+                local("g"),
+            ]
+        );
+        // Each use denotes the innermost declaration before it, and a
+        // declaration is in scope in its own initializer, as in C.
+        let resolved: Vec<_> = uses
+            .iter()
+            .map(|e| match &e.kind {
+                ExprKind::Ident { var, .. } => var.clone(),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            resolved,
+            [
+                local("x"),
+                None,
+                local("x~1"),
+                None,
+                local("x~4"),
+                local("y")
+            ]
+        );
+        let Item::Global(g) = &unit.items[0] else {
+            panic!("first item is the global");
+        };
+        assert_eq!(g.var, Some(Var::Global("g".into())));
     }
 
     #[test]

@@ -802,6 +802,44 @@ pub fn ternary_twin(module: &SynthModule) -> SynthModule {
     twin
 }
 
+/// The twin of a module in which the entry's body moves into a nested
+/// block, below an unused `int <name> = 0;` for each of its top-level
+/// locals, so every original declaration shadows an outer one. The two
+/// programs are equivalent, so the analyzer must report the same findings
+/// for both (the metamorphic campaign in `tests/soundfuzz_campaign.rs`).
+/// A module without the [`ENTRY`] function comes back unchanged.
+#[must_use]
+pub fn shadow_twin(module: &SynthModule) -> SynthModule {
+    let mut twin = module.clone();
+    let header = format!("int {ENTRY}(char *secret, int pub0, int pub1, int *out) {{\n");
+    let (Some(start), Ok(unit)) = (module.source.find(&header), minic::parse(&module.source))
+    else {
+        return twin;
+    };
+    let body = start + header.len();
+    let Some(end) = module.source[body..].find("\n}\n").map(|at| body + at + 1) else {
+        return twin;
+    };
+    let outer: String = unit
+        .function(ENTRY)
+        .and_then(|entry| entry.body.as_ref())
+        .into_iter()
+        .flatten()
+        .filter_map(|stmt| match &stmt.kind {
+            minic::ast::StmtKind::Decl(decl) => Some(format!("    int {} = 0;\n", decl.name)),
+            _ => None,
+        })
+        .collect();
+    let source = &module.source;
+    twin.source = format!(
+        "{}{outer}    {{\n{}    }}\n{}",
+        &source[..body],
+        &source[body..end],
+        &source[end..]
+    );
+    twin
+}
+
 /// Emits one contradiction cluster: three nested guard shapes over the
 /// public scalars, each of which forks syntactically but has at least one
 /// concretely unsatisfiable side, and each of which only touches the dead
@@ -1012,6 +1050,24 @@ mod tests {
         assert_eq!(twin.expectations, module.expectations);
         let plain = generate(3);
         assert_eq!(ternary_twin(&plain), plain);
+    }
+
+    #[test]
+    fn shadow_twin_nests_the_entry_body_under_outer_locals() {
+        let module = generate(0);
+        let twin = shadow_twin(&module);
+        twin.validate().expect("shadow twin parses");
+        let header = format!("int {ENTRY}(char *secret, int pub0, int pub1, int *out) {{\n");
+        let nested = format!("{header}    int pacc = 0;\n    int sacc = 0;\n");
+        assert!(twin.source.contains(&nested), "{}", twin.source);
+        assert!(twin
+            .source
+            .contains("    int view = 0;\n    {\n    int pacc = "));
+        assert!(twin.source.ends_with("    }\n}\n"), "{}", twin.source);
+        assert_eq!(twin.expectations, module.expectations);
+        let mut other = module.clone();
+        other.source = other.source.replace(ENTRY, "elsewhere");
+        assert_eq!(shadow_twin(&other), other);
     }
 
     #[test]

@@ -482,7 +482,7 @@ impl<'u> Interp<'u> {
     /// Evaluates an lvalue expression to (address, type).
     fn lvalue(&mut self, expr: &Expr) -> Result<(usize, Type), SgxError> {
         match &expr.kind {
-            ExprKind::Ident(name) => {
+            ExprKind::Ident { name, .. } => {
                 let binding = self
                     .lookup(name)
                     .ok_or_else(|| self.fault(format!("unbound variable `{name}`")))?;
@@ -561,7 +561,7 @@ impl<'u> Interp<'u> {
                     elem: Type::Char,
                 })
             }
-            ExprKind::Ident(_)
+            ExprKind::Ident { .. }
             | ExprKind::Deref(_)
             | ExprKind::Index { .. }
             | ExprKind::Member { .. } => {

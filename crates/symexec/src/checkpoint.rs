@@ -13,7 +13,7 @@
 //! A checkpoint file is one header line followed by the raw JSON payload:
 //!
 //! ```text
-//! privacyscope-checkpoint v2 fingerprint=<16 hex> checksum=<16 hex> len=<bytes>
+//! privacyscope-checkpoint v3 fingerprint=<16 hex> checksum=<16 hex> len=<bytes>
 //! {"wave": 3, "entries": [...], ...}
 //! ```
 //!
@@ -50,7 +50,7 @@ use crate::state::{DeclassifyEvent, ExecState};
 use crate::value::Region;
 
 /// The checkpoint file-format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &str = "privacyscope-checkpoint";
 
@@ -444,12 +444,12 @@ pub(crate) fn fingerprint(
         config.max_value_size,
     );
     // The feasibility pipeline decides which branch sides survive, and
-    // the join of call returns and ternaries which states the frontier
-    // holds, so their tags and settings always join the fingerprint: a
-    // snapshot never resumes under another mode, or under a pipeline with
-    // other rules (a ternary that did not fork, say).
+    // the join of call returns and conditional expressions which states
+    // the frontier holds, so their tags and settings always join the
+    // fingerprint: a snapshot never resumes under another mode, or under a
+    // pipeline with other rules (an `&&` that did not fork, say).
     let text = format!(
-        "{text}|feasibility=wrap-faithful-slice/{}|merge=call-return+ternary/{}",
+        "{text}|feasibility=wrap-faithful-slice/{}|merge=call-return+ternary+short-circuit/{}",
         config.feasibility.as_str(),
         config.merge_returns
     );

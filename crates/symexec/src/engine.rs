@@ -16,14 +16,14 @@
 //! byte-identical to a sequential run — see the `worklist` module.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minic::ast::{
-    BinOp, Expr, ExprId, ExprKind, Function, Init, Stmt, StmtKind, TranslationUnit, UnOp, VarDecl,
+    BinOp, Expr, ExprId, ExprKind, Function, Init, Stmt, StmtKind, TranslationUnit, UnOp, Var,
+    VarDecl,
 };
 use minic::types::Type;
 use minic::Span;
@@ -39,7 +39,7 @@ use crate::intern::HC;
 use crate::outcomes::Outcomes;
 use crate::profile::{Counter, Profile, SiteCounters};
 use crate::simplify::{fold_binary, fold_ite, fold_unary, simplify};
-use crate::state::{Channel, DeclassifyEvent, ExecState, Frame};
+use crate::state::{Channel, DeclassifyEvent, ExecState};
 use crate::trace::TraceStep;
 use crate::value::{Region, SVal, Symbol, SymbolKey};
 use crate::worklist::{release_worker_arenas, run_tasks};
@@ -102,12 +102,13 @@ pub struct EngineConfig {
     /// only *speculative* probes go through it, and feasibility is a pure
     /// function of the probed constraints.
     pub feasibility_cache: usize,
-    /// Merge the arms of a side-effect-free inlined call, or of a ternary,
-    /// into one state whose value is an `ite` over the arms (see DESIGN.md
-    /// "Call-return merging"). Merging keeps every finding of a
-    /// nonreversibility check, which flags single-source observations
-    /// only; the analyzer derives this from its property and turns it off
-    /// under noninterference. Part of the checkpoint fingerprint.
+    /// Merge the arms of a side-effect-free inlined call, or of a
+    /// conditional expression (`?:`, `&&`, `||`), into one state whose
+    /// value is an `ite` over the arms (see DESIGN.md "Call-return
+    /// merging"). Merging keeps every finding of a nonreversibility check,
+    /// which flags single-source observations only; the analyzer derives
+    /// this from its property and turns it off under noninterference. Part
+    /// of the checkpoint fingerprint.
     pub merge_returns: bool,
     /// Which feasibility tiers run at each fork probe. The default runs
     /// the whole pipeline; [`FeasibilityMode::Syntactic`] is the tier-0
@@ -350,17 +351,17 @@ pub struct Engine<'u> {
     unit: &'u TranslationUnit,
     config: EngineConfig,
     source: Option<String>,
-    names: Names<'u>,
 }
 
 impl<'u> Engine<'u> {
-    /// Creates an engine for `unit` with the given configuration.
+    /// Creates an engine for `unit` with the given configuration. The unit
+    /// must have passed [`minic::sema::check`], which resolves the variable
+    /// each identifier denotes ([`minic::parse`] runs it).
     pub fn new(unit: &'u TranslationUnit, config: EngineConfig) -> Self {
         Engine {
             unit,
             config,
             source: None,
-            names: Names::of(unit),
         }
     }
 
@@ -442,7 +443,6 @@ impl<'u> Engine<'u> {
             unit: self.unit,
             config: &self.config,
             source: self.source.as_deref(),
-            names: &self.names,
             cache: &cache,
             supervisor: &supervisor,
             base_forks: 0,
@@ -488,7 +488,7 @@ impl<'u> Engine<'u> {
             }
             None => {
                 let mut state = ExecState::new();
-                state.frames.push(Frame::new(0, entry));
+                state.frames.push(0);
                 explorer.init_globals(&mut state);
                 let mut out_bases = Vec::new();
                 explorer.bind_params(&mut state, func, bindings, &mut out_bases)?;
@@ -766,7 +766,6 @@ impl<'u> Engine<'u> {
                 unit: self.unit,
                 config: &self.config,
                 source: self.source.as_deref(),
-                names: &self.names,
                 cache,
                 supervisor,
                 base_forks,
@@ -1089,66 +1088,10 @@ type EvalResults = Outcomes<(ExecState, SVal, TaintSet)>;
 /// What resolving one lvalue turned a path state into.
 type LvalResults = Outcomes<(ExecState, Option<Region>)>;
 
-/// One shared `Arc<str>` for each identifier the unit declares (functions,
-/// parameters, globals and locals), so frames, scope keys and variable
-/// regions clone a reference count instead of allocating the name on
-/// every call and declaration.
-#[derive(Debug)]
-struct Names<'u>(HashMap<&'u str, Arc<str>>);
-
-impl<'u> Names<'u> {
-    fn of(unit: &'u TranslationUnit) -> Self {
-        fn add<'u>(names: &mut HashMap<&'u str, Arc<str>>, name: &'u str) {
-            names.entry(name).or_insert_with(|| name.into());
-        }
-        fn walk<'u>(stmt: &'u Stmt, names: &mut HashMap<&'u str, Arc<str>>) {
-            match &stmt.kind {
-                StmtKind::Decl(decl) => add(names, &decl.name),
-                StmtKind::Block(stmts) => stmts.iter().for_each(|s| walk(s, names)),
-                StmtKind::If { then_s, else_s, .. } => {
-                    walk(then_s, names);
-                    if let Some(else_s) = else_s {
-                        walk(else_s, names);
-                    }
-                }
-                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => walk(body, names),
-                StmtKind::For { init, body, .. } => {
-                    if let Some(init) = init {
-                        walk(init, names);
-                    }
-                    walk(body, names);
-                }
-                StmtKind::Expr(_) | StmtKind::Return(_) | StmtKind::Break | StmtKind::Continue => {}
-            }
-        }
-        let mut names = HashMap::new();
-        for decl in unit.globals() {
-            add(&mut names, &decl.name);
-        }
-        for func in unit.functions() {
-            add(&mut names, &func.name);
-            for param in &func.params {
-                add(&mut names, &param.name);
-            }
-            for stmt in func.body.iter().flatten() {
-                walk(stmt, &mut names);
-            }
-        }
-        Names(names)
-    }
-
-    /// The shared name; an identifier the unit never declares (an
-    /// undeclared global) gets a fresh one.
-    fn get(&self, name: &str) -> Arc<str> {
-        self.0.get(name).cloned().unwrap_or_else(|| name.into())
-    }
-}
-
 struct Explorer<'u, 'c> {
     unit: &'u TranslationUnit,
     config: &'c EngineConfig,
     source: Option<&'c str>,
-    names: &'c Names<'u>,
     cache: &'c FeasibilityCache,
     /// Deadline/cancellation oracle, polled at step granularity.
     supervisor: &'c Supervisor,
@@ -1283,9 +1226,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
     fn init_globals(&mut self, state: &mut ExecState) {
         let globals: Vec<VarDecl> = self.unit.globals().cloned().collect();
         for decl in globals {
-            let region = Region::Global {
-                name: decl.name.as_str().into(),
-            };
+            let region = var_region(state, &decl.var);
             if let Some(init) = decl.init.clone() {
                 self.bind_init(state, &region, &init, &decl.ty);
             }
@@ -1337,13 +1278,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         out_bases: &mut Vec<(String, Region)>,
     ) -> Result<(), EngineError> {
         for (index, (param, binding)) in func.params.iter().zip(bindings).enumerate() {
-            let name = self.names.get(&param.name);
-            let region = Region::Var {
-                frame: 0,
-                name: name.clone(),
-            };
-            state.frame_mut().declare(name, region.clone());
-
+            let region = var_region(state, &param.var);
             let scalar_ok = param.ty.is_arithmetic();
             let pointer_ok = param.ty.is_pointer();
             match binding {
@@ -1481,38 +1416,6 @@ impl<'u, 'c> Explorer<'u, 'c> {
         );
     }
 
-    /// Resolves an identifier to its region (locals, then globals).
-    fn resolve_name(&mut self, state: &ExecState, name: &str) -> Region {
-        if let Some(region) = state.frame().lookup(name) {
-            return region.clone();
-        }
-        Region::Global {
-            name: self.names.get(name),
-        }
-    }
-
-    /// Declares a fresh local in the innermost scope, uniquifying shadowed
-    /// names so store bindings never collide. The rename counter lives in
-    /// the state so the numbering depends only on the path's own history.
-    fn declare_local(&mut self, state: &mut ExecState, name: &str) -> Region {
-        let frame = state.frame();
-        let shadowed = frame.lookup(name).is_some();
-        let frame_id = frame.id;
-        let name = self.names.get(name);
-        let unique = if shadowed {
-            state.next_shadow += 1;
-            format!("{name}~{}", state.next_shadow).into()
-        } else {
-            name.clone()
-        };
-        let region = Region::Var {
-            frame: frame_id,
-            name: unique,
-        };
-        state.frame_mut().declare(name, region.clone());
-        region
-    }
-
     /// Turns a pointer value into the region it points at.
     fn pointee_region(&mut self, ptr: &SVal) -> Option<Region> {
         match ptr {
@@ -1574,9 +1477,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
                     .unwrap_or(SVal::Unknown);
                 Outcomes::one((state, size, TaintSet::bottom()))
             }
-            ExprKind::Ident(name) => {
+            ExprKind::Ident { var, .. } => {
                 let mut state = state;
-                let region = self.resolve_name(&state, name);
+                let region = var_region(&state, var);
                 self.bind_env(&mut state, expr.id, &region);
                 if matches!(expr.ty, Some(Type::Array(..))) {
                     Outcomes::one((state, SVal::Loc(region), TaintSet::bottom()))
@@ -1604,6 +1507,28 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 Some(region) => (st, SVal::Loc(region), TaintSet::bottom()),
                 None => (st, SVal::Unknown, TaintSet::bottom()),
             }),
+            ExprKind::Binary {
+                op: op @ (BinOp::LogAnd | BinOp::LogOr),
+                lhs,
+                rhs,
+            } => {
+                // `a && b` is `a ? (b != 0) : 0` and `a || b` is
+                // `a ? 1 : (b != 0)`: `b` runs only where `a` does not decide.
+                let decided_by = *op == BinOp::LogOr;
+                let arms = self.branch(state, lhs, |this, side, taken| {
+                    if taken == decided_by {
+                        return Outcomes::one((
+                            side,
+                            SVal::Int(i64::from(taken)),
+                            TaintSet::bottom(),
+                        ));
+                    }
+                    this.eval(side, rhs).map(|(st, v, t)| {
+                        (st, simplify(&fold_binary(BinOp::Ne, v, SVal::Int(0))), t)
+                    })
+                });
+                self.join(arms, false, expr.span.start, || op.to_string())
+            }
             ExprKind::Binary { op, lhs, rhs } => {
                 let mut out = Outcomes::none();
                 for (st, lv, lt) in self.eval(state, lhs) {
@@ -1746,9 +1671,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     fn lvalue(&mut self, state: ExecState, expr: &Expr) -> LvalResults {
         match &expr.kind {
-            ExprKind::Ident(name) => {
+            ExprKind::Ident { var, .. } => {
                 let mut state = state;
-                let region = self.resolve_name(&state, name);
+                let region = var_region(&state, var);
                 self.bind_env(&mut state, expr.id, &region);
                 Outcomes::one((state, Some(region)))
             }
@@ -1932,18 +1857,10 @@ impl<'u, 'c> Explorer<'u, 'c> {
         let Some(body) = func.body.as_ref() else {
             return Outcomes::one((state, SVal::Unknown, join_all(values)));
         };
-        let frame_id = state.next_frame;
+        state.frames.push(state.next_frame);
         state.next_frame += 1;
-        state
-            .frames
-            .push(Frame::new(frame_id, self.names.get(&func.name)));
         for (param, (value, taint)) in func.params.iter().zip(values) {
-            let name = self.names.get(&param.name);
-            let region = Region::Var {
-                frame: frame_id,
-                name: name.clone(),
-            };
-            state.frame_mut().declare(name, region.clone());
+            let region = var_region(&state, &param.var);
             let value = self.summarize(&mut state, at, value.clone(), || param.name.clone());
             state.write(region, value, taint.clone());
         }
@@ -1956,14 +1873,14 @@ impl<'u, 'c> Explorer<'u, 'c> {
         })
     }
 
-    /// Joins the arms of an inlined call or a ternary at site `at` into one
-    /// state whose value is an `ite` over the arms' π suffixes, or hands
-    /// them back unchanged when they may not merge (a `pointer` value, or
-    /// see [`mergeable`]). The merged state keeps the arms' common π
-    /// prefix, the first arm's trace and environment, and the most steps
-    /// and site visits any arm took; its value's taint remembers each arm
-    /// ([`TaintSet::merge`]), and `hint` names its summary if it grows too
-    /// large.
+    /// Joins the arms of an inlined call or a conditional expression (`?:`,
+    /// `&&`, `||`) at site `at` into one state whose value is an `ite` over
+    /// the arms' π suffixes, or hands them back unchanged when they may not
+    /// merge (a `pointer` value, or see [`mergeable`]). The merged state
+    /// keeps the arms' common π prefix, the first arm's trace and
+    /// environment, and the most steps and site visits any arm took; its
+    /// value's taint remembers each arm ([`TaintSet::merge`]), and `hint`
+    /// names its summary if it grows too large.
     fn join(
         &mut self,
         results: EvalResults,
@@ -2134,7 +2051,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         }
         match &stmt.kind {
             StmtKind::Decl(decl) => {
-                let region = self.declare_local(&mut state, &decl.name);
+                let region = var_region(&state, &decl.var);
                 let states = match &decl.init {
                     Some(init) => self.exec_decl_init(state, &region, init, &decl.ty),
                     None => Outcomes::one(state),
@@ -2145,14 +2062,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
             StmtKind::Expr(Some(expr)) => self
                 .eval(state, expr)
                 .map(|(st, _, _)| (self.snapshot(st, stmt.span), Flow::Normal)),
-            StmtKind::Block(stmts) => {
-                state.frame_mut().push_scope();
-                let mut flows = self.exec_block(state, stmts);
-                for (st, _) in flows.iter_mut() {
-                    st.frame_mut().pop_scope();
-                }
-                flows
-            }
+            StmtKind::Block(stmts) => self.exec_block(state, stmts),
             StmtKind::If {
                 cond,
                 then_s,
@@ -2170,7 +2080,6 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 step,
                 body,
             } => {
-                state.frame_mut().push_scope();
                 let initialized = match init {
                     Some(init) => self.exec(state, init),
                     None => Outcomes::one((state, Flow::Normal)),
@@ -2182,9 +2091,6 @@ impl<'u, 'c> Explorer<'u, 'c> {
                         continue;
                     }
                     out.append(self.exec_loop(st, cond.as_ref(), body, step.as_ref(), false));
-                }
-                for (st, _) in out.iter_mut() {
-                    st.frame_mut().pop_scope();
                 }
                 out
             }
@@ -2251,8 +2157,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
         }
     }
 
-    /// Evaluates the condition of an `if` or a ternary, forks on each of
-    /// its values, and runs `arm` on every feasible side in order.
+    /// Evaluates the condition of an `if`, a ternary, or the left operand
+    /// of `&&` or `||`, forks on each of its values, and runs `arm` on
+    /// every feasible side in order.
     fn branch<T>(
         &mut self,
         state: ExecState,
@@ -2455,6 +2362,18 @@ impl<'u, 'c> Explorer<'u, 'c> {
     }
 }
 
+/// The region of a variable sema resolved: a local in the current frame,
+/// or a global.
+fn var_region(state: &ExecState, var: &Option<Var>) -> Region {
+    match var.as_ref().expect("sema resolves every variable") {
+        Var::Local(name) => Region::Var {
+            frame: state.frame(),
+            name: name.clone(),
+        },
+        Var::Global(name) => Region::Global { name: name.clone() },
+    }
+}
+
 fn element(base: &Region, index: i64) -> Region {
     Region::element(base.clone(), SVal::Int(index))
 }
@@ -2467,12 +2386,12 @@ fn join_all(values: &[(SVal, TaintSet)]) -> TaintSet {
     out
 }
 
-/// Whether the arms of a call return or a ternary may join: every arm
-/// agrees with the first on everything but π, the step count, the trace
-/// and the environment; no value is a pointer; and the shared π-taint is a
-/// plain ⊤. ⊤ absorbs every later join, so no observation on the merged
-/// path can reach `hm` or the timing check, which compare values across
-/// paths whose π depends on a single secret. A ⊥ or single-source π must
+/// Whether the arms of a call return or a conditional expression may
+/// join: every arm agrees with the first on everything but π, the step
+/// count, the trace and the environment; no value is a pointer; and the
+/// shared π-taint is a plain ⊤. ⊤ absorbs every later join, so no
+/// observation on the merged path can reach `hm` or the timing check,
+/// which compare values across paths whose π depends on a single secret. A ⊥ or single-source π must
 /// stay forked: one `ite` observation would stand in for two distinct
 /// values.
 fn mergeable(results: &EvalResults) -> bool {
@@ -2488,9 +2407,7 @@ fn mergeable(results: &EvalResults) -> bool {
         && arms.all(|(st, value, _)| {
             plain(value)
                 && st.next_frame == first.next_frame
-                && st.next_shadow == first.next_shadow
                 && st.pi_taint == *pi
-                && st.frames == first.frames
                 && st.secret_bases == first.secret_bases
                 && st.events == first.events
                 && st.write_log == first.write_log

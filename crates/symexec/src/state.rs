@@ -19,14 +19,16 @@
 //! non-⊥ taints, so checkpoint files written before the maps merged still
 //! load, and reports do not change.
 //!
-//! Region names, symbol hints, frame function names and scope keys are
-//! `Arc<str>`, so the key and value clones an update makes (the write log
-//! entry, a copied shared node) bump a reference count instead of copying
-//! the string.
+//! Region names and symbol hints are `Arc<str>`, so the key and value
+//! clones an update makes (the write log entry, a copied shared node) bump
+//! a reference count instead of copying the string.
+//!
+//! The state holds no scopes: sema resolves every identifier to a
+//! [`minic::ast::Var`] once, and a local's region is that name in the
+//! innermost frame of [`ExecState::frames`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 use im::{OrdMap, Vector};
 use minic::ast::ExprId;
@@ -364,126 +366,6 @@ pub struct DeclassifyEvent {
     pub span: minic::Span,
 }
 
-/// One call frame of the interpreted program (the entry function is frame
-/// 0; inlined callees push further frames).
-///
-/// The lexical scopes are one flat list of declarations, innermost last,
-/// plus the index where each nested scope starts: opening a scope and
-/// forking a frame allocate no per-scope map. Within a scope the
-/// declarations stay sorted by name, so a lookup binary-searches each
-/// scope, innermost first, and a frame serializes as its list of
-/// per-scope name → region objects, exactly like the map-per-scope layout
-/// it replaced.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Frame {
-    /// Unique frame id within the exploration (keys [`Region::Var`]).
-    pub id: u32,
-    /// The function this frame executes.
-    pub func: Arc<str>,
-    /// Every live declaration: a source name and the region chosen for it
-    /// (shadowing-safe), outermost scope first, sorted by name within a
-    /// scope.
-    bindings: Vec<(Arc<str>, Region)>,
-    /// Where each scope nested in the outermost one starts in `bindings`.
-    marks: Vec<usize>,
-}
-
-impl Frame {
-    /// Creates a frame with one empty scope.
-    pub fn new(id: u32, func: impl Into<Arc<str>>) -> Self {
-        Frame {
-            id,
-            func: func.into(),
-            bindings: Vec::new(),
-            marks: Vec::new(),
-        }
-    }
-
-    /// Resolves a name through the scope chain, innermost first, by a
-    /// binary search of each scope.
-    pub fn lookup(&self, name: &str) -> Option<&Region> {
-        let mut end = self.bindings.len();
-        for start in self.marks.iter().rev().copied().chain([0]) {
-            let scope = &self.bindings[start..end];
-            if let Ok(at) = scope.binary_search_by(|(bound, _)| (**bound).cmp(name)) {
-                return Some(&scope[at].1);
-            }
-            end = start;
-        }
-        None
-    }
-
-    /// Binds `name` to `region` in the innermost scope, replacing a binding
-    /// of the same name there.
-    pub fn declare(&mut self, name: Arc<str>, region: Region) {
-        let start = self.marks.last().copied().unwrap_or(0);
-        match self.bindings[start..].binary_search_by(|(bound, _)| bound.cmp(&name)) {
-            Ok(at) => self.bindings[start + at].1 = region,
-            Err(at) => self.bindings.insert(start + at, (name, region)),
-        }
-    }
-
-    /// Opens a nested scope.
-    pub fn push_scope(&mut self) {
-        self.marks.push(self.bindings.len());
-    }
-
-    /// Closes the innermost nested scope, dropping its declarations.
-    pub fn pop_scope(&mut self) {
-        if let Some(start) = self.marks.pop() {
-            self.bindings.truncate(start);
-        }
-    }
-
-    /// The declarations of each scope, outermost first.
-    fn scopes(&self) -> impl Iterator<Item = &[(Arc<str>, Region)]> {
-        let starts = std::iter::once(0).chain(self.marks.iter().copied());
-        let ends = self
-            .marks
-            .iter()
-            .copied()
-            .chain(std::iter::once(self.bindings.len()));
-        starts
-            .zip(ends)
-            .map(|(start, end)| &self.bindings[start..end])
-    }
-}
-
-impl Serialize for Frame {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let scopes = self
-            .scopes()
-            .map(|scope| {
-                let map: BTreeMap<Arc<str>, Region> = scope.iter().cloned().collect();
-                serde::to_value(&map)
-            })
-            .collect::<Result<Vec<Value>, Error>>()?;
-        serializer.serialize_value(Value::Object(vec![
-            ("id".to_string(), serde::to_value(&self.id)?),
-            ("func".to_string(), serde::to_value(&self.func)?),
-            ("scopes".to_string(), Value::Array(scopes)),
-        ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for Frame {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut obj = serde::expect_object(deserializer.take_value()?, "Frame")?;
-        let mut field = |name: &str| serde::take_field(&mut obj, name, "Frame");
-        let id = serde::from_value(field("id")?)?;
-        let func: Arc<str> = serde::from_value(field("func")?)?;
-        let scopes: Vec<BTreeMap<Arc<str>, Region>> = serde::from_value(field("scopes")?)?;
-        let mut frame = Frame::new(id, func);
-        for (depth, scope) in scopes.into_iter().enumerate() {
-            if depth > 0 {
-                frame.push_scope();
-            }
-            frame.bindings.extend(scope);
-        }
-        Ok(frame)
-    }
-}
-
 /// One complete symbolic execution state (a path being explored).
 ///
 /// Serializes field by field like a derived impl, except that the store
@@ -511,8 +393,10 @@ pub struct ExecState {
     pub write_log: Vector<Region>,
     /// Statements interpreted so far (budget accounting).
     pub steps: usize,
-    /// The call stack (frame 0 = entry function).
-    pub frames: Vec<Frame>,
+    /// The call stack: the id of each active frame, innermost last (frame
+    /// 0 is the entry function's). A local's [`Region::Var`] carries the
+    /// id of the frame it lives in.
+    pub frames: Vec<u32>,
     /// Recorded state snapshots (when tracing is enabled). Persistent —
     /// forked siblings share the common prefix.
     pub trace: Vector<crate::trace::TraceStep>,
@@ -522,8 +406,6 @@ pub struct ExecState {
     /// own history — a prerequisite for the worklist engine's determinism
     /// guarantee, since frame ids appear in rendered trace text.
     pub next_frame: u32,
-    /// Next shadow-rename counter for re-declared locals on this path.
-    pub next_shadow: u32,
     /// How many times this path has created symbols at each site (source
     /// byte offset): the `visit` of a conjured [`crate::value::SymbolKey`].
     /// Like `next_frame`, it depends only on the path's own history.
@@ -554,7 +436,6 @@ impl Serialize for ExecState {
             ("frames", serde::to_value(&self.frames)?),
             ("trace", serde::to_value(&self.trace)?),
             ("next_frame", serde::to_value(&self.next_frame)?),
-            ("next_shadow", serde::to_value(&self.next_shadow)?),
             ("visits", serde::to_value(&self.visits)?),
             ("secret_bases", serde::to_value(&self.secret_bases)?),
             ("domain", serde::to_value(&self.domain)?),
@@ -589,7 +470,6 @@ impl<'de> Deserialize<'de> for ExecState {
             frames: serde::from_value(field("frames")?)?,
             trace: serde::from_value(field("trace")?)?,
             next_frame: serde::from_value(field("next_frame")?)?,
-            next_shadow: serde::from_value(field("next_shadow")?)?,
             visits: serde::from_value(field("visits")?)?,
             secret_bases: serde::from_value(field("secret_bases")?)?,
             // Absent from checkpoints written before the domain existed.
@@ -611,22 +491,13 @@ impl ExecState {
         }
     }
 
-    /// The innermost call frame.
+    /// The id of the innermost call frame.
     ///
     /// # Panics
     ///
     /// Panics if no frame has been pushed (engine misuse).
-    pub fn frame(&self) -> &Frame {
-        self.frames.last().expect("at least one frame")
-    }
-
-    /// The innermost call frame, mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no frame has been pushed (engine misuse).
-    pub fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("at least one frame")
+    pub fn frame(&self) -> u32 {
+        *self.frames.last().expect("at least one frame")
     }
 
     /// Binds a region to a value with taint, recording the write.
@@ -757,7 +628,6 @@ mod tests {
                 "frames",
                 "trace",
                 "next_frame",
-                "next_shadow",
                 "visits",
                 "secret_bases",
                 "domain"

@@ -280,9 +280,9 @@ pub enum SVal {
     /// A value the engine cannot represent more precisely.
     Unknown,
     /// A selection between arms: `then` where `cond` is non-zero, `els`
-    /// elsewhere. Built where the arms of an inlined call or a ternary
-    /// merge into one path, and for reads and writes through an
-    /// `ite` element index.
+    /// elsewhere. Built where the arms of an inlined call or a conditional
+    /// expression (`?:`, `&&`, `||`) merge into one path, and for reads and
+    /// writes through an `ite` element index.
     Ite {
         /// The selecting condition (hash-consed, shared across states).
         cond: HC<SVal>,

@@ -11,9 +11,10 @@
 //!   of a region, or the value a site creates on its `visit`-th visit by
 //!   this path; see [`SymbolKey`](crate::value::SymbolKey)), and a secret
 //!   source's id is its symbol's id;
-//! * frame ids, shadow-rename counters and site visit counts live in
+//! * frame ids and site visit counts live in
 //!   [`ExecState`](crate::state::ExecState) and depend only on the path's
-//!   own history.
+//!   own history, and a local's region name is the one sema gave its
+//!   declaration.
 //!
 //! So the merge has no ids to translate: it appends each task's states,
 //! events and sources in canonical task order.

@@ -4,7 +4,8 @@
 //! panics and stalls degrade the verdict instead of aborting the run).
 
 use mlcorpus::synth::{
-    generate_callee_branch, generate_late_read, hoist_secret_read, ternary_twin, SynthModule,
+    generate, generate_callee_branch, generate_late_read, hoist_secret_read, shadow_twin,
+    ternary_twin, SynthModule,
 };
 use privacyscope::oracle::{
     check_module, concrete_dependence, finding_keys, invoke_analyzer, run_campaign, Disagreement,
@@ -208,6 +209,19 @@ fn a_ternary_keeps_the_findings_of_its_if() {
     for seed in 0..32u64 {
         let module = generate_callee_branch(seed);
         assert_twins_agree(seed, &module, &ternary_twin(&module));
+    }
+}
+
+#[test]
+fn shadowing_locals_keeps_the_findings() {
+    // The metamorphic scope campaign: the entry body and the same body in
+    // a nested block, below an unused outer local of each name it
+    // declares, are one program. Every original local then shadows one,
+    // so a scope that resolves a use to the wrong declaration, or two
+    // declarations to one region, shows up as a changed or missed finding.
+    for seed in 0..32u64 {
+        let module = generate(seed);
+        assert_twins_agree(seed, &module, &shadow_twin(&module));
     }
 }
 

@@ -12,6 +12,14 @@
 //!   arms on every iteration and stays one path, where the `if` explores
 //!   all 256; neither reports anything, as the sum is two-source.
 //!
+//! `a && b` is `a ? (b != 0) : 0` and `a || b` is `a ? 1 : (b != 0)`, so
+//! each of them, too, gets the findings of its nested-`if` twin:
+//!
+//! * a right operand that the left one decides never runs, so its write
+//!   to `out[1]` is no finding, and neither is the constant result;
+//! * a secret left operand selecting a public comparison is one implicit
+//!   finding, carried by π rather than by the value.
+//!
 //! Every check runs at one and at four workers.
 
 use privacyscope::{Analyzer, AnalyzerOptions, FindingKind};
@@ -136,4 +144,44 @@ fn two_secret_ternary_in_a_loop_joins_its_arms() {
         &[],
     );
     assert_eq!(paths, (1, 256));
+}
+
+#[test]
+fn and_skips_a_right_operand_that_the_left_one_decides() {
+    assert_same_findings(
+        &entry("long t = 0 && (out[1] = secret[1]);\nout[0] = t;"),
+        &entry(
+            "long t;\nif (0) { if (out[1] = secret[1]) t = 1; else t = 0; } else t = 0;\nout[0] = t;",
+        ),
+        &[],
+    );
+}
+
+#[test]
+fn or_skips_a_right_operand_that_the_left_one_decides() {
+    assert_same_findings(
+        &entry("long t = 1 || (out[1] = secret[1]);\nout[0] = t;"),
+        &entry(
+            "long t;\nif (1) t = 1; else { if (out[1] = secret[1]) t = 1; else t = 0; }\nout[0] = t;",
+        ),
+        &[],
+    );
+}
+
+#[test]
+fn and_on_a_secret_left_operand_is_implicit() {
+    assert_same_findings(
+        &entry("out[0] = secret[0] > 0 && pub > 0;"),
+        &entry("if (secret[0] > 0) { if (pub > 0) out[0] = 1; else out[0] = 0; } else out[0] = 0;"),
+        &[key(FindingKind::Implicit, "secret[0]")],
+    );
+}
+
+#[test]
+fn or_on_a_secret_left_operand_is_implicit() {
+    assert_same_findings(
+        &entry("out[0] = secret[0] > 0 || pub > 0;"),
+        &entry("if (secret[0] > 0) out[0] = 1; else { if (pub > 0) out[0] = 1; else out[0] = 0; }"),
+        &[key(FindingKind::Implicit, "secret[0]")],
+    );
 }
