@@ -200,12 +200,14 @@ fn fetch_report(client: &mut Client, id: u64) -> String {
 /// and every journaled job completes byte-identical to a direct run.
 #[test]
 fn kill9_restart_recovers_all_jobs_byte_identical() {
-    // Kmeans with its secret branch in the entry function outlives the
-    // kill window by a wide margin at these budgets in debug builds, so
-    // neither job can slip to Done before the -9.
+    // Kmeans with its secret branch in the entry function forks until its
+    // path budget cuts it. At these budgets a job runs about 0.7 s and
+    // 0.45 s in a release build (about ten times that in debug), far longer
+    // than the kill window, so neither job can slip to Done before the -9
+    // even on a loaded host.
     let jobs = [
-        corpus_job("KmeansEntryBranching", 16),
-        corpus_job("KmeansEntryBranching", 12),
+        corpus_job("KmeansEntryBranching", 96),
+        corpus_job("KmeansEntryBranching", 64),
     ];
     let expected: Vec<String> = jobs.iter().map(direct_report).collect();
 

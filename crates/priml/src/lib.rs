@@ -3,7 +3,7 @@
 //! PRIML is the small formal language the paper uses to state PrivacyScope's
 //! semantics precisely. This crate implements:
 //!
-//! * the grammar of §V-A ([`ast`], [`parse`]) — statements are `skip`,
+//! * the grammar of §V-A ([`ast`], [`parse`](mod@parse)) — statements are `skip`,
 //!   assignment, sequencing and `if`/`then`/`else`; expressions are 32-bit
 //!   unsigned values, variables, unary/binary operators, `get_secret(secret)`
 //!   and `declassify(exp)`;

@@ -447,9 +447,12 @@ pub(crate) fn fingerprint(
     // the join of call returns and conditional expressions which states
     // the frontier holds, so their tags and settings always join the
     // fingerprint: a snapshot never resumes under another mode, or under a
-    // pipeline with other rules (an `&&` that did not fork, say).
+    // pipeline with other rules (an `&&` that did not fork, say). The
+    // frame tag marks stores that drop a returned call's dead locals: a
+    // frontier that still holds them must not resume, since arms that
+    // differ only there merge under one rule and not the other.
     let text = format!(
-        "{text}|feasibility=wrap-faithful-slice/{}|merge=call-return+ternary+short-circuit/{}",
+        "{text}|feasibility=wrap-faithful-slice/{}|merge=call-return+ternary+short-circuit/{}|frames=freed-at-return",
         config.feasibility.as_str(),
         config.merge_returns
     );

@@ -437,7 +437,7 @@ struct CacheInner {
 /// threads.
 ///
 /// A probe takes two keys. Tier 0 runs first, memoized under the
-/// syntactic key [`crate::checkpoint::probe_key`] (constraint set,
+/// syntactic key `checkpoint::probe_key` (constraint set,
 /// condition, direction). A side it does not refute goes on to tiers 1–2,
 /// memoized under the digest of the condition's independent slice —
 /// which leaves out every constraint on unrelated symbols, so paths that

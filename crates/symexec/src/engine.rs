@@ -351,6 +351,9 @@ pub struct Engine<'u> {
     unit: &'u TranslationUnit,
     config: EngineConfig,
     source: Option<String>,
+    /// The functions whose frame no pointer can reach ([`frame_escapes`]
+    /// is false): a returned call of one frees its locals.
+    freed_on_return: BTreeSet<&'u str>,
 }
 
 impl<'u> Engine<'u> {
@@ -358,10 +361,16 @@ impl<'u> Engine<'u> {
     /// must have passed [`minic::sema::check`], which resolves the variable
     /// each identifier denotes ([`minic::parse`] runs it).
     pub fn new(unit: &'u TranslationUnit, config: EngineConfig) -> Self {
+        let freed_on_return = unit
+            .functions()
+            .filter(|func| !frame_escapes(func))
+            .map(|func| func.name.as_str())
+            .collect();
         Engine {
             unit,
             config,
             source: None,
+            freed_on_return,
         }
     }
 
@@ -443,6 +452,7 @@ impl<'u> Engine<'u> {
             unit: self.unit,
             config: &self.config,
             source: self.source.as_deref(),
+            freed_on_return: &self.freed_on_return,
             cache: &cache,
             supervisor: &supervisor,
             base_forks: 0,
@@ -766,6 +776,7 @@ impl<'u> Engine<'u> {
                 unit: self.unit,
                 config: &self.config,
                 source: self.source.as_deref(),
+                freed_on_return: &self.freed_on_return,
                 cache,
                 supervisor,
                 base_forks,
@@ -780,7 +791,13 @@ impl<'u> Engine<'u> {
                 probe_seen: BTreeSet::new(),
                 profile: Profile::new(),
             };
-            let flows = task.exec(state, stmt);
+            // The states go back to the frontier unboxed here, so each box
+            // is freed by the worker thread that allocated it.
+            let flows: StateFlows = task
+                .exec(Box::new(state), stmt)
+                .into_iter()
+                .map(|(state, flow)| (*state, flow))
+                .collect();
             if let Some(span) = span.as_mut() {
                 let totals = task.profile.totals();
                 span.field("steps", totals.steps);
@@ -941,7 +958,7 @@ impl CheckpointSink<'_> {
 
 /// Everything one statement-task produced.
 struct TaskResult {
-    flows: Flows,
+    flows: StateFlows,
     /// The secret sources the task's paths hold.
     sources: SourceTable,
     /// The first digest collision among them, if any.
@@ -976,7 +993,7 @@ impl TaskResult {
             ..Stats::default()
         };
         TaskResult {
-            flows: Outcomes::none(),
+            flows: Vec::new(),
             sources: SourceTable::new(),
             collision: None,
             stats,
@@ -999,7 +1016,10 @@ impl TaskResult {
 ///
 /// [`EngineError::SourceCollision`] when one of the task's sources has the
 /// id of a different source already known.
-fn merge_task(explorer: &mut Explorer<'_, '_>, mut task: TaskResult) -> Result<Flows, EngineError> {
+fn merge_task(
+    explorer: &mut Explorer<'_, '_>,
+    mut task: TaskResult,
+) -> Result<StateFlows, EngineError> {
     // Emit the task's buffered telemetry from the merging thread, in
     // canonical task order; timings go to the sinks only.
     let telemetry = &explorer.config.telemetry;
@@ -1079,19 +1099,31 @@ pub(crate) enum Flow {
     Return(Option<(SVal, TaintSet)>),
 }
 
+/// A path state as the interpreter passes it around: by pointer, so a
+/// step's results move a word instead of the whole [`ExecState`]. Past
+/// the box a statement task starts from, only a fork allocates one; the
+/// wave frontier, checkpoints and [`PathOutcome`] hold plain states.
+type State = Box<ExecState>;
+
+// One `EvalResults` element is what every interpreter level moves; a field
+// added to `ExecState` must not bring back copying the state along with it.
+const _: () = assert!(std::mem::size_of::<(State, SVal, TaintSet)>() <= 64);
+
 /// A wave frontier: every path state with the flow that left it there.
 type StateFlows = Vec<(ExecState, Flow)>;
 /// What one statement turned a path state into.
-type Flows = Outcomes<(ExecState, Flow)>;
+type Flows = Outcomes<(State, Flow)>;
 /// What evaluating one expression turned a path state into.
-type EvalResults = Outcomes<(ExecState, SVal, TaintSet)>;
+type EvalResults = Outcomes<(State, SVal, TaintSet)>;
 /// What resolving one lvalue turned a path state into.
-type LvalResults = Outcomes<(ExecState, Option<Region>)>;
+type LvalResults = Outcomes<(State, Option<Region>)>;
 
 struct Explorer<'u, 'c> {
     unit: &'u TranslationUnit,
     config: &'c EngineConfig,
     source: Option<&'c str>,
+    /// [`Engine`]'s functions whose returned calls free their frame.
+    freed_on_return: &'c BTreeSet<&'u str>,
     cache: &'c FeasibilityCache,
     /// Deadline/cancellation oracle, polled at step granularity.
     supervisor: &'c Supervisor,
@@ -1239,9 +1271,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
                 // Global/local initializer expressions do not fork: the
                 // evaluation is forced down the first (and in practice only)
                 // result; corpus initializers are side-effect-free.
-                let results = self.eval(state.clone(), expr);
+                let results = self.eval(Box::new(state.clone()), expr);
                 if let Some((st, value, taint)) = results.into_iter().next() {
-                    *state = st;
+                    *state = *st;
                     state.write(region.clone(), value, taint);
                 }
             }
@@ -1453,7 +1485,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     // ---- expression evaluation -------------------------------------------
 
-    fn eval(&mut self, state: ExecState, expr: &Expr) -> EvalResults {
+    fn eval(&mut self, state: State, expr: &Expr) -> EvalResults {
         match &expr.kind {
             ExprKind::IntLit(v) => Outcomes::one((state, SVal::Int(*v), TaintSet::bottom())),
             ExprKind::CharLit(v) => Outcomes::one((state, SVal::Int(*v), TaintSet::bottom())),
@@ -1632,7 +1664,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     fn eval_assign(
         &mut self,
-        state: ExecState,
+        state: State,
         op: Option<BinOp>,
         lhs: &Expr,
         rhs: &Expr,
@@ -1669,7 +1701,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         out
     }
 
-    fn lvalue(&mut self, state: ExecState, expr: &Expr) -> LvalResults {
+    fn lvalue(&mut self, state: State, expr: &Expr) -> LvalResults {
         match &expr.kind {
             ExprKind::Ident { var, .. } => {
                 let mut state = state;
@@ -1737,13 +1769,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     // ---- calls -------------------------------------------------------------
 
-    fn eval_call(
-        &mut self,
-        state: ExecState,
-        expr: &Expr,
-        callee: &str,
-        args: &[Expr],
-    ) -> EvalResults {
+    fn eval_call(&mut self, state: State, expr: &Expr, callee: &str, args: &[Expr]) -> EvalResults {
         if self.config.inject_panic_on_call.as_deref() == Some(callee) {
             panic!("injected panic in `{callee}`");
         }
@@ -1826,7 +1852,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     fn call_body_or_model(
         &mut self,
-        state: ExecState,
+        state: State,
         expr: &Expr,
         callee: &str,
         values: &[(SVal, TaintSet)],
@@ -1846,7 +1872,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     fn inline_call(
         &mut self,
-        mut state: ExecState,
+        mut state: State,
         at: usize,
         func: &Function,
         values: &[(SVal, TaintSet)],
@@ -1857,15 +1883,20 @@ impl<'u, 'c> Explorer<'u, 'c> {
         let Some(body) = func.body.as_ref() else {
             return Outcomes::one((state, SVal::Unknown, join_all(values)));
         };
-        state.frames.push(state.next_frame);
+        let frame = state.next_frame;
+        state.frames.push(frame);
         state.next_frame += 1;
         for (param, (value, taint)) in func.params.iter().zip(values) {
             let region = var_region(&state, &param.var);
             let value = self.summarize(&mut state, at, value.clone(), || param.name.clone());
             state.write(region, value, taint.clone());
         }
+        let free = self.freed_on_return.contains(func.name.as_str());
         self.exec_block(state, body).map(|(mut st, flow)| {
             st.frames.pop();
+            if free {
+                st.store.unbind_frame(frame);
+            }
             match flow {
                 Flow::Return(Some((v, t))) => (st, v, t),
                 _ => (st, SVal::Int(0), TaintSet::bottom()),
@@ -1891,7 +1922,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         if !self.config.merge_returns || results.len() < 2 || pointer || !mergeable(&results) {
             return results;
         }
-        let mut arms: Vec<(ExecState, SVal, TaintSet)> = results.into_iter().collect();
+        let mut arms: Vec<(State, SVal, TaintSet)> = results.into_iter().collect();
         let first = &arms[0].0;
         let prefix = arms[1..].iter().fold(first.path.len(), |len, (st, _, _)| {
             first.path.assumptions()[..len]
@@ -1934,11 +1965,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     fn model_builtin(
         &mut self,
-        mut state: ExecState,
+        mut state: State,
         expr: &Expr,
         callee: &str,
         values: &[(SVal, TaintSet)],
-    ) -> (ExecState, SVal, TaintSet) {
+    ) -> (State, SVal, TaintSet) {
         match callee {
             "memcpy" => {
                 let n = values.get(2).and_then(|(v, _)| v.as_int());
@@ -2014,7 +2045,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     // ---- statements --------------------------------------------------------
 
-    fn exec_block(&mut self, state: ExecState, stmts: &[Stmt]) -> Flows {
+    fn exec_block(&mut self, state: State, stmts: &[Stmt]) -> Flows {
         let mut flows = Outcomes::one((state, Flow::Normal));
         for stmt in stmts {
             let mut next = Outcomes::none();
@@ -2030,7 +2061,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         flows
     }
 
-    fn exec(&mut self, mut state: ExecState, stmt: &Stmt) -> Flows {
+    fn exec(&mut self, mut state: State, stmt: &Stmt) -> Flows {
         state.steps += 1;
         self.profile.bump(stmt.span.start, Counter::Steps, 1);
         // Poll the supervisor at step granularity (every 64th step keeps
@@ -2111,11 +2142,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     fn exec_decl_init(
         &mut self,
-        state: ExecState,
+        state: State,
         region: &Region,
         init: &Init,
         ty: &Type,
-    ) -> Outcomes<ExecState> {
+    ) -> Outcomes<State> {
         match init {
             Init::Expr(expr) => self.eval(state, expr).map(|(mut st, v, t)| {
                 let v = self.summarize(&mut st, expr.span.start, v, || region_hint(region));
@@ -2162,9 +2193,9 @@ impl<'u, 'c> Explorer<'u, 'c> {
     /// every feasible side in order.
     fn branch<T>(
         &mut self,
-        state: ExecState,
+        state: State,
         cond: &Expr,
-        mut arm: impl FnMut(&mut Self, ExecState, bool) -> Outcomes<T>,
+        mut arm: impl FnMut(&mut Self, State, bool) -> Outcomes<T>,
     ) -> Outcomes<T> {
         let mut out = Outcomes::none();
         for (st, cv, ct) in self.eval(state, cond) {
@@ -2180,11 +2211,11 @@ impl<'u, 'c> Explorer<'u, 'c> {
     /// only when both survive.
     fn fork(
         &mut self,
-        state: ExecState,
+        state: State,
         cond: &SVal,
         cond_taint: &TaintSet,
         span: Span,
-    ) -> Outcomes<(ExecState, bool)> {
+    ) -> Outcomes<(State, bool)> {
         // Decide feasibility with cheap, memoized probes first, then clone
         // the (heavy) state only when both directions survive. The cache is
         // safe here because these probes are speculative: the committed
@@ -2228,12 +2259,12 @@ impl<'u, 'c> Explorer<'u, 'c> {
     /// Tier-1 refinement, π and π's taint, then the trace snapshot.
     fn commit_side(
         &mut self,
-        mut state: ExecState,
+        mut state: State,
         cond: &SVal,
         cond_taint: &TaintSet,
         taken: bool,
         span: Span,
-    ) -> (ExecState, bool) {
+    ) -> (State, bool) {
         let feasibility = state.constraints.assume(cond, taken);
         debug_assert_eq!(feasibility, Feasibility::Feasible);
         // Commit the Tier-1 refinement too; in the default mode the probe
@@ -2248,7 +2279,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
 
     fn exec_loop(
         &mut self,
-        state: ExecState,
+        state: State,
         cond: Option<&Expr>,
         body: &Stmt,
         step: Option<&Expr>,
@@ -2342,6 +2373,12 @@ impl<'u, 'c> Explorer<'u, 'c> {
         let written: BTreeSet<Region> = state.write_log.iter_from(mark).cloned().collect();
         let visit = state.visit(at);
         for (slot, region) in written.into_iter().enumerate() {
+            // A freed frame's locals are the only written regions the store
+            // no longer binds: binding them again would bring them back.
+            // They keep their slot, so every other symbol keeps its key.
+            if state.store.get(&region).is_none() {
+                continue;
+            }
             let key = conjured(at, visit, slot as u64);
             let sym = Symbol::of(&key, format!("widened({})", region_hint(&region)));
             let taint = state.taint_of(&region);
@@ -2349,7 +2386,7 @@ impl<'u, 'c> Explorer<'u, 'c> {
         }
     }
 
-    fn snapshot(&mut self, mut state: ExecState, span: Span) -> ExecState {
+    fn snapshot(&mut self, mut state: State, span: Span) -> State {
         if self.config.record_trace && state.frames.len() == 1 {
             let text = self
                 .source
@@ -2372,6 +2409,63 @@ fn var_region(state: &ExecState, var: &Option<Var>) -> Region {
         },
         Var::Global(name) => Region::Global { name: name.clone() },
     }
+}
+
+/// Whether a pointer may reach a local of `func`'s frame, so that its
+/// bindings must outlive the call: the body takes an address (`&`), or a
+/// parameter or local is neither a scalar nor a pointer (an array decays
+/// to a pointer to its own region; a struct's fields are subregions of
+/// it). A frame that no pointer reaches is dead once the call returns:
+/// frame ids are never reused, so nothing can name its locals again.
+fn frame_escapes(func: &Function) -> bool {
+    fn takes_address(expr: &Expr) -> bool {
+        let mut found = false;
+        expr.walk(&mut |e| found |= matches!(e.kind, ExprKind::AddrOf(_)));
+        found
+    }
+    fn init_escapes(init: &Init) -> bool {
+        match init {
+            Init::Expr(expr) => takes_address(expr),
+            Init::List(items) => items.iter().any(init_escapes),
+        }
+    }
+    fn stmt_escapes(stmt: &Stmt) -> bool {
+        match &stmt.kind {
+            StmtKind::Decl(decl) => {
+                !decl.ty.is_scalar() || decl.init.as_ref().is_some_and(init_escapes)
+            }
+            StmtKind::Expr(expr) | StmtKind::Return(expr) => {
+                expr.as_ref().is_some_and(takes_address)
+            }
+            StmtKind::Block(stmts) => stmts.iter().any(stmt_escapes),
+            StmtKind::If {
+                cond,
+                then_s,
+                else_s,
+            } => {
+                takes_address(cond)
+                    || stmt_escapes(then_s)
+                    || else_s.as_deref().is_some_and(stmt_escapes)
+            }
+            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
+                takes_address(cond) || stmt_escapes(body)
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                init.as_deref().is_some_and(stmt_escapes)
+                    || cond.as_ref().is_some_and(takes_address)
+                    || step.as_ref().is_some_and(takes_address)
+                    || stmt_escapes(body)
+            }
+            StmtKind::Break | StmtKind::Continue => false,
+        }
+    }
+    func.params.iter().any(|param| !param.ty.is_scalar())
+        || func.body.iter().flatten().any(stmt_escapes)
 }
 
 fn element(base: &Region, index: i64) -> Region {

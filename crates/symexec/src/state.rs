@@ -162,6 +162,20 @@ impl Store {
         old
     }
 
+    /// Removes every local of frame `frame`: the [`Region::Var`]s with
+    /// that frame id, which lie in one window of the region order. The
+    /// engine calls it when a call returns whose locals are scalars or
+    /// pointers that no pointer reaches, so no subregion lies below them.
+    pub fn unbind_frame(&mut self, frame: u32) {
+        let window = |key: &Region| match key {
+            Region::Var { frame: own, .. } => own.cmp(&frame),
+            _ => std::cmp::Ordering::Greater,
+        };
+        while let Some(local) = self.bindings.first_by(window).cloned() {
+            self.bindings.remove(&local);
+        }
+    }
+
     /// Iterates bindings in region order.
     pub fn iter(&self) -> impl Iterator<Item = Entry<'_>> {
         self.bindings
@@ -212,7 +226,7 @@ impl Store {
 
     /// All regions lying within `base` (itself included) that have bindings.
     ///
-    /// Fast path: a worklist of prefix-window queries ([`Self::children_of`])
+    /// Fast path: a worklist of prefix-window queries (`children_of`)
     /// walking the subobject tree downward from `base`, O((log n + m) · d)
     /// for m matches of maximum depth d — instead of scanning the whole
     /// store. The walk only reaches descendants connected to `base` through

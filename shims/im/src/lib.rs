@@ -212,6 +212,25 @@ impl<K: Ord, V> OrdMap<K, V> {
         walk(&self.root, &cmp, &mut out);
         out
     }
+
+    /// The least key the monotonic comparator maps to
+    /// [`Ordering::Equal`], in O(log n) and without allocating; `cmp` is
+    /// as for [`OrdMap::range_by`].
+    pub fn first_by<F: Fn(&K) -> Ordering>(&self, cmp: F) -> Option<&K> {
+        let mut cur = &self.root;
+        let mut first = None;
+        while let Some(node) = cur {
+            match cmp(&node.key) {
+                Ordering::Less => cur = &node.right,
+                Ordering::Greater => cur = &node.left,
+                Ordering::Equal => {
+                    first = Some(&node.key);
+                    cur = &node.left;
+                }
+            }
+        }
+        first
+    }
 }
 
 impl<K: Ord + Clone, V: Clone> OrdMap<K, V> {
@@ -855,6 +874,8 @@ mod tests {
         let keys: Vec<u32> = window.iter().map(|(k, _)| k.1).collect();
         assert_eq!(keys, (0..8).collect::<Vec<_>>());
         assert!(map.range_by(|k| k.0.cmp(&99)).is_empty());
+        assert_eq!(map.first_by(|k| k.0.cmp(&3)), Some(&(3, 0)));
+        assert_eq!(map.first_by(|k| k.0.cmp(&99)), None);
     }
 
     /// Every map must equal its snapshot after later updates to other maps

@@ -1,7 +1,7 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! Generates `Serialize` / `Deserialize` impls targeting the in-tree serde
-//! shim's [`Value`]-based data model. The input is parsed directly from the
+//! shim's `Value`-based data model. The input is parsed directly from the
 //! `proc_macro` token stream (no `syn`/`quote`, which are unavailable in
 //! this offline build). The supported input grammar is the slice this
 //! workspace uses: plain structs (named, tuple, unit), externally-tagged
