@@ -245,7 +245,7 @@ impl Analyzer {
             .edl
             .ecall(function)
             .ok_or_else(|| Error::UnknownTarget(function.to_string()))?;
-        let bindings = self.bindings(proto);
+        let bindings = param_bindings(proto, &self.config);
 
         // The engine's wave spans nest under this phase span; the span
         // also feeds the `--timings` table as the "explore" row.
@@ -461,7 +461,7 @@ impl Analyzer {
             .edl
             .ecall(function)
             .ok_or_else(|| Error::UnknownTarget(function.to_string()))?;
-        let bindings = self.bindings(proto);
+        let bindings = param_bindings(proto, &self.config);
         let engine =
             Engine::new(&self.unit, self.engine_config(true)).with_source(self.source.clone());
         let exploration = engine.run(function, &bindings)?;
@@ -508,47 +508,6 @@ impl Analyzer {
     /// observations, keeps every finding over a merged path.
     fn merges_returns(&self) -> bool {
         self.options.property == Property::Nonreversibility
-    }
-
-    /// Derives parameter bindings from the EDL attributes and the XML
-    /// overrides — the paper's default: `[in]` buffers are secrets,
-    /// `[out]` buffers are leak points.
-    fn bindings(&self, proto: &Prototype) -> Vec<ParamBinding> {
-        let secret_override: BTreeSet<&str> = self
-            .config
-            .secret_params
-            .iter()
-            .map(String::as_str)
-            .collect();
-        let public_override: BTreeSet<&str> = self
-            .config
-            .public_params
-            .iter()
-            .map(String::as_str)
-            .collect();
-        proto
-            .params
-            .iter()
-            .map(|param| {
-                let name = param.name.as_str();
-                let forced_secret = secret_override.contains(name);
-                let forced_public = public_override.contains(name);
-                if param.is_pointer() {
-                    let is_in = (param.attributes.is_in() || forced_secret) && !forced_public;
-                    let is_out = param.attributes.is_out();
-                    match (is_in, is_out) {
-                        (true, true) => ParamBinding::InOutPointer,
-                        (true, false) => ParamBinding::SecretPointer,
-                        (false, true) => ParamBinding::OutPointer,
-                        (false, false) => ParamBinding::Pointer,
-                    }
-                } else if forced_secret {
-                    ParamBinding::SecretScalar
-                } else {
-                    ParamBinding::Scalar
-                }
-            })
-            .collect()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -609,6 +568,37 @@ impl Analyzer {
                 .or_insert_with(pi_render);
         }
     }
+}
+
+/// Derives an ECALL's parameter bindings from its EDL attributes and the
+/// XML overrides in `config` — the paper's default: `[in]` buffers are
+/// secrets, `[out]` buffers are leak points.
+pub fn param_bindings(proto: &Prototype, config: &AnalysisConfig) -> Vec<ParamBinding> {
+    let secret_override: BTreeSet<&str> = config.secret_params.iter().map(String::as_str).collect();
+    let public_override: BTreeSet<&str> = config.public_params.iter().map(String::as_str).collect();
+    proto
+        .params
+        .iter()
+        .map(|param| {
+            let name = param.name.as_str();
+            let forced_secret = secret_override.contains(name);
+            let forced_public = public_override.contains(name);
+            if param.is_pointer() {
+                let is_in = (param.attributes.is_in() || forced_secret) && !forced_public;
+                let is_out = param.attributes.is_out();
+                match (is_in, is_out) {
+                    (true, true) => ParamBinding::InOutPointer,
+                    (true, false) => ParamBinding::SecretPointer,
+                    (false, true) => ParamBinding::OutPointer,
+                    (false, false) => ParamBinding::Pointer,
+                }
+            } else if forced_secret {
+                ParamBinding::SecretScalar
+            } else {
+                ParamBinding::Scalar
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -44,10 +44,11 @@ use std::time::Duration;
 use edl::Prototype;
 use mlcorpus::expect::{Expectation, LeakKind};
 use mlcorpus::synth::{self, SynthModule};
-use sgx_sim::interp::{Value, Word};
+use sgx_sim::interp::Word;
 use sgx_sim::{EcallArg, EcallResult, Enclave};
 use symexec::concrete::CVal;
 
+use crate::preflight::{const_bound, is_float_type, nums_agree, value_num, word_num};
 use crate::report::{FindingKind, Report};
 use crate::{Analyzer, AnalyzerOptions};
 
@@ -410,22 +411,6 @@ fn parse_secret(secret: &str) -> Option<(String, usize)> {
     Some((param.to_string(), index))
 }
 
-fn is_float_type(c_type: &str) -> bool {
-    c_type.contains("float") || c_type.contains("double")
-}
-
-fn bound_const(param: &edl::ast::Param) -> Option<usize> {
-    let bound = param
-        .attributes
-        .count
-        .as_ref()
-        .or(param.attributes.size.as_ref())?;
-    match bound {
-        edl::ast::Bound::Const(n) => Some(*n as usize),
-        edl::ast::Bound::Param(_) => None,
-    }
-}
-
 /// The deterministic secret byte pool for one probe vector: every value
 /// is below any implicit-leak threshold the generator emits, so flipping
 /// a byte to 255 always crosses it.
@@ -454,8 +439,7 @@ fn build_args(
     let mut pub_i = 0usize;
     for param in &proto.params {
         if param.is_pointer() {
-            let count = bound_const(param)
-                .ok_or_else(|| format!("parameter `{}` has no constant bound", param.name))?;
+            let count = const_bound(param)?;
             let float = is_float_type(&param.c_type);
             let fill = |pool_i: &mut usize| -> Vec<Word> {
                 (0..count)
@@ -496,30 +480,6 @@ fn build_args(
         }
     }
     Ok(args)
-}
-
-fn value_num(value: &Value) -> Option<CVal> {
-    match value {
-        Value::Int(v) => Some(CVal::Int(*v)),
-        Value::Float(v) => Some(CVal::Float(*v)),
-        Value::Ptr { .. } => None,
-    }
-}
-
-fn word_num(word: &Word) -> Option<CVal> {
-    match word {
-        Word::Int(v) => Some(CVal::Int(*v)),
-        Word::Float(v) => Some(CVal::Float(*v)),
-        Word::Uninit => None,
-    }
-}
-
-fn nums_agree(a: Option<CVal>, b: Option<CVal>) -> bool {
-    match (a, b) {
-        (Some(a), Some(b)) => a.same_number(b),
-        (None, None) => true,
-        _ => false,
-    }
 }
 
 /// What one concrete run observed on a channel.

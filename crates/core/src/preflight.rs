@@ -22,16 +22,16 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use symexec::concrete::{ceval, ceval_bool, CAssignment, CVal};
-use symexec::engine::{region_hint, Engine, EngineConfig, ParamBinding};
+use symexec::engine::{region_hint, Engine, EngineConfig};
 use symexec::state::Channel;
 use symexec::value::{Region, SVal};
 use symexec::Exploration;
 
-use edl::Prototype;
+use edl::{AnalysisConfig, Prototype};
 use sgx_sim::interp::{Value, Word};
 use sgx_sim::{EcallArg, EcallResult, Enclave};
 
-use crate::analyzer::DEFAULT_DECRYPT_FUNCTIONS;
+use crate::analyzer::{param_bindings, DEFAULT_DECRYPT_FUNCTIONS};
 
 /// Pre-flight tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,8 +101,27 @@ struct ConcreteInputs {
     out_params: Vec<String>,
 }
 
-fn is_float_type(c_type: &str) -> bool {
+/// Whether a parameter of C type `c_type` holds floating-point words.
+pub(crate) fn is_float_type(c_type: &str) -> bool {
     c_type.contains("float") || c_type.contains("double")
+}
+
+/// The element count of a buffer parameter, which must be a constant
+/// `count`/`size` bound for a concrete run.
+pub(crate) fn const_bound(param: &edl::ast::Param) -> Result<usize, String> {
+    let bound = param
+        .attributes
+        .count
+        .as_ref()
+        .or(param.attributes.size.as_ref())
+        .ok_or_else(|| format!("parameter `{}` has no bound", param.name))?;
+    match bound {
+        edl::ast::Bound::Const(n) => Ok(*n as usize),
+        edl::ast::Bound::Param(name) => Err(format!(
+            "parameter `{}` has non-constant bound `{name}`",
+            param.name
+        )),
+    }
 }
 
 /// Deterministic input values: small non-negative integers (exact in both
@@ -125,21 +144,7 @@ fn derive_inputs(proto: &Prototype, seed: u64) -> Result<ConcreteInputs, String>
     let mut ordinal = 0usize;
     for param in &proto.params {
         if param.is_pointer() {
-            let bound = param
-                .attributes
-                .count
-                .as_ref()
-                .or(param.attributes.size.as_ref())
-                .ok_or_else(|| format!("parameter `{}` has no bound", param.name))?;
-            let count = match bound {
-                edl::ast::Bound::Const(n) => *n as usize,
-                edl::ast::Bound::Param(name) => {
-                    return Err(format!(
-                        "parameter `{}` has non-constant bound `{name}`",
-                        param.name
-                    ))
-                }
-            };
+            let count = const_bound(param)?;
             let float = is_float_type(&param.c_type);
             let is_in = param.attributes.is_in();
             let is_out = param.attributes.is_out();
@@ -183,26 +188,6 @@ fn derive_inputs(proto: &Prototype, seed: u64) -> Result<ConcreteInputs, String>
         }
     }
     Ok(inputs)
-}
-
-/// The analyzer's parameter bindings, replicated (no config overrides).
-fn bindings(proto: &Prototype) -> Vec<ParamBinding> {
-    proto
-        .params
-        .iter()
-        .map(|param| {
-            if param.is_pointer() {
-                match (param.attributes.is_in(), param.attributes.is_out()) {
-                    (true, true) => ParamBinding::InOutPointer,
-                    (true, false) => ParamBinding::SecretPointer,
-                    (false, true) => ParamBinding::OutPointer,
-                    (false, false) => ParamBinding::Pointer,
-                }
-            } else {
-                ParamBinding::Scalar
-            }
-        })
-        .collect()
 }
 
 fn collect_symbols(value: &SVal, out: &mut BTreeMap<u64, String>) {
@@ -292,7 +277,8 @@ fn path_matches(path: &symexec::PathOutcome, assignment: &CAssignment) -> bool {
         .all(|a| ceval_bool(&a.cond, assignment) == Some(a.taken))
 }
 
-fn value_num(value: &Value) -> Option<CVal> {
+/// The number a simulator value holds (`None` for a pointer).
+pub(crate) fn value_num(value: &Value) -> Option<CVal> {
     match value {
         Value::Int(v) => Some(CVal::Int(*v)),
         Value::Float(v) => Some(CVal::Float(*v)),
@@ -300,7 +286,8 @@ fn value_num(value: &Value) -> Option<CVal> {
     }
 }
 
-fn word_num(word: &Word) -> Option<CVal> {
+/// The number a simulator memory word holds (`None` when uninitialized).
+pub(crate) fn word_num(word: &Word) -> Option<CVal> {
     match word {
         Word::Int(v) => Some(CVal::Int(*v)),
         Word::Float(v) => Some(CVal::Float(*v)),
@@ -308,7 +295,8 @@ fn word_num(word: &Word) -> Option<CVal> {
     }
 }
 
-fn agree(a: Option<CVal>, b: Option<CVal>) -> bool {
+/// Whether two observations are the same number, or both absent.
+pub(crate) fn nums_agree(a: Option<CVal>, b: Option<CVal>) -> bool {
     match (a, b) {
         (Some(a), Some(b)) => a.same_number(b),
         (None, None) => true,
@@ -350,7 +338,7 @@ fn compare_path(
         Some((v, _)) if has_unmapped(v, assignment) => *abstracted += 1,
         ret => {
             let engine_ret = ret.as_ref().and_then(|(v, _)| ceval(v, assignment));
-            if !agree(engine_ret, sim_ret) {
+            if !nums_agree(engine_ret, sim_ret) {
                 details.push(format!(
                     "return value: engine {} vs sim {}",
                     render(engine_ret),
@@ -383,7 +371,7 @@ fn compare_path(
                 .get(name)
                 .and_then(|words| words.get(slot))
                 .and_then(word_num);
-            if !agree(engine_v, sim_v) {
+            if !nums_agree(engine_v, sim_v) {
                 details.push(format!(
                     "{}: engine {} vs sim {}",
                     region_hint(region),
@@ -433,7 +421,7 @@ fn compare_path(
             }
             continue;
         }
-        if ef != sf || ea != sa || !agree(*ev, *sv) {
+        if ef != sf || ea != sa || !nums_agree(*ev, *sv) {
             details.push(format!(
                 "ocall argument: engine {ef}#{ea}={} vs sim {sf}#{sa}={}",
                 render(*ev),
@@ -481,7 +469,7 @@ pub fn check_agreement(
     }
     let engine = Engine::new(&unit, engine_config).with_source(source.to_string());
     let exploration = engine
-        .run(entry, &bindings(&proto))
+        .run(entry, &param_bindings(&proto, &AnalysisConfig::default()))
         .map_err(|e| e.to_string())?;
 
     // Concrete side.
@@ -491,7 +479,7 @@ pub fn check_agreement(
         .map_err(|e| e.to_string())?;
 
     let assignment = build_assignment(&exploration, &inputs);
-    let complete = !exploration.exhausted && exploration.ledger.is_empty();
+    let complete = exploration.ledger.is_empty();
     let matched: Vec<_> = exploration
         .paths
         .iter()

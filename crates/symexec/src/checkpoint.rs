@@ -163,7 +163,8 @@ pub(crate) struct Frontier {
     /// resume the path-level fields come from here and the exploration
     /// counters from `profile`, which must agree with them.
     pub stats: Stats,
-    /// Whether any budget was already exhausted.
+    /// Whether `ledger` is not complete; redundant with it, and checked
+    /// against it on load.
     pub exhausted: bool,
     /// Degradations accumulated so far.
     pub ledger: Ledger,
@@ -174,17 +175,12 @@ pub(crate) struct Frontier {
     /// FNV hashes of every feasibility-probe key accounted so far (the
     /// deterministic hit/miss counters in [`Stats`] are classifications
     /// against this set). Persisted so a resumed run counts probe
-    /// redundancy exactly like an uninterrupted one. `serde(default)`
-    /// keeps pre-telemetry snapshots loadable: they resume with an empty
-    /// seen-set and correspondingly conservative hit counts.
-    #[serde(default)]
+    /// redundancy exactly like an uninterrupted one.
     pub probe_seen: BTreeSet<u64>,
     /// Per-source-site exploration profile accumulated so far: the source
     /// of the exploration counters. Merged in canonical wave order, so a
     /// resumed run's final profile is byte-identical to an uninterrupted
-    /// one. A pre-profile snapshot deserializes with an empty profile and
-    /// is then rejected unless its `stats` counted no exploration at all.
-    #[serde(default)]
+    /// one.
     pub profile: Profile,
 }
 
@@ -229,52 +225,15 @@ impl Snapshot {
     /// that are not a supported checkpoint header. Never panics.
     pub fn peek_fingerprint(path: &Path) -> Result<u64, CheckpointError> {
         use std::io::{BufRead, BufReader};
-        let file = std::fs::File::open(path).map_err(|e| CheckpointError::Io {
+        let io_err = |e: std::io::Error| CheckpointError::Io {
             path: path.to_path_buf(),
             message: e.to_string(),
-        })?;
+        };
         let mut header = String::new();
-        BufReader::new(file)
+        BufReader::new(std::fs::File::open(path).map_err(io_err)?)
             .read_line(&mut header)
-            .map_err(|e| CheckpointError::Io {
-                path: path.to_path_buf(),
-                message: e.to_string(),
-            })?;
-        let header = header.trim_end_matches('\n');
-        let mut tokens = header.split(' ');
-        if tokens.next() != Some(MAGIC) {
-            return Err(CheckpointError::Malformed {
-                detail: format!("not a `{MAGIC}` file"),
-            });
-        }
-        match tokens.next().and_then(|t| t.strip_prefix('v')) {
-            Some(raw) => {
-                let version = raw.parse::<u32>().map_err(|_| CheckpointError::Malformed {
-                    detail: format!("unreadable version `{raw}`"),
-                })?;
-                if version != FORMAT_VERSION {
-                    return Err(CheckpointError::UnsupportedVersion {
-                        found: version,
-                        supported: FORMAT_VERSION,
-                    });
-                }
-            }
-            None => {
-                return Err(CheckpointError::Malformed {
-                    detail: "missing version token".into(),
-                })
-            }
-        }
-        for token in tokens {
-            if let Some(("fingerprint", raw)) = token.split_once('=') {
-                if let Ok(fingerprint) = u64::from_str_radix(raw, 16) {
-                    return Ok(fingerprint);
-                }
-            }
-        }
-        Err(CheckpointError::Malformed {
-            detail: "header lacks a fingerprint".into(),
-        })
+            .map_err(io_err)?;
+        Ok(Header::parse(header.trim_end_matches('\n'))?.fingerprint)
     }
 
     /// Parses checkpoint file contents (see the module docs for the layout).
@@ -284,44 +243,11 @@ impl Snapshot {
                 detail: "missing header line".into(),
             });
         };
-        let mut tokens = header.split(' ');
-        if tokens.next() != Some(MAGIC) {
-            return Err(CheckpointError::Malformed {
-                detail: format!("not a `{MAGIC}` file"),
-            });
-        }
-        let version = match tokens.next().and_then(|t| t.strip_prefix('v')) {
-            Some(raw) => raw.parse::<u32>().map_err(|_| CheckpointError::Malformed {
-                detail: format!("unreadable version `{raw}`"),
-            })?,
-            None => {
-                return Err(CheckpointError::Malformed {
-                    detail: "missing version token".into(),
-                })
-            }
-        };
-        if version != FORMAT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let mut fingerprint = None;
-        let mut checksum = None;
-        let mut len = None;
-        for token in tokens {
-            match token.split_once('=') {
-                Some(("fingerprint", raw)) => fingerprint = u64::from_str_radix(raw, 16).ok(),
-                Some(("checksum", raw)) => checksum = u64::from_str_radix(raw, 16).ok(),
-                Some(("len", raw)) => len = raw.parse::<usize>().ok(),
-                _ => {}
-            }
-        }
-        let (Some(fingerprint), Some(checksum), Some(len)) = (fingerprint, checksum, len) else {
-            return Err(CheckpointError::Malformed {
-                detail: "header lacks fingerprint/checksum/len".into(),
-            });
-        };
+        let Header {
+            fingerprint,
+            checksum,
+            len,
+        } = Header::parse(header)?;
         if payload.len() != len {
             return Err(CheckpointError::Truncated {
                 expected: len,
@@ -345,6 +271,15 @@ impl Snapshot {
                 detail: format!(
                     "stats {:?} disagree with the profile totals {derived:?}",
                     frontier.stats
+                ),
+            });
+        }
+        if frontier.exhausted == frontier.ledger.is_complete() {
+            return Err(CheckpointError::Malformed {
+                detail: format!(
+                    "exhausted {} disagrees with the ledger {:?}",
+                    frontier.exhausted,
+                    frontier.ledger.entries()
                 ),
             });
         }
@@ -418,6 +353,61 @@ impl Snapshot {
     }
 }
 
+/// A checkpoint's header line: `MAGIC v<version> fingerprint=<hex>
+/// checksum=<hex> len=<bytes>`.
+struct Header {
+    fingerprint: u64,
+    checksum: u64,
+    len: usize,
+}
+
+impl Header {
+    /// Parses a header line (without its newline): the magic first, then
+    /// the version, which must be [`FORMAT_VERSION`], then the three
+    /// fields in any order.
+    fn parse(line: &str) -> Result<Header, CheckpointError> {
+        let mut tokens = line.split(' ');
+        if tokens.next() != Some(MAGIC) {
+            return Err(CheckpointError::Malformed {
+                detail: format!("not a `{MAGIC}` file"),
+            });
+        }
+        let Some(raw) = tokens.next().and_then(|t| t.strip_prefix('v')) else {
+            return Err(CheckpointError::Malformed {
+                detail: "missing version token".into(),
+            });
+        };
+        let version = raw.parse::<u32>().map_err(|_| CheckpointError::Malformed {
+            detail: format!("unreadable version `{raw}`"),
+        })?;
+        if version != FORMAT_VERSION {
+            return Err(CheckpointError::UnsupportedVersion {
+                found: version,
+                supported: FORMAT_VERSION,
+            });
+        }
+        let (mut fingerprint, mut checksum, mut len) = (None, None, None);
+        for token in tokens {
+            match token.split_once('=') {
+                Some(("fingerprint", raw)) => fingerprint = u64::from_str_radix(raw, 16).ok(),
+                Some(("checksum", raw)) => checksum = u64::from_str_radix(raw, 16).ok(),
+                Some(("len", raw)) => len = raw.parse::<usize>().ok(),
+                _ => {}
+            }
+        }
+        let (Some(fingerprint), Some(checksum), Some(len)) = (fingerprint, checksum, len) else {
+            return Err(CheckpointError::Malformed {
+                detail: "header lacks fingerprint/checksum/len".into(),
+            });
+        };
+        Ok(Header {
+            fingerprint,
+            checksum,
+            len,
+        })
+    }
+}
+
 /// The compatibility fingerprint of one analysis: pretty-printed unit,
 /// entry, bindings, and every [`EngineConfig`] field that shapes the
 /// exploration *result*. Workers, feasibility cache, deadline, cancellation
@@ -465,12 +455,10 @@ pub(crate) fn fingerprint(
 /// service's job journal can checksum its records with the same function
 /// the checkpoint header uses.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    use std::hash::Hasher;
+    let mut hasher = FnvHasher::new();
+    hasher.write(bytes);
+    hasher.finish()
 }
 
 /// [`std::hash::Hasher`] over FNV-1a, for hashing `Hash` types (feasibility
@@ -623,6 +611,51 @@ mod tests {
             Snapshot::load(&path),
             Err(CheckpointError::Malformed { .. })
         ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn rejects_exhausted_that_disagrees_with_the_ledger() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("ps_ckpt_exhausted_{}.snap", std::process::id()));
+        let mut snapshot = sample();
+        snapshot.frontier.exhausted = true;
+        snapshot.write_atomic(&path).expect("writes");
+        assert!(matches!(
+            Snapshot::load(&path),
+            Err(CheckpointError::Malformed { .. })
+        ));
+        snapshot
+            .frontier
+            .ledger
+            .record(crate::Degradation::StepBudget { dropped: 1 });
+        snapshot.write_atomic(&path).expect("writes");
+        assert_eq!(Snapshot::load(&path), Ok(snapshot.clone()));
+        snapshot.frontier.exhausted = false;
+        snapshot.write_atomic(&path).expect("writes");
+        assert!(matches!(
+            Snapshot::load(&path),
+            Err(CheckpointError::Malformed { .. })
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn peek_and_load_read_one_header() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("ps_ckpt_header_{}.snap", std::process::id()));
+        sample().write_atomic(&path).expect("writes");
+        assert_eq!(Snapshot::peek_fingerprint(&path), Ok(0xfeed));
+        for header in [
+            "not-a-checkpoint v3 fingerprint=1 checksum=0 len=0".to_string(),
+            format!("{MAGIC} v999 fingerprint=1 checksum=0 len=0"),
+            format!("{MAGIC} vx fingerprint=1 checksum=0 len=0"),
+            format!("{MAGIC} v{FORMAT_VERSION} checksum=0 len=0"),
+        ] {
+            std::fs::write(&path, format!("{header}\n")).expect("writes");
+            let peeked = Snapshot::peek_fingerprint(&path).expect_err("rejected");
+            assert_eq!(Snapshot::load(&path).expect_err("rejected"), peeked);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

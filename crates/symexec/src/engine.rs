@@ -250,25 +250,20 @@ pub struct Stats {
     /// deterministically at wave boundaries and is therefore invariant
     /// under worker count *and* under the real cache's capacity (which is
     /// a scheduling-dependent performance detail; see `Explorer::probe`).
-    #[serde(default)]
     pub cache_hits: usize,
     /// Feasibility probes with a first-seen key (the complement of
     /// [`Stats::cache_hits`]).
-    #[serde(default)]
     pub cache_misses: usize,
     /// Branch sides refuted by Tier 1 (interval/congruence domain) after
     /// the syntactic tier passed. Always 0 in syntactic mode. Counted
     /// per probe *event* — the tier outcome is a pure function of the
     /// probe key, so the count is worker-count invariant.
-    #[serde(default)]
     pub tier1_refuted: usize,
     /// Branch sides refuted by Tier 2 (the SAT-lite solver) after tiers
     /// 0–1 passed. Always 0 in syntactic mode.
-    #[serde(default)]
     pub tier2_refuted: usize,
     /// Tier-2 invocations that exhausted their deterministic budget (the
     /// probe then counts as feasible).
-    #[serde(default)]
     pub tier2_unknown: usize,
 }
 
@@ -308,7 +303,8 @@ pub struct Exploration {
     pub entry: String,
     /// Every feasible completed path.
     pub paths: Vec<PathOutcome>,
-    /// Whether any budget was exhausted (results are then a subset).
+    /// Whether the ledger is not complete ([`Ledger::is_complete`]): some
+    /// feasible path went unexplored, so the results are a subset.
     pub exhausted: bool,
     /// Every degradation the run absorbed, typed and coalesced; empty for
     /// a clean, complete exploration. See [`Ledger::is_complete`] for the
@@ -448,25 +444,7 @@ impl<'u> Engine<'u> {
             self.config.cancel.clone(),
             self.config.yield_hook.clone(),
         );
-        let mut explorer = Explorer {
-            unit: self.unit,
-            config: &self.config,
-            source: self.source.as_deref(),
-            freed_on_return: &self.freed_on_return,
-            cache: &cache,
-            supervisor: &supervisor,
-            base_forks: 0,
-            sources: SourceTable::new(),
-            collision: None,
-            stats: Stats::default(),
-            exhausted: false,
-            interrupted: false,
-            ledger: Ledger::new(),
-            event_log: Vec::new(),
-            probe_log: Vec::new(),
-            probe_seen: BTreeSet::new(),
-            profile: Profile::new(),
-        };
+        let mut explorer = Explorer::new(self, &cache, &supervisor, 0);
 
         let (start_wave, start_entries, out_bases) = match resume {
             Some(snapshot) => {
@@ -478,7 +456,9 @@ impl<'u> Engine<'u> {
                     entries,
                     sources,
                     stats,
-                    exhausted,
+                    // Implied by the ledger, which `Snapshot::load`
+                    // checked it against.
+                    exhausted: _,
                     ledger,
                     events,
                     out_bases,
@@ -489,7 +469,6 @@ impl<'u> Engine<'u> {
                 // The exploration counters resume from `profile`, which
                 // `Snapshot::load` checked against `stats`.
                 explorer.stats.absorb(&stats);
-                explorer.exhausted = exhausted;
                 explorer.ledger = ledger;
                 explorer.event_log = events;
                 explorer.probe_seen = probe_seen;
@@ -525,15 +504,7 @@ impl<'u> Engine<'u> {
             written: &mut checkpoint_written,
             telemetry: self.config.telemetry.clone(),
         };
-        let finished = self.drive_worklist(
-            &mut explorer,
-            &cache,
-            &supervisor,
-            start_wave,
-            start_entries,
-            body,
-            sink,
-        )?;
+        let finished = self.drive_worklist(&mut explorer, start_wave, start_entries, body, sink)?;
 
         let mut paths = Vec::new();
         for (mut st, flow) in finished {
@@ -557,7 +528,6 @@ impl<'u> Engine<'u> {
                 explorer.event_log.push(event.clone());
             }
             if paths.len() >= self.config.max_paths {
-                explorer.exhausted = true;
                 explorer.stats.dropped_paths += 1;
                 explorer
                     .ledger
@@ -580,7 +550,7 @@ impl<'u> Engine<'u> {
         Ok(Exploration {
             entry: entry.to_string(),
             paths,
-            exhausted: explorer.exhausted,
+            exhausted: !explorer.ledger.is_complete(),
             ledger: explorer.ledger,
             stats: explorer.stats.with_totals(&explorer.profile.totals()),
             out_bases,
@@ -605,12 +575,9 @@ impl<'u> Engine<'u> {
     ///
     /// [`EngineError::SourceCollision`] when two secret sources' keys have
     /// the same digest.
-    #[allow(clippy::too_many_arguments)]
     fn drive_worklist(
         &self,
         explorer: &mut Explorer<'u, '_>,
-        cache: &FeasibilityCache,
-        supervisor: &Supervisor,
         start_wave: usize,
         start_entries: StateFlows,
         body: &[Stmt],
@@ -618,6 +585,7 @@ impl<'u> Engine<'u> {
     ) -> Result<StateFlows, EngineError> {
         let workers = self.config.effective_workers();
         let tele = self.config.telemetry.clone();
+        let (cache, supervisor) = (explorer.cache, explorer.supervisor);
         let mut entries = start_entries;
         for (wave, stmt) in body.iter().enumerate().skip(start_wave) {
             let live = entries
@@ -645,6 +613,10 @@ impl<'u> Engine<'u> {
                 cut_exploration(explorer, kind, wave, live);
                 return Ok(entries);
             }
+            // When checkpointing, keep the boundary frontier: a mid-wave
+            // interrupt discards the whole wave, and the snapshot must
+            // carry the frontier as of *this* boundary.
+            let boundary = sink.enabled().then(|| entries.clone());
             // Non-Normal entries (already returned / broken) pass through
             // positionally; Normal entries become tasks.
             let mut tasks = Vec::new();
@@ -657,11 +629,6 @@ impl<'u> Engine<'u> {
                     layout.push(Some((st, flow)));
                 }
             }
-            let dropped = tasks.len();
-            // When checkpointing, keep the pre-wave states: a mid-wave
-            // interrupt discards the whole wave, and the snapshot must
-            // carry the frontier as of *this* boundary.
-            let backup = sink.enabled().then(|| tasks.clone());
             // Per-wave instrumentation lives at this boundary only: workers
             // carry plain per-task buffers (stats, probe logs, pending
             // spans) that are folded in canonical order below, so telemetry
@@ -684,30 +651,17 @@ impl<'u> Engine<'u> {
             // A mid-wave deadline hit discards the *whole* wave — partial
             // waves would make the output depend on worker scheduling. The
             // result is then exactly "stopped before this wave".
-            if results.iter().any(|task| task.interrupted) {
+            if results.iter().any(|result| result.task.interrupted) {
                 let kind = supervisor.stop().unwrap_or(StopKind::Deadline);
-                if let Some(backup) = backup {
-                    // Rebuild the boundary frontier in canonical order:
-                    // pass-through slots plus the saved pre-wave states.
-                    let mut saved = backup.into_iter();
-                    let frontier: StateFlows = layout
-                        .iter()
-                        .map(|slot| match slot {
-                            Some(entry) => entry.clone(),
-                            None => (
-                                saved.next().expect("one saved state per task slot"),
-                                Flow::Normal,
-                            ),
-                        })
-                        .collect();
-                    sink.write(explorer, &frontier, wave);
+                if let Some(boundary) = boundary {
+                    sink.write(explorer, &boundary, wave);
                 }
                 entries.extend(layout.into_iter().flatten());
                 if let Some(mut span) = wave_span {
                     span.field("interrupted", true);
                     tele.emit(span);
                 }
-                cut_exploration(explorer, kind, wave, dropped);
+                cut_exploration(explorer, kind, wave, live);
                 return Ok(entries);
             }
             let mut results = results.into_iter();
@@ -715,8 +669,22 @@ impl<'u> Engine<'u> {
                 match slot {
                     Some(entry) => entries.push(entry),
                     None => {
-                        if let Some(task) = results.next() {
-                            entries.extend(merge_task(explorer, task)?);
+                        if let Some(result) = results.next() {
+                            // The task's buffered telemetry goes out from
+                            // the merging thread, in canonical task order;
+                            // timings go to the sinks only.
+                            if tele.is_enabled() {
+                                tele.counter(telemetry::names::ENGINE_PATH_TASKS, 1);
+                                tele.observe(
+                                    telemetry::names::ENGINE_PATH_TASK_US,
+                                    result.elapsed_us,
+                                );
+                                if let Some(span) = result.span {
+                                    tele.emit(span);
+                                }
+                            }
+                            explorer.absorb(result.task)?;
+                            entries.extend(result.flows);
                         }
                     }
                 }
@@ -756,15 +724,15 @@ impl<'u> Engine<'u> {
     /// a task touches are poison-safe — the feasibility cache tolerates
     /// poisoned locks by recomputing (a pure function), and the worklist's
     /// result slots are only locked after the task closure has returned.
-    fn run_stmt_task(
-        &self,
-        cache: &FeasibilityCache,
-        supervisor: &Supervisor,
+    fn run_stmt_task<'c>(
+        &'c self,
+        cache: &'c FeasibilityCache,
+        supervisor: &'c Supervisor,
         base_forks: u64,
         state: ExecState,
         stmt: &Stmt,
         wave_span: Option<u64>,
-    ) -> TaskResult {
+    ) -> TaskResult<'u, 'c> {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // Per-task telemetry is buffered as plain data (a pending span
             // and the probe log) and handed back with the result: the merge
@@ -772,25 +740,7 @@ impl<'u> Engine<'u> {
             // the sink and never synchronize on telemetry.
             let mut span = self.config.telemetry.begin("path_task", wave_span);
             let started = self.config.telemetry.is_enabled().then(Instant::now);
-            let mut task = Explorer {
-                unit: self.unit,
-                config: &self.config,
-                source: self.source.as_deref(),
-                freed_on_return: &self.freed_on_return,
-                cache,
-                supervisor,
-                base_forks,
-                sources: SourceTable::new(),
-                collision: None,
-                stats: Stats::default(),
-                exhausted: false,
-                interrupted: false,
-                ledger: Ledger::new(),
-                event_log: Vec::new(),
-                probe_log: Vec::new(),
-                probe_seen: BTreeSet::new(),
-                profile: Profile::new(),
-            };
+            let mut task = Explorer::new(self, cache, supervisor, base_forks);
             // The states go back to the frontier unboxed here, so each box
             // is freed by the worker thread that allocated it.
             let flows: StateFlows = task
@@ -807,20 +757,26 @@ impl<'u> Engine<'u> {
             }
             TaskResult {
                 flows,
-                sources: task.sources,
-                collision: task.collision,
-                stats: task.stats,
-                exhausted: task.exhausted,
-                interrupted: task.interrupted,
-                ledger: task.ledger,
-                events: task.event_log,
-                probes: task.probe_log,
-                profile: task.profile,
+                task,
                 span,
                 elapsed_us: started.map_or(0, |at| at.elapsed().as_micros() as u64),
             }
         }));
-        outcome.unwrap_or_else(|payload| TaskResult::panicked(panic_message(payload)))
+        outcome.unwrap_or_else(|payload| {
+            // The path is dropped, the panic becomes a ledger entry, and
+            // nothing else of the task survives.
+            let mut task = Explorer::new(self, cache, supervisor, base_forks);
+            task.ledger.record(Degradation::PathPanicked {
+                message: panic_message(payload),
+            });
+            task.stats.dropped_panics = 1;
+            TaskResult {
+                flows: Vec::new(),
+                task,
+                span: None,
+                elapsed_us: 0,
+            }
+        })
     }
 }
 
@@ -882,7 +838,6 @@ fn cut_exploration(explorer: &mut Explorer<'_, '_>, kind: StopKind, wave: usize,
     };
     explorer.ledger.record(degradation);
     explorer.stats.dropped_deadline += dropped;
-    explorer.exhausted = true;
 }
 
 /// Where (and how often) `drive_worklist` persists resumable snapshots.
@@ -928,7 +883,7 @@ impl CheckpointSink<'_> {
                 entries: entries.clone(),
                 sources: explorer.sources.clone(),
                 stats: explorer.stats.with_totals(&explorer.profile.totals()),
-                exhausted: explorer.exhausted,
+                exhausted: !explorer.ledger.is_complete(),
                 ledger: explorer.ledger.clone(),
                 events: explorer.event_log.clone(),
                 out_bases: self.out_bases.to_vec(),
@@ -956,94 +911,17 @@ impl CheckpointSink<'_> {
     }
 }
 
-/// Everything one statement-task produced.
-struct TaskResult {
+/// Everything one statement task produced.
+struct TaskResult<'u, 'c> {
     flows: StateFlows,
-    /// The secret sources the task's paths hold.
-    sources: SourceTable,
-    /// The first digest collision among them, if any.
-    collision: Option<EngineError>,
-    stats: Stats,
-    exhausted: bool,
-    /// The supervisor fired mid-task; this wave's results must be discarded.
-    interrupted: bool,
-    ledger: Ledger,
-    events: Vec<DeclassifyEvent>,
-    /// Feasibility-probe (key hash, attribution site) pairs in program
-    /// order, classified at merge.
-    probes: Vec<(u64, usize)>,
-    /// The task's per-site exploration profile, absorbed at merge in
-    /// canonical order.
-    profile: Profile,
+    /// The task's explorer, with everything it tallied; the merge folds
+    /// it into the run's through [`Explorer::absorb`].
+    task: Explorer<'u, 'c>,
     /// Buffered telemetry span, emitted by the merging thread.
     span: Option<PendingSpan>,
     /// Task wall-clock in microseconds (0 when telemetry is off); feeds
     /// the metrics histogram only, never the exploration result.
     elapsed_us: u64,
-}
-
-impl TaskResult {
-    /// The result of a task whose path panicked: the path is dropped, the
-    /// panic becomes a ledger entry, and nothing else survives.
-    fn panicked(message: String) -> Self {
-        let mut ledger = Ledger::new();
-        ledger.record(Degradation::PathPanicked { message });
-        let stats = Stats {
-            dropped_panics: 1,
-            ..Stats::default()
-        };
-        TaskResult {
-            flows: Vec::new(),
-            sources: SourceTable::new(),
-            collision: None,
-            stats,
-            exhausted: true,
-            interrupted: false,
-            ledger,
-            events: Vec::new(),
-            probes: Vec::new(),
-            profile: Profile::new(),
-            span: None,
-            elapsed_us: 0,
-        }
-    }
-}
-
-/// Folds a task's results into the global explorer. Called in canonical
-/// task order; ids need no translation, so this only appends.
-///
-/// # Errors
-///
-/// [`EngineError::SourceCollision`] when one of the task's sources has the
-/// id of a different source already known.
-fn merge_task(
-    explorer: &mut Explorer<'_, '_>,
-    mut task: TaskResult,
-) -> Result<StateFlows, EngineError> {
-    // Emit the task's buffered telemetry from the merging thread, in
-    // canonical task order; timings go to the sinks only.
-    let telemetry = &explorer.config.telemetry;
-    if telemetry.is_enabled() {
-        telemetry.counter(telemetry::names::ENGINE_PATH_TASKS, 1);
-        telemetry.observe(telemetry::names::ENGINE_PATH_TASK_US, task.elapsed_us);
-        if let Some(span) = task.span.take() {
-            telemetry.emit(span);
-        }
-    }
-    if let Some(error) = task.collision {
-        return Err(error);
-    }
-    for (id, (key, name)) in task.sources {
-        add_source(&mut explorer.sources, id, key, name)?;
-    }
-    let probes = std::mem::take(&mut task.probes);
-    explorer.absorb_probes(probes);
-    explorer.stats.absorb(&task.stats);
-    explorer.profile.absorb(&task.profile);
-    explorer.exhausted |= task.exhausted;
-    explorer.ledger.absorb(task.ledger);
-    explorer.event_log.extend(task.events);
-    Ok(task.flows)
 }
 
 /// Secret sources by id, each with the key of the symbol holding the
@@ -1139,7 +1017,6 @@ struct Explorer<'u, 'c> {
     /// Path-level counters only; the exploration counters live in
     /// `profile`.
     stats: Stats,
-    exhausted: bool,
     /// Set when the supervisor fired mid-execution: the task's results are
     /// timing-dependent and the wave must be discarded for determinism.
     interrupted: bool,
@@ -1161,6 +1038,57 @@ struct Explorer<'u, 'c> {
 }
 
 impl<'u, 'c> Explorer<'u, 'c> {
+    /// An explorer for `engine` with nothing tallied yet: the run's own
+    /// (`base_forks` 0) or one statement task's.
+    fn new(
+        engine: &'c Engine<'u>,
+        cache: &'c FeasibilityCache,
+        supervisor: &'c Supervisor,
+        base_forks: u64,
+    ) -> Self {
+        Explorer {
+            unit: engine.unit,
+            config: &engine.config,
+            source: engine.source.as_deref(),
+            freed_on_return: &engine.freed_on_return,
+            cache,
+            supervisor,
+            base_forks,
+            sources: SourceTable::new(),
+            collision: None,
+            stats: Stats::default(),
+            interrupted: false,
+            ledger: Ledger::new(),
+            event_log: Vec::new(),
+            probe_log: Vec::new(),
+            probe_seen: BTreeSet::new(),
+            profile: Profile::new(),
+        }
+    }
+
+    /// Folds a finished task's explorer into this one, the run's. Called
+    /// in canonical task order; ids need no translation, so this only
+    /// appends.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::SourceCollision`] when one of the task's sources has
+    /// the id of a different source already known.
+    fn absorb(&mut self, task: Explorer<'u, '_>) -> Result<(), EngineError> {
+        if let Some(error) = task.collision {
+            return Err(error);
+        }
+        for (id, (key, name)) in task.sources {
+            add_source(&mut self.sources, id, key, name)?;
+        }
+        self.absorb_probes(task.probe_log);
+        self.stats.absorb(&task.stats);
+        self.profile.absorb(&task.profile);
+        self.ledger.absorb(task.ledger);
+        self.event_log.extend(task.event_log);
+        Ok(())
+    }
+
     /// Checks branch feasibility through the shared memoization cache and
     /// logs the probe key for deterministic hit/miss accounting.
     ///
@@ -1204,8 +1132,8 @@ impl<'u, 'c> Explorer<'u, 'c> {
     }
 
     /// Classifies a drained probe log against the global seen-set. Must be
-    /// called in canonical merge order (it is: from `merge_task` and for
-    /// the init phase in `run_from`).
+    /// called in canonical merge order (it is: from [`Explorer::absorb`]
+    /// and for the init phase in `run_from`).
     fn absorb_probes(&mut self, probes: Vec<(u64, usize)>) {
         for (key, at) in probes {
             let counter = if self.probe_seen.insert(key) {
@@ -2076,7 +2004,6 @@ impl<'u, 'c> Explorer<'u, 'c> {
         }
         if state.steps > self.config.max_steps_per_path {
             self.stats.dropped_steps += 1;
-            self.exhausted = true;
             self.ledger.record(Degradation::StepBudget { dropped: 1 });
             return Outcomes::none();
         }
@@ -2235,7 +2162,6 @@ impl<'u, 'c> Explorer<'u, 'c> {
         if then_ok && else_ok {
             let forks = self.base_forks + self.profile.totals().forks;
             if forks >= self.config.max_paths.saturating_mul(4) as u64 {
-                self.exhausted = true;
                 self.ledger.record(Degradation::PathBudget { dropped: 1 });
                 else_ok = false;
             } else {
@@ -3291,16 +3217,33 @@ mod tests {
         ))
     }
 
+    /// A returned path passes through the loop's wave, whose two tasks run
+    /// about 12k steps: far past a 1 ms deadline, so the cut lands inside
+    /// that wave (or, on a slow host, at an earlier boundary).
+    const LONG_WAVE: &str = "long f(long n) {\n\
+                             long acc = 0;\n\
+                             if (n > 5) return n;\n\
+                             if (n > 0) acc = 1;\n\
+                             for (long i = 0; i < 64; i++) {\n\
+                                 for (long j = 0; j < 64; j++) { acc = acc + j; }\n\
+                             }\n\
+                             return acc; }";
+
     #[test]
     fn deadline_checkpoint_resumes_to_identical_exploration() {
-        let unit = minic::parse(BRANCHY).unwrap();
-        for workers in [1, 4] {
+        for (source, deadline, workers) in [
+            (BRANCHY, Duration::ZERO, 1),
+            (BRANCHY, Duration::ZERO, 4),
+            (LONG_WAVE, Duration::from_millis(1), 1),
+            (LONG_WAVE, Duration::from_millis(1), 4),
+        ] {
+            let unit = minic::parse(source).unwrap();
             let path = tmp_snapshot_path(&format!("deadline_w{workers}"));
             let interrupted = Engine::new(
                 &unit,
                 EngineConfig {
                     workers,
-                    deadline: Some(Duration::ZERO),
+                    deadline: Some(deadline),
                     checkpoint: Some(path.clone()),
                     ..EngineConfig::default()
                 },

@@ -429,8 +429,8 @@ pub struct ExecState {
     pub secret_bases: BTreeSet<Region>,
     /// Tier-1 feasibility facts (interval/congruence per symbol),
     /// maintained incrementally alongside `constraints` when the run's
-    /// [`crate::constraints::FeasibilityMode`] enables them. Empty — and
-    /// absent from old checkpoints, hence the default — in syntactic mode.
+    /// [`crate::constraints::FeasibilityMode`] enables them. Empty in
+    /// syntactic mode.
     pub domain: crate::domain::AbstractDomain,
 }
 
@@ -486,11 +486,7 @@ impl<'de> Deserialize<'de> for ExecState {
             next_frame: serde::from_value(field("next_frame")?)?,
             visits: serde::from_value(field("visits")?)?,
             secret_bases: serde::from_value(field("secret_bases")?)?,
-            // Absent from checkpoints written before the domain existed.
-            domain: serde::take_field_opt(&mut obj, "domain")
-                .map(serde::from_value)
-                .transpose()?
-                .unwrap_or_default(),
+            domain: serde::from_value(field("domain")?)?,
         })
     }
 }

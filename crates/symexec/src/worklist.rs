@@ -16,8 +16,9 @@
 //!   own history, and a local's region name is the one sema gave its
 //!   declaration.
 //!
-//! So the merge has no ids to translate: it appends each task's states,
-//! events and sources in canonical task order.
+//! So the merge has no ids to translate: each task hands back its own
+//! explorer, and the merge appends its states, events, sources and
+//! counters in canonical task order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -14,6 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use privacyscope::analyzer::param_bindings;
 use symexec::engine::{Engine, EngineConfig, ParamBinding};
 
 /// Average allocations per interpreted statement, at most.
@@ -74,22 +75,7 @@ static GLOBAL: Counting = Counting;
 fn bindings_from_edl(edl_text: &str, entry: &str) -> Vec<ParamBinding> {
     let edl_file = edl::parse_edl(edl_text).expect("corpus EDL parses");
     let proto = edl_file.ecall(entry).expect("entry is a declared ECALL");
-    proto
-        .params
-        .iter()
-        .map(|param| {
-            if param.is_pointer() {
-                match (param.attributes.is_in(), param.attributes.is_out()) {
-                    (true, true) => ParamBinding::InOutPointer,
-                    (true, false) => ParamBinding::SecretPointer,
-                    (false, true) => ParamBinding::OutPointer,
-                    (false, false) => ParamBinding::Pointer,
-                }
-            } else {
-                ParamBinding::Scalar
-            }
-        })
-        .collect()
+    param_bindings(proto, &edl::AnalysisConfig::default())
 }
 
 /// Explores `module` at `max_paths` 16 on one worker and returns

@@ -13,7 +13,9 @@
 
 use std::path::PathBuf;
 
+use privacyscope::analyzer::param_bindings;
 use privacyscope::{Analyzer, AnalyzerOptions};
+use symexec::checkpoint::fnv1a;
 use symexec::engine::{Engine, EngineConfig, Exploration, ParamBinding};
 use symexec::{CheckpointError, Snapshot};
 
@@ -24,26 +26,12 @@ fn tmp_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// Mirrors `Analyzer::bindings` for a default (no-override) configuration.
+/// The analyzer's bindings for a corpus entry with no configuration
+/// overrides.
 fn bindings_from_edl(edl_text: &str, entry: &str) -> Vec<ParamBinding> {
     let edl_file = edl::parse_edl(edl_text).expect("corpus EDL parses");
     let proto = edl_file.ecall(entry).expect("entry is a declared ECALL");
-    proto
-        .params
-        .iter()
-        .map(|param| {
-            if param.is_pointer() {
-                match (param.attributes.is_in(), param.attributes.is_out()) {
-                    (true, true) => ParamBinding::InOutPointer,
-                    (true, false) => ParamBinding::SecretPointer,
-                    (false, true) => ParamBinding::OutPointer,
-                    (false, false) => ParamBinding::Pointer,
-                }
-            } else {
-                ParamBinding::Scalar
-            }
-        })
-        .collect()
+    param_bindings(proto, &edl::AnalysisConfig::default())
 }
 
 /// The analyzer's engine wiring for one corpus module, open for overrides.
@@ -232,13 +220,6 @@ fn analyzer_resume_reproduces_the_uninterrupted_report() {
     uninterrupted.stats.time = std::time::Duration::ZERO;
     assert_eq!(resumed, uninterrupted);
     let _ = std::fs::remove_file(&path);
-}
-
-/// FNV-1a over `bytes`, the checkpoint payload checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(*byte)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 /// Applies `edit` to a snapshot's payload and re-seals the header's

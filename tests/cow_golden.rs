@@ -13,6 +13,7 @@
 //! `PS_UPDATE_GOLDENS=1 cargo test --test cow_golden`
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use privacyscope::{Analyzer, AnalyzerOptions};
@@ -93,42 +94,55 @@ fn recommender_report_bytes_match_golden_at_workers_1_and_4() {
     assert_golden("recommender_report.json", &w1);
 }
 
+/// Checks (or, with `PS_UPDATE_GOLDENS` set, rewrites) the checkpoint
+/// golden, once per test binary, and returns its path. Both checkpoint
+/// tests go through here, so the resume test never reads the file while
+/// the other test thread is rewriting it, and one update run regenerates
+/// every golden.
+fn checkpoint_golden() -> PathBuf {
+    static CHECKED: OnceLock<()> = OnceLock::new();
+    CHECKED.get_or_init(|| {
+        let (source, _) = branches_fixture();
+        let unit = minic::parse(&source).expect("fixture parses");
+        let run = |workers: usize| {
+            let path = std::env::temp_dir().join(format!(
+                "ps_cow_golden_{}_{workers}.snap",
+                std::process::id()
+            ));
+            let config = EngineConfig {
+                workers,
+                checkpoint: Some(path.clone()),
+                checkpoint_every: 1,
+                ..EngineConfig::default()
+            };
+            Engine::new(&unit, config)
+                .run(
+                    "entry",
+                    &[ParamBinding::SecretPointer, ParamBinding::OutPointer],
+                )
+                .expect("fixture explores");
+            let bytes = std::fs::read_to_string(&path).expect("snapshot written");
+            let _ = std::fs::remove_file(&path);
+            bytes
+        };
+        let w1 = run(1);
+        let w4 = run(4);
+        assert_eq!(w1, w4, "checkpoint differs across worker counts");
+        assert_golden("branches_checkpoint.snap", &w1);
+    });
+    golden_dir().join("branches_checkpoint.snap")
+}
+
 #[test]
 fn checkpoint_bytes_match_golden_at_workers_1_and_4() {
-    let (source, edl) = branches_fixture();
-    let _ = edl;
-    let unit = minic::parse(&source).expect("fixture parses");
-    let run = |workers: usize| {
-        let path = std::env::temp_dir().join(format!(
-            "ps_cow_golden_{}_{workers}.snap",
-            std::process::id()
-        ));
-        let config = EngineConfig {
-            workers,
-            checkpoint: Some(path.clone()),
-            checkpoint_every: 1,
-            ..EngineConfig::default()
-        };
-        Engine::new(&unit, config)
-            .run(
-                "entry",
-                &[ParamBinding::SecretPointer, ParamBinding::OutPointer],
-            )
-            .expect("fixture explores");
-        let bytes = std::fs::read_to_string(&path).expect("snapshot written");
-        let _ = std::fs::remove_file(&path);
-        bytes
-    };
-    let w1 = run(1);
-    let w4 = run(4);
-    assert_eq!(w1, w4, "checkpoint differs across worker counts");
-    assert_golden("branches_checkpoint.snap", &w1);
+    checkpoint_golden();
 }
 
 /// The golden snapshot keeps the `store`/`taints` layout of the separate
 /// σ and τ maps; it loads and resumes to the uninterrupted exploration.
 #[test]
 fn golden_checkpoint_resumes_to_the_uninterrupted_result() {
+    let golden = checkpoint_golden();
     let (source, _) = branches_fixture();
     let unit = minic::parse(&source).expect("fixture parses");
     let bindings = [ParamBinding::SecretPointer, ParamBinding::OutPointer];
@@ -139,8 +153,7 @@ fn golden_checkpoint_resumes_to_the_uninterrupted_result() {
             ..EngineConfig::default()
         },
     );
-    let snapshot = symexec::Snapshot::load(&golden_dir().join("branches_checkpoint.snap"))
-        .expect("golden snapshot loads");
+    let snapshot = symexec::Snapshot::load(&golden).expect("golden snapshot loads");
     let resumed = engine
         .resume("entry", &bindings, snapshot)
         .expect("golden snapshot resumes");

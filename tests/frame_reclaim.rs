@@ -15,6 +15,7 @@
 //! Every check runs at one and at four workers, whose explorations must
 //! be identical.
 
+use privacyscope::analyzer::param_bindings;
 use privacyscope::{Analyzer, AnalyzerOptions, FindingKind};
 use symexec::engine::{Engine, EngineConfig, Exploration, ParamBinding};
 use symexec::Region;
@@ -129,23 +130,7 @@ fn linear_regression_ends_with_a_small_store() {
     let proto = edl_file
         .ecall(module.entry)
         .expect("entry is a declared ECALL");
-    let bindings: Vec<ParamBinding> = proto
-        .params
-        .iter()
-        .map(|param| {
-            match (
-                param.is_pointer(),
-                param.attributes.is_in(),
-                param.attributes.is_out(),
-            ) {
-                (false, _, _) => ParamBinding::Scalar,
-                (true, true, true) => ParamBinding::InOutPointer,
-                (true, true, false) => ParamBinding::SecretPointer,
-                (true, false, true) => ParamBinding::OutPointer,
-                (true, false, false) => ParamBinding::Pointer,
-            }
-        })
-        .collect();
+    let bindings = param_bindings(proto, &edl::AnalysisConfig::default());
     let mut config = EngineConfig {
         max_paths: 16,
         ..EngineConfig::default()

@@ -10,31 +10,18 @@
 //!    the declassify-event asymmetry — the global event log carries one
 //!    return observation per finished path, dropped or kept.
 
+use privacyscope::analyzer::param_bindings;
 use proptest::prelude::*;
 use symexec::engine::{Engine, EngineConfig, Exploration, ParamBinding};
 use symexec::state::Channel;
 use symexec::Degradation;
 
-/// Mirrors `Analyzer::bindings` for a default (no-override) configuration.
+/// The analyzer's bindings for a corpus entry with no configuration
+/// overrides.
 fn bindings_from_edl(edl_text: &str, entry: &str) -> Vec<ParamBinding> {
     let edl_file = edl::parse_edl(edl_text).expect("corpus EDL parses");
     let proto = edl_file.ecall(entry).expect("entry is a declared ECALL");
-    proto
-        .params
-        .iter()
-        .map(|param| {
-            if param.is_pointer() {
-                match (param.attributes.is_in(), param.attributes.is_out()) {
-                    (true, true) => ParamBinding::InOutPointer,
-                    (true, false) => ParamBinding::SecretPointer,
-                    (false, true) => ParamBinding::OutPointer,
-                    (false, false) => ParamBinding::Pointer,
-                }
-            } else {
-                ParamBinding::Scalar
-            }
-        })
-        .collect()
+    param_bindings(proto, &edl::AnalysisConfig::default())
 }
 
 /// Explores one corpus module with the analyzer's sink/source wiring.
